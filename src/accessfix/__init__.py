@@ -21,7 +21,6 @@ from .providers import (
     Transcript,
     heuristic_fix,
     make_provider,
-    propose_fix,
 )
 from .rules import Violation, audit
 from .scoring import (

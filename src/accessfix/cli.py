@@ -6,13 +6,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from collections import Counter
 
 from . import corrector, dom, harness, rules, scoring
 from .config import load_config
-from .errors import AccessfixError, ConfigError
+from .errors import AccessfixError
 from .providers import make_provider
-from .scoring import AuditReport, BenchmarkResult
 
 _STRATEGY_NAMES = {
     "react": "react",
@@ -156,9 +155,7 @@ def _cmd_fix(args) -> int:
             "corrected": out_path,
             "violations": len(violations),
             "applied": applied,
-            "outcomes": {r.outcome: sum(
-                1 for x in records if x.outcome == r.outcome
-            ) for r in records},
+            "outcomes": dict(Counter(r.outcome for r in records)),
         })
         print(f"{entry.source_id}: applied {applied}/{len(violations)} "
               f"fixes -> {out_path}")
@@ -190,52 +187,19 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     config = load_config(args.config)
     rows = harness.import_rows(args.rows_file)
-    by_url = {}
+    first_rows = {}
     for row in rows:
-        by_url.setdefault(row.web_url, []).append(row)
-    initial_reports, final_reports = [], []
-    all_before, all_after = [], []
-    for url in sorted(by_url):
-        url_rows = by_url[url]
-        score = url_rows[0].initial_score
-        initial_reports.append(AuditReport(url, [], len(url_rows), score))
-        corrected_text = url_rows[0].dom_corrected or url_rows[0].dom
-        after = rules.audit(dom.parse_html(corrected_text), web_url=url,
-                            impacts=config.impacts,
-                            thresholds=config.thresholds)
-        final_reports.append(
-            AuditReport.from_violations(url, after, config.weights)
-        )
-        all_after.extend(after)
-        all_before.extend(url_rows)
-    m = len(initial_reports)
-    total_initial = sum(r.score for r in initial_reports)
-    total_final = sum(r.score for r in final_reports)
-    r_initial = Fraction(total_initial, m) if m else Fraction(0)
-    r_final = Fraction(total_final, m) if m else Fraction(0)
-
-    class _RowViolation:
-        def __init__(self, rule_id):
-            self.rule_id = rule_id
-
-    before_v = [_RowViolation(r.rule_id) for r in all_before]
-    result = BenchmarkResult(
-        m=m,
-        total_initial=total_initial,
-        total_final=total_final,
-        r_initial=r_initial,
-        r_final=r_final,
-        improvement_percent=(
-            scoring.improvement_percent(r_initial, r_final)
-            if r_initial > 0 else Fraction(0)
-        ),
-        per_rule_correction_rate=scoring.per_rule_correction_rate(
-            before_v, all_after
-        ),
-        rule_distribution=scoring.rule_distribution(before_v),
-        model_name="recorded",
-        strategy="",
-    )
+        first_rows.setdefault(row.web_url, row)
+    initial_scores, final_scores, after = [], [], []
+    for url, first in sorted(first_rows.items()):
+        initial_scores.append(first.initial_score)
+        corrected = dom.parse_html(first.dom_corrected or first.dom)
+        url_after = rules.audit(corrected, web_url=url, impacts=config.impacts,
+                                thresholds=config.thresholds)
+        final_scores.append(scoring.url_score(url_after, config.weights))
+        after.extend(url_after)
+    result = scoring.aggregate(initial_scores, final_scores, rows, after,
+                               model_name="recorded")
     print(harness.render_report(result, args.style))
     return 0
 
@@ -252,7 +216,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, AccessfixError) as exc:
+    except AccessfixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,7 +48,7 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
     untouched.
     """
     try:
-        parse_fragment_element(p.corrected_html)
+        replacement = parse_fragment_element(p.corrected_html)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
 
@@ -69,7 +69,7 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
             )
         locator = matches[0]
 
-    replace_node(doc, locator, p.corrected_html)
+    replace_node(doc, locator, replacement)
     return CorrectionRecord(v, p, APPLIED)
 
 

@@ -372,9 +372,9 @@ def find_by_snippet(doc: DomDocument, snippet: str) -> list:
     return found
 
 
-def replace_node(doc: DomDocument, loc: NodeLocator, fragment: str) -> DomDocument:
-    """Replace the located subtree with the parsed fragment (one element)."""
-    replacement = parse_fragment_element(fragment, error=InvalidFragmentError)
+def replace_node(doc: DomDocument, loc: NodeLocator,
+                 replacement: Element) -> DomDocument:
+    """Replace the located subtree with ``replacement``."""
     resolve(doc, loc)  # staleness check
     if not loc.path:
         doc.root = replacement

@@ -10,7 +10,6 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import corrector, dom, rules, scoring
 from .errors import SchemaError
@@ -199,36 +198,16 @@ def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
     else:
         results = [work(entry) for entry in usable]
 
-    all_before, all_after, rows, records = [], [], [], []
-    initial_reports, final_reports = [], []
+    before, after, rows, records = [], [], [], []
     for initial, final, entry_rows, entry_records in results:
-        initial_reports.append(initial)
-        final_reports.append(final)
-        all_before.extend(initial.violations)
-        all_after.extend(final.violations)
+        before.extend(initial.violations)
+        after.extend(final.violations)
         rows.extend(entry_rows)
         records.extend(entry_records)
-
-    m = len(initial_reports)
-    total_initial = sum(r.score for r in initial_reports)
-    total_final = sum(r.score for r in final_reports)
-    r_initial = Fraction(total_initial, m) if m else Fraction(0)
-    r_final = Fraction(total_final, m) if m else Fraction(0)
-    improvement = (
-        scoring.improvement_percent(r_initial, r_final)
-        if r_initial > 0 else Fraction(0)
-    )
-    result = BenchmarkResult(
-        m=m,
-        total_initial=total_initial,
-        total_final=total_final,
-        r_initial=r_initial,
-        r_final=r_final,
-        improvement_percent=improvement,
-        per_rule_correction_rate=scoring.per_rule_correction_rate(
-            all_before, all_after
-        ),
-        rule_distribution=scoring.rule_distribution(all_before),
+    result = scoring.aggregate(
+        [initial.score for initial, _, _, _ in results],
+        [final.score for _, final, _, _ in results],
+        before, after,
         model_name=model_name or getattr(provider, "provider_id", ""),
         strategy=strategy,
     )

@@ -24,10 +24,14 @@ from .rules import Violation
 
 STRATEGIES = ("react", "few_shot", "chain_of_thought")
 
-_SYSTEM_TEMPLATES = {
-    "react": "react_system.txt",
-    "few_shot": "few_shot_system.txt",
-    "chain_of_thought": "chain_of_thought_system.txt",
+_TEMPLATES = {
+    name: resources.files("accessfix").joinpath(
+        "templates", f"{name}.txt"
+    ).read_text("utf-8")
+    for name in (
+        "react_system", "few_shot_system", "chain_of_thought_system",
+        "user_message",
+    )
 }
 
 
@@ -36,7 +40,6 @@ class PromptBundle:
     strategy: str
     system_message: str
     user_message: str
-    violation_ref: tuple  # (web_url, rule_id, locator)
 
     def messages(self) -> list:
         return [
@@ -53,12 +56,6 @@ class FixProposal:
     provider_id: str = ""
 
 
-def _load_template(name: str) -> str:
-    return (
-        resources.files("accessfix").joinpath("templates", name).read_text("utf-8")
-    )
-
-
 def _render(template: str, values: dict) -> str:
     for key, value in values.items():
         template = template.replace("{{" + key + "}}", value)
@@ -73,7 +70,7 @@ def build_prompt(v: Violation, strategy: str) -> PromptBundle:
         raise IncompleteViolationError("violation has an empty HTML snippet")
     if not v.description.strip() or not v.help.strip():
         raise IncompleteViolationError("violation is missing description or help")
-    user = _render(_load_template("user_message.txt"), {
+    user = _render(_TEMPLATES["user_message"], {
         "rule_id": v.rule_id,
         "description": v.description,
         "help": v.help,
@@ -81,9 +78,8 @@ def build_prompt(v: Violation, strategy: str) -> PromptBundle:
     })
     return PromptBundle(
         strategy=strategy,
-        system_message=_load_template(_SYSTEM_TEMPLATES[strategy]),
+        system_message=_TEMPLATES[f"{strategy}_system"],
         user_message=user,
-        violation_ref=(v.web_url, v.rule_id, v.locator),
     )
 
 

@@ -13,7 +13,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
-from .colors import RgbColor, contrast_ratio, parse_color, relative_luminance
+from .colors import RgbColor, contrast_ratio, relative_luminance
 from .dom import Element, Text, parse_fragment_element, serialize_node
 from .errors import (
     ConfigError,
@@ -22,7 +22,7 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
-from .rules import RULE_CATALOG, Violation
+from .rules import ARIA_REQUIRED_ATTRS, RULE_CATALOG, Violation
 
 
 @dataclass
@@ -193,11 +193,6 @@ def make_provider(cfg: ProviderConfig, post_json=None):
     return RemoteProvider(cfg, post_json=post_json)
 
 
-def propose_fix(bundle: PromptBundle, cfg: ProviderConfig,
-                violation=None) -> FixProposal:
-    return make_provider(cfg).propose(bundle, violation)
-
-
 # --- heuristic recipes ------------------------------------------------------
 
 
@@ -233,15 +228,15 @@ def _fix_html_has_lang(el, v):
 
 
 def _fix_duplicate_id(el, v):
-    m = re.search(r'rename this one to "([^"]+)"', v.help)
-    new_id = m.group(1) if m else (el.get("id") or "id") + "-2"
+    new_id = v.data.get("rename_to", (el.get("id") or "id") + "-2")
     el.set("id", new_id)
     return f'renamed the duplicate id to "{new_id}"'
 
 
 def _fix_heading_order(el, v):
-    m = re.search(r"previous heading level was h(\d)", v.help)
-    level = min(int(m.group(1)) + 1, 6) if m else 2
+    previous = v.data.get("previous_level")
+    # aria-level can be any integer; keep the new tag within h1..h6.
+    level = min(max(previous + 1, 1), 6) if previous is not None else 2
     el.tag = f"h{level}"
     return f"lowered the heading to h{level}"
 
@@ -259,7 +254,7 @@ def _wrap_children(el, wrapper):
 
 
 def _fix_region(el, v):
-    if "main landmark" in v.help:
+    if v.data.get("wrap_in") == "main":
         _wrap_children(el, Element("main"))
         return "wrapped the stray content in a main landmark"
     label = f"region-{_hash6(v.html_snippet)}"
@@ -294,8 +289,7 @@ def _fix_landmark_content(el, v):
 
 
 def _fix_skip_link(el, v):
-    m = re.search(r'such as "([^"]+)"', v.help)
-    target = m.group(1) if m else "main-content"
+    target = v.data.get("target", "main-content")
     el.set("href", f"#{target}")
     return f'retargeted the skip link at "#{target}"'
 
@@ -310,8 +304,6 @@ _ARIA_DEFAULTS = {
 
 
 def _fix_aria_required_attr(el, v):
-    from .rules import ARIA_REQUIRED_ATTRS
-
     role = (el.get("role") or "").lower()
     added = []
     for attr in ARIA_REQUIRED_ATTRS.get(role, ()):
@@ -378,12 +370,11 @@ def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbCol
 
 
 def _fix_color_contrast(el, v):
-    hexes = re.findall(r"#[0-9a-fA-F]{6}", v.help)
-    m = re.search(r"at least ([0-9.]+):1", v.help)
-    if len(hexes) < 2 or not m:
-        raise NoRecipeError("contrast help text lacks the color details")
-    fg, bg = parse_color(hexes[0]), parse_color(hexes[1])
-    fixed = rescale_for_contrast(fg, bg, float(m.group(1)))
+    try:
+        fg, bg, required = v.data["fg"], v.data["bg"], v.data["required"]
+    except KeyError as exc:
+        raise NoRecipeError(f"contrast violation lacks {exc}") from None
+    fixed = rescale_for_contrast(fg, bg, required)
     decls = [
         chunk.strip()
         for chunk in (el.get("style") or "").split(";")

@@ -10,10 +10,10 @@ its delta from the full rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .colors import RgbColor, contrast_ratio, parse_color
+from .colors import RgbColor, composite_over, contrast_ratio, parse_color
 from .dom import (
     DomDocument,
     Element,
@@ -129,6 +129,7 @@ class Violation:
     html_snippet: str
     locator: NodeLocator
     web_url: str
+    data: dict = field(default_factory=dict)  # fix parameters, per rule
 
 
 @dataclass
@@ -136,6 +137,7 @@ class _Finding:
     path: tuple
     element: Element
     help: Optional[str] = None
+    data: dict = field(default_factory=dict)
 
 
 def _text_of(el: Element) -> str:
@@ -310,6 +312,7 @@ def check_duplicate_id(doc, ctx):
             path, el,
             f'Multiple elements share the id "{value}"; '
             f'rename this one to "{candidate}".',
+            {"rename_to": candidate},
         ))
     return findings
 
@@ -337,6 +340,7 @@ def check_heading_order(doc, ctx):
                 path, el,
                 f"Heading levels should increase by one; "
                 f"the previous heading level was h{previous}.",
+                {"previous_level": previous},
             ))
         previous = level
     return findings
@@ -369,6 +373,7 @@ def check_region(doc, ctx):
         el.tag == "main" or (el.get("role") or "").lower() == "main"
         for _, el in iter_elements(doc)
     )
+    wrap_in = "section" if has_main else "main"
     hint = (
         "Wrap this content in a labeled section landmark."
         if has_main
@@ -417,10 +422,10 @@ def check_region(doc, ctx):
         runs.append(current)
         for run in runs:
             if len(run) > 1:
-                parent = ctx["nodes_at"][parent_path]
-                findings.append(_Finding(parent_path, parent, hint))
+                path, el = parent_path, ctx["nodes_at"][parent_path]
             else:
-                findings.append(_Finding(run[0][0], run[0][1], hint))
+                path, el = run[0]
+            findings.append(_Finding(path, el, hint, {"wrap_in": wrap_in}))
     findings.sort(key=lambda f: f.path)
     return findings
 
@@ -489,13 +494,16 @@ def check_skip_link(doc, ctx):
         return []
     existing = next(iter(ctx["ids"]), None)
     if existing:
-        help_text = (
+        return [_Finding(
+            path, el,
             f"The skip link target does not exist; point it at an existing id "
-            f'such as "{existing}".'
-        )
-    else:
-        help_text = "The skip link target does not exist; add the target anchor id."
-    return [_Finding(path, el, help_text)]
+            f'such as "{existing}".',
+            {"target": existing},
+        )]
+    return [_Finding(
+        path, el,
+        "The skip link target does not exist; add the target anchor id.",
+    )]
 
 
 def check_aria_required_attr(doc, ctx):
@@ -618,13 +626,14 @@ def check_color_contrast(doc, ctx):
             ratio = contrast_ratio(effective_fg, effective_bg)
             if ratio < required - 1e-9:
                 if effective_fg.alpha < 1.0:
-                    from .colors import composite_over
                     effective_fg = composite_over(effective_fg, effective_bg)
                 findings.append(_Finding(
                     path, el,
                     f"The text color {effective_fg.to_hex()} on background "
                     f"{effective_bg.to_hex()} has a contrast ratio of "
                     f"{ratio:.2f}; at least {required:.2f}:1 is required.",
+                    {"fg": effective_fg, "bg": effective_bg,
+                     "required": required},
                 ))
         for i, child in enumerate(el.children):
             if isinstance(child, Element):
@@ -724,5 +733,6 @@ def audit(
             html_snippet=serialize_node(finding.element),
             locator=locator,
             web_url=web_url,
+            data=finding.data,
         ))
     return violations

@@ -110,6 +110,36 @@ class BenchmarkResult:
         }
 
 
+def aggregate(initial_scores, final_scores, before, after,
+              model_name: str = "", strategy: str = "") -> BenchmarkResult:
+    """Fold per-URL scores and the violations before and after correction
+    (anything with a ``rule_id``) into one benchmark result.
+
+    An empty dataset averages to 0, and a zero initial average reports a 0%
+    improvement rather than raising.
+    """
+    initial_scores, final_scores = list(initial_scores), list(final_scores)
+    m = len(initial_scores)
+    total_initial, total_final = sum(initial_scores), sum(final_scores)
+    r_initial = Fraction(total_initial, m) if m else Fraction(0)
+    r_final = Fraction(total_final, m) if m else Fraction(0)
+    return BenchmarkResult(
+        m=m,
+        total_initial=total_initial,
+        total_final=total_final,
+        r_initial=r_initial,
+        r_final=r_final,
+        improvement_percent=(
+            improvement_percent(r_initial, r_final)
+            if r_initial > 0 else Fraction(0)
+        ),
+        per_rule_correction_rate=per_rule_correction_rate(before, after),
+        rule_distribution=rule_distribution(before),
+        model_name=model_name,
+        strategy=strategy,
+    )
+
+
 def fmt2(value) -> str:
     """Display form for averages: 2 decimals."""
     return f"{float(value):.2f}"

@@ -81,6 +81,19 @@ def test_report_from_rows_file(tmp_path, capsys, corpus_paths):
     assert "% Score Decrease" in capsys.readouterr().out
 
 
+def test_report_agrees_with_bench(tmp_path, capsys, corpus_paths):
+    rows_path = tmp_path / "rows.json"
+    assert main(["bench"] + [str(p) for p in corpus_paths]
+                + ["--provider", "heuristic", "--report", "json",
+                   "--rows", str(rows_path)]) == 0
+    bench = json.loads(capsys.readouterr().out)
+    assert main(["report", str(rows_path), "--style", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("model", "strategy"):
+        del bench[key], report[key]
+    assert report == bench
+
+
 def test_unreadable_source_exit_code_2(tmp_path, capsys):
     good = write_page(tmp_path)
     assert main(["scan", str(tmp_path / "missing.html"), good]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -99,6 +100,28 @@ def test_duplicate_id_recipe_reads_suggestion():
         PAGE.format(seed='<p id="n">a</p><p id="n">b</p>'), "duplicate-id"
     )
     assert 'id="n-2"' in heuristic_fix(v).corrected_html
+
+
+@pytest.mark.parametrize("html, rule_id", [
+    (PAGE.format(seed='<p id="x">0</p><p id=\'x"y\'>a</p><p id=\'x"y\'>b</p>'),
+     "duplicate-id"),
+    ('<html lang="en"><body><header><a href="#nope">skip</a></header>'
+     '<main><p id=\'top"1\'>t</p></main></body></html>', "skip-link"),
+], ids=["duplicate-id", "skip-link"])
+def test_recipes_handle_quoted_ids(html, rule_id):
+    after = reaudit_after_fix(html, rule_id)
+    assert all(v.rule_id != rule_id for v in after)
+
+
+def test_recipes_do_not_read_help_text(rules_dir, rules_manifest):
+    for name, seeded in sorted(rules_manifest.items()):
+        if not seeded:
+            continue
+        doc = dom.parse_html((rules_dir / name).read_text("utf-8"))
+        for v in rules.audit(doc, web_url="f"):
+            reworded = dataclasses.replace(v, help="reworded")
+            assert heuristic_fix(reworded).corrected_html == \
+                heuristic_fix(v).corrected_html, (name, v.rule_id)
 
 
 def test_no_recipe_for_unknown_rule():
