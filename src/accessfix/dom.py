@@ -156,17 +156,19 @@ class _TreeBuilder(HTMLParser):
         self.stack[-1].children.append(Doctype(decl))
 
 
-def _merge_text(el: Element) -> None:
-    merged = []
-    for child in el.children:
-        if isinstance(child, Text) and merged and isinstance(merged[-1], Text):
-            merged[-1] = Text(merged[-1].data + child.data)
-        else:
-            merged.append(child)
-    el.children = merged
-    for child in el.children:
-        if isinstance(child, Element):
-            _merge_text(child)
+def _merge_text(top: Element) -> None:
+    stack = [top]
+    while stack:
+        el = stack.pop()
+        merged = []
+        for child in el.children:
+            if isinstance(child, Text) and merged and isinstance(merged[-1], Text):
+                merged[-1] = Text(merged[-1].data + child.data)
+            else:
+                merged.append(child)
+                if isinstance(child, Element):
+                    stack.append(child)
+        el.children = merged
 
 
 def _tokenize(text: str) -> Element:
@@ -268,29 +270,41 @@ def _escape_attr(data: str) -> str:
 
 def serialize_node(node: Node) -> str:
     """Canonical serialization of a node and its subtree."""
+    return _serialize(node, normalized=False)
+
+
+def _serialize(node: Node, normalized: bool) -> str:
+    """Serialize with an explicit stack of nodes and pending end tags.
+
+    The normalized form sorts attributes, collapses whitespace in text, and
+    drops comments, doctypes and whitespace-only text.
+    """
     parts = []
-    _serialize_into(node, parts, raw=False)
+    stack = [(node, False)]  # (node or end tag, parent is raw text)
+    while stack:
+        node, raw = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Text):
+            data = " ".join(node.data.split()) if normalized else node.data
+            parts.append(data if raw else _escape_text(data))
+        elif normalized and isinstance(node, (Comment, Doctype)):
+            continue
+        elif isinstance(node, Comment):
+            parts.append(f"<!--{node.data}-->")
+        elif isinstance(node, Doctype):
+            parts.append(f"<!{node.data}>")
+        else:
+            parts.append(f"<{node.tag}")
+            for name, value in sorted(node.attrs) if normalized else node.attrs:
+                parts.append(f' {name}="{_escape_attr(value)}"')
+            parts.append(">")
+            if node.tag in VOID_ELEMENTS:
+                continue
+            stack.append((f"</{node.tag}>", False))
+            child_raw = node.tag in RAW_TEXT_ELEMENTS
+            stack.extend((child, child_raw) for child in reversed(node.children))
     return "".join(parts)
-
-
-def _serialize_into(node: Node, parts: list, raw: bool) -> None:
-    if isinstance(node, Text):
-        parts.append(node.data if raw else _escape_text(node.data))
-    elif isinstance(node, Comment):
-        parts.append(f"<!--{node.data}-->")
-    elif isinstance(node, Doctype):
-        parts.append(f"<!{node.data}>")
-    else:
-        parts.append(f"<{node.tag}")
-        for name, value in node.attrs:
-            parts.append(f' {name}="{_escape_attr(value)}"')
-        parts.append(">")
-        if node.tag in VOID_ELEMENTS:
-            return
-        child_raw = node.tag in RAW_TEXT_ELEMENTS
-        for child in node.children:
-            _serialize_into(child, parts, child_raw)
-        parts.append(f"</{node.tag}>")
 
 
 def serialize(doc: DomDocument) -> str:
@@ -299,31 +313,18 @@ def serialize(doc: DomDocument) -> str:
 
 def iter_elements(doc: DomDocument) -> Iterator[tuple]:
     """Yield (path, element) pairs in document (preorder) order."""
-    def walk(el: Element, path: tuple):
+    stack = [((), doc.root)]
+    while stack:
+        path, el = stack.pop()
         yield path, el
-        for i, child in enumerate(el.children):
-            if isinstance(child, Element):
-                yield from walk(child, path + (i,))
-    yield from walk(doc.root, ())
-
-
-def _normalized_clone(node: Node) -> Optional[Node]:
-    if isinstance(node, Text):
-        collapsed = " ".join(node.data.split())
-        return Text(collapsed) if collapsed else None
-    if isinstance(node, (Comment, Doctype)):
-        return None
-    children = []
-    for child in node.children:
-        clone = _normalized_clone(child)
-        if clone is not None:
-            children.append(clone)
-    return Element(node.tag, sorted(node.attrs), children)
+        for i in range(len(el.children) - 1, -1, -1):
+            if isinstance(el.children[i], Element):
+                stack.append((path + (i,), el.children[i]))
 
 
 def normalized_outer_html(el: Element) -> str:
     """Comparison form: sorted attrs, collapsed whitespace, no comments."""
-    return serialize_node(_normalized_clone(el))
+    return _serialize(el, normalized=True)
 
 
 def _snippet_hash(el: Element) -> str:

@@ -7,7 +7,6 @@ import hashlib
 import json
 import os
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +41,8 @@ class CorpusEntry:
 
 
 def _default_fetch(url, timeout, user_agent):
+    import urllib.request  # slow (http.client, ssl): import on first use
+
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return response.read().decode("utf-8", errors="replace")

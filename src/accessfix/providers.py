@@ -9,8 +9,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 from .colors import RgbColor, contrast_ratio, relative_luminance
@@ -89,6 +87,8 @@ class Transcript:
 
 
 def _default_post_json(url, payload, headers, timeout):
+    import urllib.request  # slow (http.client, ssl): import on first use
+
     request = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
@@ -146,8 +146,7 @@ class RemoteProvider:
                     )
                     content = body["choices"][0]["message"]["content"]
                     return parse_fix(content, provider_id=self.provider_id)
-                except (urllib.error.URLError, OSError, KeyError,
-                        IndexError, ValueError) as exc:
+                except (OSError, KeyError, IndexError, ValueError) as exc:
                     last_error = exc
         raise ProviderUnavailableError(
             f"remote provider failed after {self.cfg.max_retries + 1} attempts: "
@@ -253,12 +252,21 @@ def _wrap_children(el, wrapper):
     el.children = [wrapper]
 
 
+def _wrap_self(el, wrapper):
+    """Turn ``el`` into ``wrapper`` around a copy of the original ``el``."""
+    wrapper.children = [Element(el.tag, el.attrs, el.children)]
+    el.tag, el.attrs, el.children = wrapper.tag, wrapper.attrs, wrapper.children
+
+
 def _fix_region(el, v):
+    # <main> and <section> implicitly close an open <p>, so a <p> is wrapped
+    # whole: wrapping its children would not re-parse as one element.
+    wrap = _wrap_self if el.tag == "p" else _wrap_children
     if v.data.get("wrap_in") == "main":
-        _wrap_children(el, Element("main"))
+        wrap(el, Element("main"))
         return "wrapped the stray content in a main landmark"
     label = f"region-{_hash6(v.html_snippet)}"
-    _wrap_children(el, Element("section", [("aria-label", label)]))
+    wrap(el, Element("section", [("aria-label", label)]))
     return f'wrapped the stray content in a section labeled "{label}"'
 
 

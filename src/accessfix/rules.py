@@ -19,7 +19,6 @@ from .dom import (
     Element,
     NodeLocator,
     Text,
-    iter_elements,
     make_locator,
     serialize_node,
 )
@@ -134,32 +133,22 @@ class Violation:
 
 @dataclass
 class _Finding:
-    path: tuple
+    index: int  # pre-order index of ``element`` in the document index
     element: Element
     help: Optional[str] = None
     data: dict = field(default_factory=dict)
 
 
 def _text_of(el: Element) -> str:
-    if el.tag in ("script", "style"):
-        return ""
     parts = []
-    for child in el.children:
-        if isinstance(child, Text):
-            parts.append(child.data)
-        elif isinstance(child, Element):
-            parts.append(_text_of(child))
+    stack = [el]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Text):
+            parts.append(node.data)
+        elif isinstance(node, Element) and node.tag not in ("script", "style"):
+            stack.extend(reversed(node.children))
     return "".join(parts)
-
-
-def _collect_ids(doc: DomDocument) -> dict:
-    """First element per id value, in document order."""
-    ids = {}
-    for _, el in iter_elements(doc):
-        value = el.get("id")
-        if value and value not in ids:
-            ids[value] = el
-    return ids
 
 
 def _accessible_name(el: Element, ids: dict) -> str:
@@ -200,24 +189,81 @@ def _landmark_role(el: Element, ids: dict) -> Optional[str]:
     return None
 
 
-def _is_landmark(el: Element, ids: dict) -> bool:
-    return _landmark_role(el, ids) is not None
+@dataclass
+class _Index:
+    """One pre-order pass over the document, read by every checker.
 
+    Element 0 is the root. Element ``i``'s subtree is
+    ``elements[i + 1:end[i]]``, so a forward loop over that range visits every
+    element after its parent.
+    """
 
-def _find_body(doc: DomDocument) -> Optional[Element]:
-    for child in doc.root.children:
-        if isinstance(child, Element) and child.tag == "body":
-            return child
-    return None
+    elements: list
+    parent: list  # index of each element's parent, -1 for the root
+    slot: list  # index of each element among its parent's children
+    end: list  # one past each element's last descendant
+    ids: dict  # id value -> first element carrying it
+    landmark: list  # _landmark_role of each element
+    thresholds: dict
+
+    @classmethod
+    def build(cls, doc: DomDocument, thresholds: dict) -> "_Index":
+        elements, parent, slot, ids = [], [], [], {}
+        stack = [(doc.root, -1, 0)]
+        while stack:
+            el, up, at = stack.pop()
+            here = len(elements)
+            elements.append(el)
+            parent.append(up)
+            slot.append(at)
+            value = el.get("id")
+            if value and value not in ids:
+                ids[value] = el
+            for k in range(len(el.children) - 1, -1, -1):
+                if isinstance(el.children[k], Element):
+                    stack.append((el.children[k], here, k))
+        end = list(range(1, len(elements) + 1))
+        for i in range(len(elements) - 1, 0, -1):
+            end[parent[i]] = max(end[parent[i]], end[i])
+        landmark = [_landmark_role(el, ids) for el in elements]
+        return cls(elements, parent, slot, end, ids, landmark, thresholds)
+
+    def path(self, i: int) -> tuple:
+        steps = []
+        while i > 0:
+            steps.append(self.slot[i])
+            i = self.parent[i]
+        return tuple(reversed(steps))
+
+    def ancestors(self, i: int):
+        i = self.parent[i]
+        while i >= 0:
+            yield i
+            i = self.parent[i]
+
+    def rendered_body(self):
+        """Indices of the elements of the root's first body child, skipping
+        script and style subtrees, in document order."""
+        body = next((i for i, up in enumerate(self.parent)
+                     if up == 0 and self.elements[i].tag == "body"), None)
+        if body is None:
+            return
+        i = body
+        while i < self.end[body]:
+            if self.elements[i].tag in ("script", "style"):
+                i = self.end[i]
+            else:
+                yield i
+                i += 1
 
 
 # --- checkers -------------------------------------------------------------
 
 
-def check_image_alt(doc, ctx):
+def check_image_alt(ix):
     """Full rule also accepts aria-label; we require alt or presentation role."""
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if el.tag != "img":
             continue
         alt = el.get("alt")
@@ -225,91 +271,78 @@ def check_image_alt(doc, ctx):
             continue
         if alt == "" and (el.get("role") or "").lower() in ("presentation", "none"):
             continue
-        findings.append(_Finding(path, el))
+        findings.append(_Finding(i, el))
     return findings
 
 
-def check_link_name(doc, ctx):
+def _has_described_img(ix, i: int) -> bool:
+    return any(
+        sub.tag == "img" and (sub.get("alt") or "").strip()
+        for sub in ix.elements[i + 1 : ix.end[i]]
+    )
+
+
+def check_link_name(ix):
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if el.tag != "a" or el.get("href") is None:
             continue
         if _text_of(el).strip():
             continue
-        if _accessible_name(el, ctx["ids"]):
+        if _accessible_name(el, ix.ids):
             continue
-        has_described_img = any(
-            sub.tag == "img" and (sub.get("alt") or "").strip()
-            for _, sub in _subelements(el)
-        )
-        if has_described_img:
+        if _has_described_img(ix, i):
             continue
-        findings.append(_Finding(path, el))
+        findings.append(_Finding(i, el))
     return findings
 
 
-def _subelements(el: Element):
-    for i, child in enumerate(el.children):
-        if isinstance(child, Element):
-            yield (i,), child
-            for sub_path, sub in _subelements(child):
-                yield (i,) + sub_path, sub
-
-
-def check_label(doc, ctx):
+def check_label(ix):
     """Simplified: title/aria-label/label[for]/wrapping label all count."""
     label_for = set()
-    for _, el in iter_elements(doc):
+    for el in ix.elements:
         if el.tag == "label" and el.get("for"):
             label_for.add(el.get("for"))
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if el.tag == "input":
             input_type = (el.get("type") or "text").lower()
             if input_type in _UNLABELED_INPUT_TYPES_EXEMPT:
                 continue
         elif el.tag not in ("select", "textarea"):
             continue
-        if _accessible_name(el, ctx["ids"]):
+        if _accessible_name(el, ix.ids):
             continue
         if el.get("id") and el.get("id") in label_for:
             continue
-        if any(anc.tag == "label" for anc in ctx["ancestors"][id(el)]):
+        if any(ix.elements[a].tag == "label" for a in ix.ancestors(i)):
             continue
-        findings.append(_Finding(path, el))
+        findings.append(_Finding(i, el))
     return findings
 
 
-def check_html_has_lang(doc, ctx):
-    lang = doc.root.get("lang")
+def check_html_has_lang(ix):
+    root = ix.elements[0]
+    lang = root.get("lang")
     if lang and lang.strip():
         return []
-    return [_Finding((), doc.root)]
+    return [_Finding(0, root)]
 
 
-def check_duplicate_id(doc, ctx):
-    seen = {}
-    all_ids = set()
-    ordered = []
-    for path, el in iter_elements(doc):
-        value = el.get("id")
-        if not value:
-            continue
-        all_ids.add(value)
-        ordered.append((path, el, value))
+def check_duplicate_id(ix):
     findings = []
     suggested = set()
-    for path, el, value in ordered:
-        if value not in seen:
-            seen[value] = el
+    for i, el in enumerate(ix.elements):
+        value = el.get("id")
+        if not value or ix.ids[value] is el:
             continue
         n = 2
-        while f"{value}-{n}" in all_ids or f"{value}-{n}" in suggested:
+        while f"{value}-{n}" in ix.ids or f"{value}-{n}" in suggested:
             n += 1
         candidate = f"{value}-{n}"
         suggested.add(candidate)
         findings.append(_Finding(
-            path, el,
+            i, el,
             f'Multiple elements share the id "{value}"; '
             f'rename this one to "{candidate}".',
             {"rename_to": candidate},
@@ -328,16 +361,16 @@ def _heading_level(el: Element) -> Optional[int]:
     return None
 
 
-def check_heading_order(doc, ctx):
+def check_heading_order(ix):
     findings = []
     previous = None
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         level = _heading_level(el)
         if level is None:
             continue
         if previous is not None and level > previous + 1:
             findings.append(_Finding(
-                path, el,
+                i, el,
                 f"Heading levels should increase by one; "
                 f"the previous heading level was h{previous}.",
                 {"previous_level": previous},
@@ -346,33 +379,31 @@ def check_heading_order(doc, ctx):
     return findings
 
 
-def check_empty_heading(doc, ctx):
+def check_empty_heading(ix):
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if _heading_level(el) is None:
             continue
-        if _text_of(el).strip() or _accessible_name(el, ctx["ids"]):
+        if _text_of(el).strip() or _accessible_name(el, ix.ids):
             continue
-        if any(
-            sub.tag == "img" and (sub.get("alt") or "").strip()
-            for _, sub in _subelements(el)
-        ):
+        if _has_described_img(ix, i):
             continue
-        findings.append(_Finding(path, el))
+        findings.append(_Finding(i, el))
     return findings
 
 
-def check_region(doc, ctx):
+def _is_main(el: Element) -> bool:
+    return el.tag == "main" or (el.get("role") or "").lower() == "main"
+
+
+def _has_text(el: Element) -> bool:
+    return any(isinstance(c, Text) and c.data.strip() for c in el.children)
+
+
+def check_region(ix):
     """Flags parents of text outside landmarks; contiguous flagged siblings
     collapse to one finding on their shared parent."""
-    body = _find_body(doc)
-    if body is None:
-        return []
-    ids = ctx["ids"]
-    has_main = any(
-        el.tag == "main" or (el.get("role") or "").lower() == "main"
-        for _, el in iter_elements(doc)
-    )
+    has_main = any(_is_main(el) for el in ix.elements)
     wrap_in = "section" if has_main else "main"
     hint = (
         "Wrap this content in a labeled section landmark."
@@ -380,135 +411,109 @@ def check_region(doc, ctx):
         else "Wrap this content in a main landmark."
     )
 
-    flagged = {}  # id(element) -> (path, element), insertion ordered
-
-    def walk(el, path, in_landmark):
-        if el.tag in ("script", "style"):
-            return
-        in_landmark = in_landmark or _is_landmark(el, ids)
-        for i, child in enumerate(el.children):
-            if isinstance(child, Text):
-                if child.data.strip() and not in_landmark:
-                    flagged.setdefault(id(el), (path, el))
-            elif isinstance(child, Element):
-                walk(child, path + (i,), in_landmark)
-
-    body_path = ctx["paths"][id(body)]
-    walk(body, body_path, _is_landmark(body, ids))
+    # An element is covered when it or an ancestor is a landmark. The body's
+    # parent is the root, never covered.
+    covered = [False] * len(ix.elements)
+    by_parent = {}  # parent index -> flagged children, in document order
+    for i in ix.rendered_body():
+        covered[i] = covered[ix.parent[i]] or ix.landmark[i] is not None
+        if not covered[i] and _has_text(ix.elements[i]):
+            by_parent.setdefault(ix.parent[i], []).append(i)
 
     # Collapse contiguous flagged siblings onto their parent.
-    by_parent = {}
-    for path, el in flagged.values():
-        by_parent.setdefault(path[:-1], []).append((path, el))
     findings = []
-    for parent_path, group in sorted(by_parent.items()):
-        group.sort(key=lambda item: item[0])
-        runs = []
-        current = [group[0]]
-        for item in group[1:]:
-            prev_idx = current[-1][0][-1]
-            parent = ctx["nodes_at"][parent_path]
-            between = parent.children[prev_idx + 1 : item[0][-1]]
+    for up, group in by_parent.items():
+        siblings = ix.elements[up].children
+        runs = [[group[0]]]
+        for i in group[1:]:
+            between = siblings[ix.slot[runs[-1][-1]] + 1 : ix.slot[i]]
             contiguous = all(
                 isinstance(n, Text) and not n.data.strip()
                 or not isinstance(n, (Element, Text))
                 for n in between
             )
             if contiguous:
-                current.append(item)
+                runs[-1].append(i)
             else:
-                runs.append(current)
-                current = [item]
-        runs.append(current)
+                runs.append([i])
         for run in runs:
-            if len(run) > 1:
-                path, el = parent_path, ctx["nodes_at"][parent_path]
-            else:
-                path, el = run[0]
-            findings.append(_Finding(path, el, hint, {"wrap_in": wrap_in}))
-    findings.sort(key=lambda f: f.path)
+            at = up if len(run) > 1 else run[0]
+            findings.append(
+                _Finding(at, ix.elements[at], hint, {"wrap_in": wrap_in})
+            )
     return findings
 
 
-def _mains(doc):
-    return [
-        (path, el)
-        for path, el in iter_elements(doc)
-        if el.tag == "main" or (el.get("role") or "").lower() == "main"
-    ]
-
-
-def check_landmark_one_main(doc, ctx):
-    mains = _mains(doc)
+def check_landmark_one_main(ix):
+    mains = [(i, el) for i, el in enumerate(ix.elements) if _is_main(el)]
     if not mains:
         return [_Finding(
-            (), doc.root, "Add a main landmark around the page content."
+            0, ix.elements[0], "Add a main landmark around the page content."
         )]
     return [
-        _Finding(path, el,
+        _Finding(i, el,
                  "Convert this extra main landmark into a labeled section.")
-        for path, el in mains[1:]
+        for i, el in mains[1:]
     ]
 
 
-def check_landmark_unique(doc, ctx):
+def check_landmark_unique(ix):
     seen = set()
     findings = []
-    for path, el in iter_elements(doc):
-        role = _landmark_role(el, ctx["ids"])
+    for i, el in enumerate(ix.elements):
+        role = ix.landmark[i]
         if role is None:
             continue
-        key = (role, _accessible_name(el, ctx["ids"]))
+        key = (role, _accessible_name(el, ix.ids))
         if key in seen:
-            findings.append(_Finding(path, el))
+            findings.append(_Finding(i, el))
         else:
             seen.add(key)
     return findings
 
 
-def check_landmark_no_duplicate_content(doc, ctx):
+def check_landmark_no_duplicate_content(ix):
     """Simplified: header/footer map to banner/contentinfo regardless of depth."""
     findings = []
-    for path, el in iter_elements(doc):
-        role = _landmark_role(el, ctx["ids"])
-        if role not in ("banner", "contentinfo"):
+    for i, el in enumerate(ix.elements):
+        if ix.landmark[i] not in ("banner", "contentinfo"):
             continue
-        if any(_is_landmark(anc, ctx["ids"]) for anc in ctx["ancestors"][id(el)]):
-            findings.append(_Finding(path, el))
+        if any(ix.landmark[a] is not None for a in ix.ancestors(i)):
+            findings.append(_Finding(i, el))
     return findings
 
 
-def check_skip_link(doc, ctx):
+def check_skip_link(ix):
     first_link = None
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if el.tag == "a" and el.get("href") is not None:
-            first_link = (path, el)
+            first_link = (i, el)
             break
     if first_link is None:
         return []
-    path, el = first_link
+    i, el = first_link
     href = el.get("href") or ""
     if not href.startswith("#") or len(href) < 2:
         return []
-    if href[1:] in ctx["ids"]:
+    if href[1:] in ix.ids:
         return []
-    existing = next(iter(ctx["ids"]), None)
+    existing = next(iter(ix.ids), None)
     if existing:
         return [_Finding(
-            path, el,
+            i, el,
             f"The skip link target does not exist; point it at an existing id "
             f'such as "{existing}".',
             {"target": existing},
         )]
     return [_Finding(
-        path, el,
+        i, el,
         "The skip link target does not exist; add the target anchor id.",
     )]
 
 
-def check_aria_required_attr(doc, ctx):
+def check_aria_required_attr(ix):
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         role = (el.get("role") or "").lower()
         required = ARIA_REQUIRED_ATTRS.get(role)
         if not required:
@@ -516,7 +521,7 @@ def check_aria_required_attr(doc, ctx):
         missing = [a for a in required if not (el.get(a) or "").strip()]
         if missing:
             findings.append(_Finding(
-                path, el,
+                i, el,
                 f'The role "{role}" requires the attributes: '
                 + ", ".join(missing) + ".",
             ))
@@ -532,9 +537,9 @@ def _parse_viewport_content(content: str) -> dict:
     return pairs
 
 
-def check_meta_viewport(doc, ctx):
+def check_meta_viewport(ix):
     findings = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(ix.elements):
         if el.tag != "meta" or (el.get("name") or "").lower() != "viewport":
             continue
         pairs = _parse_viewport_content(el.get("content") or "")
@@ -546,7 +551,7 @@ def check_meta_viewport(doc, ctx):
             except ValueError:
                 pass
         if bad:
-            findings.append(_Finding(path, el))
+            findings.append(_Finding(i, el))
     return findings
 
 
@@ -570,19 +575,20 @@ def _first_color_token(value: str):
 _FONT_SIZE_RE = re.compile(r"^([\d.]+)px$")
 
 
-def check_color_contrast(doc, ctx):
+def check_color_contrast(ix):
     """Static resolution only: inline style, color=/bgcolor= attributes, and
     inheritance through the tree. Elements with no explicit color anywhere in
     their ancestor chain are skipped rather than assumed black-on-white."""
-    body = _find_body(doc)
-    if body is None:
-        return []
-    thresholds = ctx["thresholds"]
+    thresholds = ix.thresholds
     findings = []
 
-    def walk(el, path, fg, bg, size, bold):
-        if el.tag in ("script", "style"):
-            return
+    # (fg, bg, font size, bold) per element, inherited from the parent; the
+    # body's parent is the root.
+    state = [None] * len(ix.elements)
+    state[0] = (None, None, 16.0, False)
+    for i in ix.rendered_body():
+        el = ix.elements[i]
+        fg, bg, size, bold = state[ix.parent[i]]
         decls = _parse_style(el.get("style") or "")
         if "color" in decls:
             c = parse_color(decls["color"])
@@ -609,11 +615,9 @@ def check_color_contrast(doc, ctx):
             bold = True
         if el.tag in ("b", "strong"):
             bold = True
+        state[i] = (fg, bg, size, bold)
 
-        has_direct_text = any(
-            isinstance(c, Text) and c.data.strip() for c in el.children
-        )
-        if has_direct_text and (fg is not None or bg is not None):
+        if _has_text(el) and (fg is not None or bg is not None):
             effective_fg = fg if fg is not None else RgbColor(0, 0, 0)
             effective_bg = bg if bg is not None else RgbColor(255, 255, 255)
             large = size >= thresholds["large_font_px"] or (
@@ -628,18 +632,13 @@ def check_color_contrast(doc, ctx):
                 if effective_fg.alpha < 1.0:
                     effective_fg = composite_over(effective_fg, effective_bg)
                 findings.append(_Finding(
-                    path, el,
+                    i, el,
                     f"The text color {effective_fg.to_hex()} on background "
                     f"{effective_bg.to_hex()} has a contrast ratio of "
                     f"{ratio:.2f}; at least {required:.2f}:1 is required.",
                     {"fg": effective_fg, "bg": effective_bg,
                      "required": required},
                 ))
-        for i, child in enumerate(el.children):
-            if isinstance(child, Element):
-                walk(child, path + (i,), fg, bg, size, bold)
-
-    walk(body, ctx["paths"][id(body)], None, None, 16.0, False)
     return findings
 
 
@@ -662,29 +661,6 @@ RULE_CATALOG = {
 }
 
 ALL_RULES = tuple(RULE_CATALOG)
-
-
-def _build_context(doc: DomDocument, thresholds: dict) -> dict:
-    paths = {}
-    nodes_at = {}
-    ancestors = {}
-
-    def walk(el, path, chain):
-        paths[id(el)] = path
-        nodes_at[path] = el
-        ancestors[id(el)] = chain
-        for i, child in enumerate(el.children):
-            if isinstance(child, Element):
-                walk(child, path + (i,), chain + [el])
-
-    walk(doc.root, (), [])
-    return {
-        "ids": _collect_ids(doc),
-        "paths": paths,
-        "nodes_at": nodes_at,
-        "ancestors": ancestors,
-        "thresholds": thresholds,
-    }
 
 
 def audit(
@@ -710,17 +686,18 @@ def audit(
     if thresholds:
         threshold_map.update(thresholds)
 
-    ctx = _build_context(doc, threshold_map)
+    ix = _Index.build(doc, threshold_map)
     collected = []
     for rule_index, rule_id in enumerate(ruleset):
-        for finding in RULE_CATALOG[rule_id](doc, ctx):
-            collected.append((finding.path, rule_index, rule_id, finding))
+        for finding in RULE_CATALOG[rule_id](ix):
+            collected.append((finding.index, rule_index, rule_id, finding))
+    # Pre-order index order is document (path) order.
     collected.sort(key=lambda item: (item[0], item[1]))
 
     violations = []
     seen = set()
-    for path, _, rule_id, finding in collected:
-        locator = make_locator(doc, path)
+    for index, _, rule_id, finding in collected:
+        locator = make_locator(doc, ix.path(index))
         key = (rule_id, locator)
         if key in seen:
             continue

@@ -1,0 +1,76 @@
+"""Nesting depth is bounded by memory, not by the interpreter's recursion
+limit: no tree code recurses."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import accessfix
+from accessfix import dom, harness, rules
+from accessfix.providers import HeuristicProvider
+
+DEPTH = 5000
+
+# The bottom of the chain is the benchmark generator's deep page: low
+# contrast text, an image without alt and an empty link.
+DEEP_PAGE = (
+    '<!DOCTYPE html><html lang="en"><head><title>Deep</title></head><body>'
+    "<main><h1>Deep page</h1>" + "<div>" * DEPTH
+    + '<p style="color:#777777; background-color:#ffffff">'
+    "Bottom of the chain.</p>"
+    '<img src="deep.png"><a href="/deep"></a></main></body></html>'
+)
+
+
+def test_deep_page_audits_serializes_and_fixes():
+    doc = dom.parse_html(DEEP_PAGE)
+    violations = rules.audit(doc, web_url="deep.html")
+    assert Counter(v.rule_id for v in violations) == {
+        "color-contrast": 1, "image-alt": 1, "link-name": 1,
+    }
+    assert all(len(v.locator.path) > DEPTH for v in violations)
+
+    text = doc.serialize()
+    assert dom.parse_html(text).serialize() == text
+    assert dom.normalized_outer_html(doc.root).startswith('<html lang="en">')
+    assert max(len(path) for path, _ in dom.iter_elements(doc)) > DEPTH
+
+    entries = [harness.CorpusEntry.from_text("deep.html", DEEP_PAGE)]
+    result, _, records, failures = harness.run_benchmark(
+        entries, HeuristicProvider()
+    )
+    assert failures == []
+    assert [r.outcome for r in records] == ["applied"] * 3
+    assert result.total_final == 0
+
+
+def _self_calls(path: Path):
+    """(line, name) of every call a function makes to itself by name."""
+    tree = ast.parse(path.read_text("utf-8"))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name):
+                name = callee.id
+            elif (isinstance(callee, ast.Attribute)
+                  and isinstance(callee.value, ast.Name)
+                  and callee.value.id in ("self", "cls")):
+                name = callee.attr
+            else:
+                continue
+            if name == fn.name:
+                yield node.lineno, name
+
+
+def test_no_function_calls_itself():
+    package = Path(accessfix.__file__).parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _self_calls(path)
+    ]
+    assert found == []

@@ -1,8 +1,13 @@
 import dataclasses
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
+import accessfix
 from accessfix import dom, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
 from accessfix.errors import (
@@ -111,6 +116,24 @@ def test_duplicate_id_recipe_reads_suggestion():
 def test_recipes_handle_quoted_ids(html, rule_id):
     after = reaudit_after_fix(html, rule_id)
     assert all(v.rule_id != rule_id for v in after)
+
+
+@pytest.mark.parametrize("wrap_in, before, wrapped", [
+    ("main", "", r'<main><p class="x" id="m-1">Text 1</p></main>'),
+    ("section", "<main>ok</main>",
+     r'<section aria-label="region-[0-9a-f]{6}">'
+     r'<p class="x" id="m-1">Text 1</p></section>'),
+], ids=["main", "section"])
+def test_region_recipe_wraps_a_paragraph_whole(wrap_in, before, wrapped):
+    # Both landmarks implicitly close an open <p>, so wrapping the <p>'s
+    # children would not re-parse as one element.
+    html = (f'<html lang="en"><body>{before}'
+            '<p class="x" id="m-1">Text 1</p></body></html>')
+    v = violation_for(html, "region")
+    assert v.data["wrap_in"] == wrap_in
+    assert re.fullmatch(wrapped, heuristic_fix(v).corrected_html)
+    after = reaudit_after_fix(html, "region")
+    assert all(x.rule_id != "region" for x in after)
 
 
 def test_recipes_do_not_read_help_text(rules_dir, rules_manifest):
@@ -238,3 +261,18 @@ def test_make_provider_kinds(tmp_path):
         make_provider(ProviderConfig(kind="replay", transcript_path=str(t))),
         ReplayProvider,
     )
+
+
+def test_import_loads_no_network_stack():
+    code = (
+        "import sys, accessfix, accessfix.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') "
+        "if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(accessfix.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout
+    assert out.strip() == "[]"

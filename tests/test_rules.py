@@ -1,6 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accessfix import dom, rules
 from accessfix.errors import UnknownRuleError
@@ -151,3 +154,93 @@ def test_meta_viewport_max_scale_below_two():
         'content="maximum-scale=1.5"></head><body><main>x</main></body></html>'
     )
     assert counts["meta-viewport"] == 1
+
+
+# SHA-256 of every reported field of every violation on the bundled pages.
+# Any change to a field or to the order changes them; update them only for a
+# deliberate change of audit output.
+CORPUS_AUDIT_SHA256 = (
+    "c0ae72fefe7e4e653de644a71baea9879180120a3ef37032723af575f540e347"
+)
+RULES_AUDIT_SHA256 = (
+    "bcd9fba064253e00c5f8c54bb5237541cd6efad4fbb687c159d29b3fe2bbdda3"
+)
+
+
+def audit_digest(folder, manifest):
+    digest = hashlib.sha256()
+    for name in sorted(manifest):
+        digest.update(name.encode("utf-8"))
+        doc = dom.parse_html((folder / name).read_text("utf-8"))
+        for v in rules.audit(doc, web_url=name):
+            digest.update(repr((
+                v.rule_id, v.impact, v.help, v.html_snippet, v.locator.path,
+                v.locator.snippet_hash, sorted(v.data.items()),
+            )).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_audit_output_pinned(corpus_dir, corpus_manifest, rules_dir,
+                             rules_manifest):
+    assert audit_digest(corpus_dir, corpus_manifest) == CORPUS_AUDIT_SHA256
+    assert audit_digest(rules_dir, rules_manifest) == RULES_AUDIT_SHA256
+
+
+TREE_TAGS = ("div", "span", "p", "a", "label", "main", "section", "script",
+             "style")
+MAX_DEPTH = 30
+
+tree_events = st.lists(st.one_of(
+    st.tuples(st.just("open"), st.sampled_from(TREE_TAGS),
+              st.sampled_from(["", "a", "b", "c"])),
+    st.just(("close",)),
+    st.tuples(st.just("text"), st.text(max_size=4)),
+    st.tuples(st.just("comment"), st.text(max_size=4)),
+), max_size=150)
+
+
+def build_tree(events) -> dom.DomDocument:
+    """Element tree straight from events, bypassing the parser's repairs."""
+    root = dom.Element("html")
+    stack = [root]
+    for event in events:
+        if event[0] == "open" and len(stack) <= MAX_DEPTH:
+            el = dom.Element(event[1], [("id", event[2])] if event[2] else [])
+            stack[-1].children.append(el)
+            stack.append(el)
+        elif event[0] == "close" and len(stack) > 1:
+            stack.pop()
+        elif event[0] == "text":
+            stack[-1].children.append(dom.Text(event[1]))
+        elif event[0] == "comment":
+            stack[-1].children.append(dom.Comment(event[1]))
+    return dom.DomDocument(root)
+
+
+def reference_walk(el, path=()):
+    """Recursive pre-order (path, element) walk."""
+    yield path, el
+    for i, child in enumerate(el.children):
+        if isinstance(child, dom.Element):
+            yield from reference_walk(child, path + (i,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_events)
+def test_index_matches_recursive_reference_walk(events):
+    doc = build_tree(events)
+    ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
+    expected = list(reference_walk(doc.root))
+    assert [id(el) for el in ix.elements] == [id(el) for _, el in expected]
+    first = {}
+    for i, (path, el) in enumerate(expected):
+        assert ix.path(i) == path
+        subtree = [
+            id(sub) for sub_path, sub in expected
+            if len(sub_path) > len(path) and sub_path[:len(path)] == path
+        ]
+        assert [id(sub) for sub in ix.elements[i + 1:ix.end[i]]] == subtree
+        if el.get("id") and el.get("id") not in first:
+            first[el.get("id")] = el
+    assert {k: id(v) for k, v in ix.ids.items()} == \
+        {k: id(v) for k, v in first.items()}
