@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .dom import (
     DomDocument,
-    find_by_snippet,
+    Element,
     parse_fragment_element,
-    replace_node,
     resolve,
+    rewrite,
+    serialize_node,
 )
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
-    InvalidSnippetError,
     NoRecipeError,
     ProviderUnavailableError,
     ReplayMissError,
@@ -30,6 +30,7 @@ PROVIDER_FAILED = "provider_failed"
 PARSE_FAILED = "parse_failed"
 MATCH_FAILED = "match_failed"
 NO_RECIPE = "no_recipe"
+_STALE = "missing or stale locator"  # detail of a MATCH_FAILED record
 
 
 @dataclass
@@ -40,37 +41,50 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecord:
-    """Replace the violating node with the corrected fragment.
+def _target(doc: DomDocument, v: Violation) -> Optional[Element]:
+    """The violation's element; None if its locator is missing or stale."""
+    try:
+        return resolve(doc, v.locator) if v.locator else None
+    except StaleLocatorError:
+        return None
 
-    Target resolution: the violation's locator when still fresh, otherwise the
-    first document-order match of its snippet. Failures leave the document
-    untouched.
-    """
+
+def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
     try:
         replacement = parse_fragment_element(p.corrected_html)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
-
-    locator = None
-    try:
-        if v.locator is None:
-            raise StaleLocatorError("violation has no locator")
-        resolve(doc, v.locator)
-        locator = v.locator
-    except StaleLocatorError:
-        try:
-            matches = find_by_snippet(doc, v.html_snippet)
-        except InvalidSnippetError as exc:
-            return CorrectionRecord(v, p, MATCH_FAILED, str(exc))
-        if not matches:
-            return CorrectionRecord(
-                v, p, MATCH_FAILED, "stale locator and no snippet match"
-            )
-        locator = matches[0]
-
-    replace_node(doc, locator, replacement)
+    rewrite(el, replacement)
     return CorrectionRecord(v, p, APPLIED)
+
+
+def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecord:
+    """Rewrite the violating element in place with the corrected fragment.
+
+    The violation's locator must still be fresh. Failures leave the document
+    untouched.
+    """
+    el = _target(doc, v)
+    if el is None:
+        return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
+    return _apply(el, v, p)
+
+
+def _correct(el: Optional[Element], v: Violation, provider, strategy: str):
+    if el is None:
+        return CorrectionRecord(v, None, MATCH_FAILED, _STALE)
+    # A fix that already landed inside the target shows in its prompt.
+    current = serialize_node(el)
+    seen = v if current == v.html_snippet else replace(v, html_snippet=current)
+    try:
+        proposal = provider.propose(build_prompt(seen, strategy), seen)
+    except NoRecipeError as exc:
+        return CorrectionRecord(v, None, NO_RECIPE, str(exc))
+    except (ProviderUnavailableError, ReplayMissError) as exc:
+        return CorrectionRecord(v, None, PROVIDER_FAILED, str(exc))
+    except (IncompleteViolationError, UnparseableResponseError) as exc:
+        return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
+    return _apply(el, v, proposal)
 
 
 def correct_document(
@@ -79,28 +93,13 @@ def correct_document(
     provider,
     strategy: str = "react",
 ) -> tuple:
-    """Run prompt -> propose -> apply for each violation in document order.
+    """Run prompt -> propose -> apply for each violation, from the last in
+    document order (the order ``rules.audit`` returns) to the first.
 
-    Per-violation failures are recorded and skipped; exactly one record is
-    returned per input violation.
+    Every target is resolved before any fix, and a fix rewrites its element
+    in place, so no fix moves a target still waiting for its own. Failures
+    are recorded and skipped: one record per violation, in input order.
     """
-    records = []
-    for v in violations:
-        try:
-            bundle = build_prompt(v, strategy)
-        except IncompleteViolationError as exc:
-            records.append(CorrectionRecord(v, None, PARSE_FAILED, str(exc)))
-            continue
-        try:
-            proposal = provider.propose(bundle, v)
-        except NoRecipeError as exc:
-            records.append(CorrectionRecord(v, None, NO_RECIPE, str(exc)))
-            continue
-        except (ProviderUnavailableError, ReplayMissError) as exc:
-            records.append(CorrectionRecord(v, None, PROVIDER_FAILED, str(exc)))
-            continue
-        except UnparseableResponseError as exc:
-            records.append(CorrectionRecord(v, None, PARSE_FAILED, str(exc)))
-            continue
-        records.append(apply_fix(doc, v, proposal))
-    return doc, records
+    targets = [(_target(doc, v), v) for v in violations]
+    records = [_correct(el, v, provider, strategy) for el, v in targets[::-1]]
+    return doc, records[::-1]

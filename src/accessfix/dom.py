@@ -373,13 +373,14 @@ def find_by_snippet(doc: DomDocument, snippet: str) -> list:
     return found
 
 
+def rewrite(el: Element, replacement: Element) -> None:
+    """Give ``el`` the tag, attributes and children of ``replacement``."""
+    el.tag, el.attrs, el.children = (replacement.tag, replacement.attrs,
+                                     replacement.children)
+
+
 def replace_node(doc: DomDocument, loc: NodeLocator,
                  replacement: Element) -> DomDocument:
-    """Replace the located subtree with ``replacement``."""
-    resolve(doc, loc)  # staleness check
-    if not loc.path:
-        doc.root = replacement
-        return doc
-    parent = _node_at(doc, loc.path[:-1])
-    parent.children[loc.path[-1]] = replacement
+    """Rewrite the located element in place with ``replacement``."""
+    rewrite(resolve(doc, loc), replacement)
     return doc

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from . import corrector, dom, rules, scoring
 from .errors import SchemaError
-from .prompts import build_prompt
-from .providers import Transcript, heuristic_fix, request_hash
+from .providers import HeuristicProvider, Transcript, request_hash
 from .scoring import AuditReport, BenchmarkResult, fmt2, fmt3
 
 ROW_COLUMNS = (
@@ -257,22 +256,32 @@ def import_rows(path, fmt=None) -> list:
     return rows
 
 
+@dataclass
+class _RecordingProvider(HeuristicProvider):
+    """The heuristic oracle, recording each response under its request hash."""
+
+    transcript: Transcript
+
+    def propose(self, bundle, violation=None):
+        proposal = super().propose(bundle, violation)
+        self.transcript.record(request_hash(bundle.messages()),
+                               proposal.raw_response)
+        return proposal
+
+
 def build_replay_transcript(entries, ruleset=None, strategy: str = "react",
                             impacts=None, thresholds=None) -> Transcript:
-    """Record heuristic-oracle responses for every violation in the corpus,
-    keyed by request hash, for later replay runs."""
+    """Record heuristic-oracle responses, keyed by request hash, for later
+    replay runs, while correcting every page as a replay run corrects it."""
     transcript = Transcript()
+    provider = _RecordingProvider(transcript)
     for entry in entries:
         if entry.error:
             continue
         doc = dom.parse_html(entry.html_text)
         violations = rules.audit(doc, ruleset, web_url=entry.source_id,
                                  impacts=impacts, thresholds=thresholds)
-        for v in violations:
-            bundle = build_prompt(v, strategy)
-            transcript.record(
-                request_hash(bundle.messages()), heuristic_fix(v).raw_response
-            )
+        corrector.correct_document(doc, violations, provider, strategy)
     return transcript
 
 

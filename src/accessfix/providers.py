@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 from .colors import RgbColor, contrast_ratio, relative_luminance
-from .dom import Element, Text, parse_fragment_element, serialize_node
+from .dom import (DomDocument, Element, Text, parse_fragment_element,
+                  rewrite, serialize_node)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -20,7 +21,8 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
-from .rules import ARIA_REQUIRED_ATTRS, RULE_CATALOG, Violation
+from .rules import (ARIA_REQUIRED_ATTRS, RULE_CATALOG, Violation, _Index,
+                    _is_main)
 
 
 @dataclass
@@ -255,7 +257,7 @@ def _wrap_children(el, wrapper):
 def _wrap_self(el, wrapper):
     """Turn ``el`` into ``wrapper`` around a copy of the original ``el``."""
     wrapper.children = [Element(el.tag, el.attrs, el.children)]
-    el.tag, el.attrs, el.children = wrapper.tag, wrapper.attrs, wrapper.children
+    rewrite(el, wrapper)
 
 
 def _fix_region(el, v):
@@ -272,6 +274,9 @@ def _fix_region(el, v):
 
 def _fix_landmark_one_main(el, v):
     if el.tag == "html":
+        # An earlier region fix may have added the main landmark already.
+        if any(map(_is_main, _Index.build(DomDocument(el), {}).elements)):
+            return "left the page as it is: it already has a main landmark"
         for child in el.children:
             if isinstance(child, Element) and child.tag == "body":
                 _wrap_children(child, Element("main"))

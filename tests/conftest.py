@@ -1,3 +1,4 @@
+import itertools
 import json
 from importlib import resources
 
@@ -29,3 +30,28 @@ def rules_manifest(rules_dir):
 @pytest.fixture(scope="session")
 def corpus_paths(corpus_dir, corpus_manifest):
     return [str(corpus_dir / name) for name in sorted(corpus_manifest)]
+
+
+@pytest.fixture(scope="session")
+def composed_pages(rules_dir, rules_manifest):
+    """(name, html) pages whose fixes must compose: two violations on one
+    element, violations on nested elements, and every pair of the positive
+    rule fixtures' bodies in one page, with and without lang."""
+    pages = [
+        ("one-element.html",
+         '<img src="a.png" id="d" alt="x"><img src="b.png" id="d">'),
+        ("nested.html", "<p><table><tr><td><img src=x.png></td></tr></table></p>"),
+    ]
+    bodies = {
+        name: (rules_dir / name).read_text("utf-8")
+        .split("<body>")[1].split("</body>")[0]
+        for name in sorted(rules_manifest) if rules_manifest[name]
+    }
+    for a, b in itertools.combinations(bodies, 2):
+        for lang in ("", ' lang="en"'):
+            pages.append((
+                f"pair-{a}-{b}{lang and '-lang'}.html",
+                f"<html{lang}><head><title>Pair</title></head>"
+                f"<body>{bodies[a]}{bodies[b]}</body></html>",
+            ))
+    return pages

@@ -41,16 +41,16 @@ def test_apply_fix_with_fresh_locator():
     assert "<p>keep me</p>" in doc.serialize()
 
 
-def test_apply_fix_stale_locator_falls_back_to_snippet():
+def test_apply_fix_stale_locator_leaves_document_unchanged():
     doc = dom.parse_html(PAGE)
     v = get_violation(doc, "image-alt")
-    # Invalidate the recorded location by fixing the sibling link first,
-    # then mutating the image's position with an extra preceding node.
+    # Move the image by inserting a node before it: its locator goes stale.
     main = doc.root.children[1].children[1]
     main.children.insert(0, dom.parse_fragment_element("<p>new first</p>"))
+    before = doc.serialize()
     record = apply_fix(doc, v, proposal('<img src="a.png" alt="a">'))
-    assert record.outcome == APPLIED
-    assert 'alt="a"' in doc.serialize()
+    assert record.outcome == MATCH_FAILED
+    assert doc.serialize() == before
 
 
 def test_apply_fix_no_match_leaves_document_unchanged():
@@ -109,10 +109,11 @@ class StubProvider:
 def test_correct_document_mixed_outcomes():
     doc = dom.parse_html(PAGE)
     violations = rules.audit(doc, web_url="f")
+    # Proposals are requested from the last violation to the first.
     stub = StubProvider(
-        [ProviderUnavailableError("down")]
+        [heuristic_fix(v).corrected_html for v in reversed(violations[2:])]
         + ["<img"]
-        + [heuristic_fix(v).corrected_html for v in violations[2:]]
+        + [ProviderUnavailableError("down")]
     )
     _, records = correct_document(doc, violations, stub, "react")
     outcomes = [r.outcome for r in records]
@@ -129,3 +130,13 @@ def test_correct_document_records_carry_violation_and_outcome_metadata():
         assert record.violation.rule_id == v.rule_id
         assert record.proposal.corrected_html
         assert record.proposal.raw_response
+
+
+def test_fixes_compose(composed_pages):
+    assert len(composed_pages) == 2 + 210
+    for name, html in composed_pages:
+        doc = dom.parse_html(html)
+        violations = rules.audit(doc, web_url=name)
+        _, records = correct_document(doc, violations, HeuristicProvider())
+        assert [r.outcome for r in records] == [APPLIED] * len(violations), name
+        assert rules.audit(doc, web_url=name) == [], name

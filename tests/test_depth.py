@@ -44,6 +44,32 @@ def test_deep_page_audits_serializes_and_fixes():
     assert result.total_final == 0
 
 
+# Without a <main>, fixes add one around the bottom paragraph, deep in the
+# chain, while the page's landmark-one-main violation waits on <html>.
+DEEP_PAGE_WITHOUT_MAIN = (
+    '<!DOCTYPE html><html lang="en"><head><title>Deep</title></head><body>'
+    + "<div>" * DEPTH
+    + '<p style="color:#777777; background-color:#ffffff">'
+    "Bottom of the chain.</p>"
+    '<img src="deep.png"></body></html>'
+)
+
+
+def test_deep_page_without_main_fixes_every_violation():
+    entries = [harness.CorpusEntry.from_text("deep.html",
+                                             DEEP_PAGE_WITHOUT_MAIN)]
+    result, rows, records, failures = harness.run_benchmark(
+        entries, HeuristicProvider()
+    )
+    assert failures == []
+    assert Counter(row.rule_id for row in rows) == {
+        "landmark-one-main": 1, "region": 1, "color-contrast": 1,
+        "image-alt": 1,
+    }
+    assert [r.outcome for r in records] == ["applied"] * 4
+    assert result.total_final == 0
+
+
 def _self_calls(path: Path):
     """(line, name) of every call a function makes to itself by name."""
     tree = ast.parse(path.read_text("utf-8"))

@@ -150,13 +150,18 @@ def test_run_benchmark_reports_ingest_failures(corpus_paths, tmp_path):
     assert result.m == 2
 
 
-def test_replay_transcript_reproduces_heuristic_run(corpus_paths):
-    entries = load_entries(corpus_paths)
+def test_replay_transcript_reproduces_heuristic_run(corpus_paths,
+                                                   composed_pages):
+    entries = load_entries(corpus_paths) + [
+        CorpusEntry.from_text(name, html) for name, html in composed_pages
+    ]
     transcript = build_replay_transcript(entries)
     replay = ReplayProvider(transcript)
     heuristic_result = run_benchmark(entries, HeuristicProvider(),
                                      model_name="m")[0]
-    replay_result = run_benchmark(entries, replay, model_name="m")[0]
+    replay_result, _, replay_records, _ = run_benchmark(entries, replay,
+                                                        model_name="m")
+    assert {r.outcome for r in replay_records} == {"applied"}
     assert replay_result == heuristic_result
 
 

@@ -10,6 +10,7 @@ import pytest
 import accessfix
 from accessfix import dom, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
+from accessfix.corrector import correct_document
 from accessfix.errors import (
     ConfigError,
     NoRecipeError,
@@ -134,6 +135,17 @@ def test_region_recipe_wraps_a_paragraph_whole(wrap_in, before, wrapped):
     assert re.fullmatch(wrapped, heuristic_fix(v).corrected_html)
     after = reaudit_after_fix(html, "region")
     assert all(x.rule_id != "region" for x in after)
+
+
+def test_landmark_one_main_recipe_keeps_a_main_from_a_region_fix():
+    # The region fix on the <div> runs first and adds the page's main.
+    doc = dom.parse_html('<html lang="en"><body><div>text</div></body></html>')
+    violations = rules.audit(doc, web_url="f")
+    assert [v.rule_id for v in violations] == ["landmark-one-main", "region"]
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert [r.outcome for r in records] == ["applied"] * 2
+    assert doc.serialize().count("<main>") == 1
+    assert rules.audit(doc, web_url="f") == []
 
 
 def test_recipes_do_not_read_help_text(rules_dir, rules_manifest):
