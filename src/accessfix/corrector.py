@@ -8,7 +8,6 @@ from typing import Optional
 from .dom import (
     DomDocument,
     Element,
-    parse_fragment_element,
     resolve,
     rewrite,
     serialize_node,
@@ -51,9 +50,12 @@ def _target(doc: DomDocument, v: Violation) -> Optional[Element]:
 
 def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
     try:
-        replacement = parse_fragment_element(p.corrected_html)
+        replacement = p.element
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
+    # The document now owns the parse; a record that kept it would also
+    # keep alive every subtree that a later fix replaces.
+    del p.element
     rewrite(el, replacement)
     return CorrectionRecord(v, p, APPLIED)
 
@@ -62,7 +64,8 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
     """Rewrite the violating element in place with the corrected fragment.
 
     The violation's locator must still be fresh. Failures leave the document
-    untouched.
+    untouched. The element takes over the lists of ``p.element``, which the
+    proposal then drops, so applying it again parses afresh.
     """
     el = _target(doc, v)
     if el is None:

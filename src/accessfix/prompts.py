@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Optional
 
-from .dom import VOID_ELEMENTS, parse_fragment_element
+from .dom import VOID_ELEMENTS, Element, parse_fragment_element
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -55,6 +56,12 @@ class FixProposal:
     raw_response: str
     provider_id: str = ""
 
+    @cached_property
+    def element(self) -> Element:
+        """``corrected_html`` parsed; ``InvalidFragmentError`` unless it is
+        exactly one element. Parsed on first read only."""
+        return parse_fragment_element(self.corrected_html)
+
 
 def _render(template: str, values: dict) -> str:
     for key, value in values.items():
@@ -83,7 +90,7 @@ def build_prompt(v: Violation, strategy: str) -> PromptBundle:
     )
 
 
-_CORRECTED_RE = re.compile(r"CORRECTED:\s*`+\s*([^`]+?)\s*`+")
+_CORRECTED_RE = re.compile(r"CORRECTED:\s*(`+)(?!`)(.+?)\1(?!`)", re.S)
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?(.*?)```", re.S)
 _THOUGHT_RE = re.compile(
     r"Thought:\s*(.+?)(?=\n\s*\n|\nCORRECTED:|\n```|$)", re.S
@@ -91,15 +98,15 @@ _THOUGHT_RE = re.compile(
 _TAG_START_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9-]*)")
 
 
-def _is_element(candidate: str) -> bool:
-    try:
-        parse_fragment_element(candidate)
-        return True
-    except InvalidFragmentError:
-        return False
-
-
-def _first_balanced_element(text: str) -> Optional[str]:
+def _candidates(text: str):
+    """Candidate fragments in priority order: the fragment between equal
+    backtick runs after a CORRECTED: label, each fenced code block's body,
+    then each balanced element anywhere in the text."""
+    m = _CORRECTED_RE.search(text)
+    if m:
+        yield m.group(2).strip()
+    for fence in _FENCE_RE.finditer(text):
+        yield fence.group(1).strip()
     for m in _TAG_START_RE.finditer(text):
         tag = m.group(1).lower()
         start = m.start()
@@ -107,9 +114,7 @@ def _first_balanced_element(text: str) -> Optional[str]:
         if gt == -1:
             continue
         if tag in VOID_ELEMENTS or text[gt - 1] == "/":
-            candidate = text[start : gt + 1]
-            if _is_element(candidate):
-                return candidate
+            yield text[start : gt + 1]
             continue
         depth = 0
         for tm in re.finditer(
@@ -123,44 +128,26 @@ def _first_balanced_element(text: str) -> Optional[str]:
             elif not token.endswith("/>"):
                 depth += 1
             if depth == 0:
-                candidate = text[start : start + tm.end()]
-                if _is_element(candidate):
-                    return candidate
+                yield text[start : start + tm.end()]
                 break
-    return None
 
 
 def parse_fix(raw_response: str, provider_id: str = "") -> FixProposal:
     """Extract the corrected tag from a response.
 
-    Priority: a backticked fragment after a CORRECTED: label, then the first
-    fenced code block holding one element, then the first balanced top-level
-    element anywhere in the text. Never raises on arbitrary text except the
-    typed unparseable-response error.
+    The first candidate (see ``_candidates``) that parses as exactly one
+    element wins; its parse is kept on the proposal's ``element``. Never
+    raises on arbitrary text except the typed unparseable-response error.
     """
-    corrected = None
-    m = _CORRECTED_RE.search(raw_response)
-    if m and _is_element(m.group(1)):
-        corrected = m.group(1)
-    if corrected is None:
-        for fence in _FENCE_RE.finditer(raw_response):
-            body = fence.group(1).strip()
-            if _is_element(body):
-                corrected = body
-                break
-    if corrected is None:
-        corrected = _first_balanced_element(raw_response)
-    if corrected is None:
-        raise UnparseableResponseError(
-            "no corrected HTML element found in response"
-        )
-    thought = None
     tm = _THOUGHT_RE.search(raw_response)
-    if tm:
-        thought = tm.group(1).strip()
-    return FixProposal(
-        corrected_html=corrected,
-        thought=thought,
-        raw_response=raw_response,
-        provider_id=provider_id,
+    thought = tm.group(1).strip() if tm else None
+    for candidate in _candidates(raw_response):
+        proposal = FixProposal(candidate, thought, raw_response, provider_id)
+        try:
+            proposal.element
+        except InvalidFragmentError:
+            continue
+        return proposal
+    raise UnparseableResponseError(
+        "no corrected HTML element found in response"
     )

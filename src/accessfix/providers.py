@@ -148,7 +148,8 @@ class RemoteProvider:
                     )
                     content = body["choices"][0]["message"]["content"]
                     return parse_fix(content, provider_id=self.provider_id)
-                except (OSError, KeyError, IndexError, ValueError) as exc:
+                except (OSError, KeyError, IndexError, TypeError,
+                        ValueError) as exc:
                     last_error = exc
         raise ProviderUnavailableError(
             f"remote provider failed after {self.cfg.max_retries + 1} attempts: "
@@ -427,9 +428,13 @@ def heuristic_fix(v: Violation) -> FixProposal:
     el = parse_fragment_element(v.html_snippet)
     thought = recipe(el, v)
     corrected = serialize_node(el)
+    fence = "`"
+    while fence in corrected:
+        fence += "`"
     return FixProposal(
         corrected_html=corrected,
         thought=thought,
-        raw_response=f"Thought: {thought}\nCORRECTED: `{corrected}`",
+        raw_response=(f"Thought: {thought}\n"
+                      f"CORRECTED: {fence}{corrected}{fence}"),
         provider_id="heuristic",
     )

@@ -41,6 +41,18 @@ def test_apply_fix_with_fresh_locator():
     assert "<p>keep me</p>" in doc.serialize()
 
 
+def test_applied_proposal_shares_no_tree_between_documents():
+    docs = [dom.parse_html(PAGE) for _ in range(2)]
+    p = proposal('<img src="a.png" alt="a">')
+    for doc in docs:
+        assert apply_fix(doc, get_violation(doc, "image-alt"), p).outcome \
+            == APPLIED
+    img = docs[0].root.children[1].children[1].children[0]
+    img.set("alt", "changed")
+    assert 'alt="changed"' not in docs[1].serialize()
+    assert 'alt="a"' in docs[1].serialize()
+
+
 def test_apply_fix_stale_locator_leaves_document_unchanged():
     doc = dom.parse_html(PAGE)
     v = get_violation(doc, "image-alt")

@@ -2,6 +2,7 @@
 limit: no tree code recurses."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,5 +99,26 @@ def test_no_function_calls_itself():
         f"{path.name}:{line} {name}"
         for path in sorted(package.glob("*.py"))
         for line, name in _self_calls(path)
+    ]
+    assert found == []
+
+
+def _absolute_imports(path: Path):
+    """(line, top-level name) of every absolute import in a module."""
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    package = Path(accessfix.__file__).parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _absolute_imports(path)
+        if name not in sys.stdlib_module_names
     ]
     assert found == []

@@ -1,7 +1,11 @@
 import json
+import sys
+from importlib import resources
 
 import pytest
 
+from accessfix.corpus import write_all
+from accessfix.dom import parse_fragment_element
 from accessfix.errors import SchemaError
 from accessfix.harness import (
     CorpusEntry,
@@ -19,6 +23,16 @@ from accessfix.scoring import fmt3
 
 def load_entries(paths):
     return ingest([str(p) for p in paths])
+
+
+# Backticks in a fix's text and attribute, which the response must fence.
+BACKTICK_PAGE = (
+    "backticks.html",
+    '<html lang="en"><head><title>Ticks</title></head><body><main>'
+    '<p style="color:#999999; background-color:#ffffff">run `ls` now</p>'
+    '<p style="color:#999999; background-color:#ffffff" title="a ``b`` c">'
+    "run `ls` now</p></main></body></html>",
+)
 
 
 def sample_rows():
@@ -153,16 +167,48 @@ def test_run_benchmark_reports_ingest_failures(corpus_paths, tmp_path):
 def test_replay_transcript_reproduces_heuristic_run(corpus_paths,
                                                    composed_pages):
     entries = load_entries(corpus_paths) + [
-        CorpusEntry.from_text(name, html) for name, html in composed_pages
+        CorpusEntry.from_text(name, html)
+        for name, html in composed_pages + [BACKTICK_PAGE]
     ]
     transcript = build_replay_transcript(entries)
     replay = ReplayProvider(transcript)
-    heuristic_result = run_benchmark(entries, HeuristicProvider(),
-                                     model_name="m")[0]
-    replay_result, _, replay_records, _ = run_benchmark(entries, replay,
-                                                        model_name="m")
+    heuristic_result, heuristic_rows = run_benchmark(
+        entries, HeuristicProvider(), model_name="m")[:2]
+    replay_result, replay_rows, replay_records, _ = run_benchmark(
+        entries, replay, model_name="m")
     assert {r.outcome for r in replay_records} == {"applied"}
     assert replay_result == heuristic_result
+    assert replay_rows == heuristic_rows
+
+
+def test_replay_parses_each_fix_once(corpus_paths, monkeypatch):
+    entries = load_entries(corpus_paths)
+    replay = ReplayProvider(build_replay_transcript(entries))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_fragment_element(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "parse_fragment_element", None)
+        if name.startswith("accessfix") and held is parse_fragment_element:
+            monkeypatch.setattr(module, "parse_fragment_element", counting)
+    records = run_benchmark(entries, replay)[2]
+    applied = [r for r in records if r.outcome == "applied"]
+    assert len(applied) == len(records) == 171
+    assert len(calls) == 171
+
+
+def test_corpus_generator_reproduces_bundled_fixtures(tmp_path):
+    write_all(str(tmp_path))
+    bundled = resources.files("accessfix") / "fixtures"
+    for kind in ("corpus", "rules"):
+        names = sorted(p.name for p in (bundled / kind).iterdir())
+        assert sorted(p.name for p in (tmp_path / kind).iterdir()) == names
+        for name in names:
+            assert ((tmp_path / kind / name).read_bytes()
+                    == (bundled / kind / name).read_bytes()), name
 
 
 def test_render_report_summary_contains_expected_figures(corpus_paths):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,6 +82,17 @@ def test_parse_fix_bare_element_rule():
 def test_parse_fix_nested_same_tag():
     raw = "CORRECTED: `<div a=\"1\"><div>inner</div></div>`"
     assert parse_fix(raw).corrected_html == '<div a="1"><div>inner</div></div>'
+
+
+def test_parse_fix_corrected_label_is_linear_in_response_length():
+    # Backtracking the opening run into shorter runs, or the fragment's end
+    # into a whitespace run, would take seconds to minutes on these.
+    start = time.perf_counter()
+    raw = "CORRECTED: " + "`" * 10000 + "<p>x</p>"
+    assert parse_fix(raw).corrected_html == "<p>x</p>"
+    with pytest.raises(UnparseableResponseError):
+        parse_fix("CORRECTED: `<p>" + " " * 50000 + "x")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_fix_refusal_raises_typed_error():

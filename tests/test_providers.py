@@ -172,9 +172,15 @@ def test_heuristic_provider_delegates():
 
 
 def test_heuristic_proposal_round_trips_through_parse_fix():
-    v = violation_for(PAGE.format(seed='<img src="a.png">'), "image-alt")
-    fix = heuristic_fix(v)
-    assert parse_fix(fix.raw_response).corrected_html == fix.corrected_html
+    for seed, rule_id in [
+        ('<img src="a.png">', "image-alt"),
+        ('<p style="color:#999999; background-color:#ffffff">'
+         "run `ls` now</p>", "color-contrast"),
+        ('<p style="color:#999999; background-color:#ffffff" '
+         'title="a ``b`` c">run `ls` now</p>', "color-contrast"),
+    ]:
+        fix = heuristic_fix(violation_for(PAGE.format(seed=seed), rule_id))
+        assert parse_fix(fix.raw_response).corrected_html == fix.corrected_html
 
 
 def test_transcript_save_load_round_trip(tmp_path):
@@ -252,6 +258,28 @@ def test_remote_provider_recovers_after_transient_failure():
     provider = RemoteProvider(remote_cfg(), post_json=flaky, sleep=lambda s: None)
     v = violation_for(PAGE.format(seed='<img src="a.png">'), "image-alt")
     assert provider.propose(build_prompt(v, "react")).corrected_html == "<p>ok</p>"
+
+
+@pytest.mark.parametrize("body", [
+    {"choices": [{"message": {"content": None}}]},
+    [],
+    {"choices": [{"message": "hi"}]},
+], ids=["null-content", "list-body", "string-message"])
+def test_remote_provider_wrong_shape_body_is_provider_failed(body):
+    calls = []
+
+    def wrong_shape(url, payload, headers, timeout):
+        calls.append(url)
+        return body
+
+    provider = RemoteProvider(
+        remote_cfg(max_retries=2), post_json=wrong_shape, sleep=lambda s: None
+    )
+    doc = dom.parse_html(PAGE.format(seed='<img src="a.png">'))
+    violations = rules.audit(doc, web_url="f")
+    _, records = correct_document(doc, violations, provider)
+    assert {r.outcome for r in records} == {"provider_failed"}
+    assert len(calls) == 3 * len(records)
 
 
 def test_provider_config_validation():
