@@ -1,8 +1,11 @@
 """Permissive HTML parsing, canonical serialization, and subtree surgery.
 
-The parser tolerates malformed markup (unclosed tags, duplicate attributes,
-stray content) and always yields a normalized tree with a single ``html``
-root containing ``head`` and ``body``. Serialization is canonical: stored
+The parser is a scanner that reads its input once, in time linear in its
+length whatever the markup. It tolerates malformed markup (unclosed tags,
+duplicate attributes, stray content) with html.parser's tolerant tag
+grammar, follows WHATWG tokenization where end of input cuts a construct
+off, and always yields a normalized tree with a single ``html`` root
+containing ``head`` and ``body``. Serialization is canonical: stored
 attribute order, double-quoted values, a fixed escaping table, and void
 elements without closing tags, so equal trees always serialize identically.
 """
@@ -10,8 +13,9 @@ elements without closing tags, so equal trees always serialize identically.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from html import unescape
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -97,86 +101,140 @@ class Element:
 Node = Union[Element, Text, Comment, Doctype]
 
 
-class _TreeBuilder(HTMLParser):
-    """Builds an Element tree, recovering from unclosed/misnested tags."""
+# The scanner. One compiled regex is matched at the current position and
+# names the token it found: text, start tag, end tag, comment, doctype,
+# bogus comment, a dropped construct (processing instruction, marked
+# section, "</>"), an end tag that end of input cut off, or a lone "<" (a
+# start tag so cut off matches without its ">"). Every repetition is
+# possessive, atomic, or lazy up to a fixed closer, so a match never
+# backtracks into what it consumed, and an alternative that fails scans no
+# further than the one that then matches or than end of input, where
+# scanning stops. The one exception, a quoted value that never closes, is
+# scanned to end of input at most once per quote character. So parsing is
+# linear in the input.
 
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.top = Element("#fragment")
-        self.stack = [self.top]
-
-    def _implicit_close(self, tag: str) -> None:
-        while len(self.stack) > 1:
-            open_tag = self.stack[-1].tag
-            if open_tag == "p" and tag in _P_CLOSERS:
-                self.stack.pop()
-            elif tag in _AUTO_CLOSE and open_tag in _AUTO_CLOSE[tag]:
-                self.stack.pop()
-            else:
-                break
-
-    def _dedup(self, attrs):
-        out, seen = [], set()
-        for name, value in attrs:
-            name = name.lower()
-            if name in seen:
-                continue
-            seen.add(name)
-            out.append((name, value if value is not None else ""))
-        return out
-
-    def handle_starttag(self, tag, attrs):
-        self._implicit_close(tag)
-        el = Element(tag, self._dedup(attrs))
-        self.stack[-1].children.append(el)
-        if tag not in VOID_ELEMENTS:
-            self.stack.append(el)
-
-    def handle_startendtag(self, tag, attrs):
-        self._implicit_close(tag)
-        self.stack[-1].children.append(Element(tag, self._dedup(attrs)))
-
-    def handle_endtag(self, tag):
-        if tag in VOID_ELEMENTS:
-            return
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
-        # Unmatched close tag: ignore.
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(Text(data))
-
-    def handle_comment(self, data):
-        self.stack[-1].children.append(Comment(data))
-
-    def handle_decl(self, decl):
-        self.stack[-1].children.append(Doctype(decl))
+# One attribute: name, then optionally "=" and a quoted or bare value. The
+# value group backtracks only inside itself, as html.parser's does.
+_ATTR = (
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*+)"""
+    r"""(?>\s*=+\s*(?:'([^']*+)'|"([^"]*+)"|(?!['"])([^>\s]*+)))?"""
+    r"""(?:\s|/(?!>))*+"""
+)
+_ATTR_RE = re.compile(_ATTR)
+_TOKEN = re.compile(
+    r"(?P<text>[^<]++)"
+    r"|(?P<start><(?P<tag>[a-zA-Z][^\t\n\r\f />\x00]*+)"
+    r"(?:(?!\x00)|(?<=['\"\s]))"
+    r"(?:\s|/(?!>))*+(?P<attrs>(?:" + _ATTR + r")*+)(?P<close>/?>)?)"
+    # NUL right after a tag name that no attribute may follow: the "<" and
+    # the name are text, kept as written.
+    r"|(?P<raw><[a-zA-Z][^\t\n\r\f />\x00]*+)"
+    r"|(?P<end></(?:\s*+(?P<name>[a-zA-Z][-.a-zA-Z0-9:_]*+)\s*+>"
+    r"|(?P<name2>[a-zA-Z][^\t\n\r\f />\x00]*+)[^>]*+>))"
+    r"|(?P<comment><!--(?P<comment_data>.*?)(?:--\s*+>|\Z))"
+    r"|(?P<doctype><!(?P<decl>(?ai:doctype)[^>]*+)>?)"
+    r"|(?P<drop></>|<\?[^>]*+>?|<!\[(?ai:"
+    r"(?:cdata|temp|ignore|include|rcdata)(?![-_.a-zA-Z0-9])"
+    r".*?(?:\]\s*+\]\s*+>|\Z)"
+    r"|(?:if|else|endif)(?![-_.a-zA-Z0-9]).*?(?:\]\s*+>|\Z)))"
+    r"|(?P<bogus><(?:!|/(?=[^a-zA-Z]))(?P<bogus_data>[^>]*+)>?)"
+    r"|(?P<cut></(?=[a-zA-Z]))"
+    r"|(?P<lt><)",
+    re.S,
+)
+_RAW_END = {
+    tag: re.compile(r"</\s*%s\s*>" % tag, re.I) for tag in RAW_TEXT_ELEMENTS
+}
 
 
-def _merge_text(top: Element) -> None:
-    stack = [top]
-    while stack:
-        el = stack.pop()
-        merged = []
-        for child in el.children:
-            if isinstance(child, Text) and merged and isinstance(merged[-1], Text):
-                merged[-1] = Text(merged[-1].data + child.data)
-            else:
-                merged.append(child)
-                if isinstance(child, Element):
-                    stack.append(child)
-        el.children = merged
+def _attrs(text: str, start: int, end: int) -> list:
+    """(name, value) pairs of an attribute blob; the first of a name wins."""
+    attrs = {}
+    for name, single, double, bare in _ATTR_RE.findall(text, start, end):
+        attrs.setdefault(name.lower(), single or double or bare)
+    return [(name, unescape(value)) for name, value in attrs.items()]
 
 
 def _tokenize(text: str) -> Element:
-    builder = _TreeBuilder()
-    builder.feed(text)
-    builder.close()
-    _merge_text(builder.top)
-    return builder.top
+    """Scan ``text`` once and build its tree under a ``#fragment`` root.
+
+    Construction recovers from unclosed and misnested tags: a start tag
+    implicitly closes an open ``p`` (``_P_CLOSERS``) or list item, cell,
+    row or option (``_AUTO_CLOSE``); an end tag closes up to the nearest
+    open element of its name and is skipped when none is open; of
+    duplicate attributes the first wins; adjacent text is merged.
+    End of input inside a start or end tag drops the tag. Inside a
+    comment, doctype or bogus comment it ends them, and inside raw text
+    it ends the text, as WHATWG tokenization does.
+    """
+    top = Element("#fragment")
+    stack = [top]
+    open_count = {}  # tag -> elements of that name on the stack
+    text_node, parts = None, []  # the text node that text merges into
+    pos, n = 0, len(text)
+    match = _TOKEN.match
+    while pos < n:
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        parent = stack[-1]
+        if kind in ("text", "lt", "raw"):
+            data = m.group(kind)
+            if kind == "text":
+                data = unescape(data)
+            if parent.children and parent.children[-1] is text_node:
+                parts.append(data)
+                continue
+            if len(parts) > 1:
+                text_node.data = "".join(parts)
+            text_node, parts = Text(data), [data]
+            parent.children.append(text_node)
+        elif kind == "start":
+            close = m.group("close")
+            if close is None:
+                break  # end of input inside the tag
+            tag = m.group("tag").lower()
+            closes = _AUTO_CLOSE.get(tag, ())
+            while parent is not top and (
+                parent.tag in closes
+                or (parent.tag == "p" and tag in _P_CLOSERS)
+            ):
+                stack.pop()
+                open_count[parent.tag] -= 1
+                parent = stack[-1]
+            start, end = m.span("attrs")
+            el = Element(tag, _attrs(text, start, end) if start < end else [],
+                         [])
+            parent.children.append(el)
+            if close == "/>" or tag in VOID_ELEMENTS:
+                continue
+            if tag in RAW_TEXT_ELEMENTS:
+                # Raw text runs to the matching end tag or to end of input.
+                end = _RAW_END[tag].search(text, pos)
+                stop = end.start() if end else n
+                if stop > pos:
+                    el.children.append(Text(text[pos:stop]))
+                pos = end.end() if end else n
+                continue
+            stack.append(el)
+            open_count[tag] = open_count.get(tag, 0) + 1
+        elif kind == "end":
+            tag = (m.group("name") or m.group("name2")).lower()
+            if open_count.get(tag):
+                while True:
+                    closed = stack.pop().tag
+                    open_count[closed] -= 1
+                    if closed == tag:
+                        break
+        elif kind in ("comment", "bogus"):
+            parent.children.append(Comment(m.group(kind + "_data")))
+        elif kind == "doctype":
+            parent.children.append(Doctype(m.group("decl")))
+        elif kind == "cut":
+            break  # end of input inside an end tag
+    if len(parts) > 1:
+        text_node.data = "".join(parts)
+    return top
 
 
 def parse_fragment(text: str) -> list:

@@ -179,7 +179,8 @@ def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
     """Audit, correct, and re-audit every corpus entry.
 
     Returns (BenchmarkResult, rows, records, failures); failures are
-    (source_id, error) pairs for entries that could not be ingested.
+    (source_id, error) pairs for entries that could not be ingested and
+    for pages whose processing raised, which are left out of the result.
     Aggregation is an ordered reduce over source ids, so the worker count
     never changes the output.
     """
@@ -189,14 +190,23 @@ def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
     )
 
     def work(entry):
-        return _bench_one(entry, ruleset, provider, strategy, impacts,
-                          thresholds, weights)
+        try:
+            return _bench_one(entry, ruleset, provider, strategy, impacts,
+                              thresholds, weights)
+        except Exception as exc:  # noqa: BLE001 - isolation per page
+            return f"{type(exc).__name__}: {exc}"
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, usable))
+            outcomes = list(pool.map(work, usable))
     else:
-        results = [work(entry) for entry in usable]
+        outcomes = [work(entry) for entry in usable]
+    results = []
+    for entry, outcome in zip(usable, outcomes):
+        if isinstance(outcome, str):
+            failures.append((entry.source_id, outcome))
+        else:
+            results.append(outcome)
 
     before, after, rows, records = [], [], [], []
     for initial, final, entry_rows, entry_records in results:

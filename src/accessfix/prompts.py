@@ -95,7 +95,59 @@ _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?(.*?)```", re.S)
 _THOUGHT_RE = re.compile(
     r"Thought:\s*(.+?)(?=\n\s*\n|\nCORRECTED:|\n```|$)", re.S
 )
-_TAG_START_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9-]*)")
+_TAG_RE = re.compile(r"<(/?)([a-zA-Z][a-zA-Z0-9-]*+)([\s/>]?)")
+
+
+def _balanced_elements(text: str) -> list:
+    """Each balanced element in ``text``, in the order of its start tags.
+
+    A tag runs from its "<" to the first ">" after it. A void or "/>"
+    start tag is an element of its own. Any other start tag, from itself
+    on, counts the tags of its name that a space, "/" or ">" follows: +1
+    for a start tag, -1 for an end tag, 0 for a "/>" one. Its element ends
+    with the tag at which the count comes back to 0. Of the tags of one
+    name that end at the same ">", only the first counts, except that the
+    count starts at the first one at or after the start tag itself.
+
+    One pass keeps, per name, the running count over the counted tags; a
+    start tag waits for the next tag of its name, then for the count to
+    return to the level at which its own count is 0.
+    """
+    ends = {}  # start offset -> end offset of its element
+    starts = []
+    pending = {}  # name -> start offsets waiting for a tag of that name
+    waiting = {}  # (name, count) -> start offsets waiting for that count
+    count = {}  # name -> running count over the counted tags
+    counted_at = {}  # name -> the ">" of the last counted tag
+    gt = -1
+    for m in _TAG_RE.finditer(text):
+        if gt < m.start():
+            gt = text.find(">", m.start())
+            if gt < 0:
+                break
+        slash, name, follow = m.groups()
+        name = name.lower()
+        if not slash:
+            starts.append(m.start())
+            if name in VOID_ELEMENTS or text[gt - 1] == "/":
+                ends[m.start()] = gt + 1
+            else:
+                pending.setdefault(name, []).append(m.start())
+        if not follow:
+            continue
+        step = -1 if slash else 0 if text[gt - 1] == "/" else 1
+        if counted_at.get(name) != gt:
+            counted_at[name] = gt
+            count[name] = count.get(name, 0) + step
+            for start in waiting.pop((name, count[name]), ()):
+                ends[start] = gt + 1
+        for start in pending.pop(name, ()):
+            if step == 0:
+                ends[start] = gt + 1
+            else:
+                key = (name, count[name] - step)
+                waiting.setdefault(key, []).append(start)
+    return [text[start:ends[start]] for start in starts if start in ends]
 
 
 def _candidates(text: str):
@@ -107,29 +159,7 @@ def _candidates(text: str):
         yield m.group(2).strip()
     for fence in _FENCE_RE.finditer(text):
         yield fence.group(1).strip()
-    for m in _TAG_START_RE.finditer(text):
-        tag = m.group(1).lower()
-        start = m.start()
-        gt = text.find(">", start)
-        if gt == -1:
-            continue
-        if tag in VOID_ELEMENTS or text[gt - 1] == "/":
-            yield text[start : gt + 1]
-            continue
-        depth = 0
-        for tm in re.finditer(
-            rf"</?{re.escape(tag)}(?=[\s/>])[^>]*>|</?{re.escape(tag)}>",
-            text[start:],
-            re.IGNORECASE,
-        ):
-            token = tm.group(0)
-            if token.startswith("</"):
-                depth -= 1
-            elif not token.endswith("/>"):
-                depth += 1
-            if depth == 0:
-                yield text[start : start + tm.end()]
-                break
+    yield from _balanced_elements(text)
 
 
 def parse_fix(raw_response: str, provider_id: str = "") -> FixProposal:

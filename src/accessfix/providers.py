@@ -431,10 +431,14 @@ def heuristic_fix(v: Violation) -> FixProposal:
     fence = "`"
     while fence in corrected:
         fence += "`"
-    return FixProposal(
+    proposal = FixProposal(
         corrected_html=corrected,
         thought=thought,
         raw_response=(f"Thought: {thought}\n"
                       f"CORRECTED: {fence}{corrected}{fence}"),
         provider_id="heuristic",
     )
+    # The recipe's element is what parsing ``corrected`` gives back, so it
+    # fills the ``element`` cache instead of a second parse.
+    proposal.__dict__["element"] = el
+    return proposal

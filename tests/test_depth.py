@@ -2,9 +2,14 @@
 limit: no tree code recurses."""
 
 import ast
+import os
+import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import accessfix
 from accessfix import dom, harness, rules
@@ -122,3 +127,37 @@ def test_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert found == []
+
+
+# Each construct is still open at end of input; html.parser's close()
+# rescans the rest of the input from each one.
+HOSTILE = {
+    "unterminated-attribute": "<a b=" * 20000,
+    "unterminated-quote": "<p title='x" * 10000,
+    "unterminated-start-tag": "<a" * 40000,
+    "unterminated-comment": "<!--" * 40000,
+    "unterminated-end-tag": "</a" * 40000,
+    # Unmatched end tags under a deep stack of open elements.
+    "deep-unmatched-end-tags": "<div>" * 5000 + "</x>" * 20000,
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_parses_in_linear_time(text):
+    start = time.perf_counter()
+    doc = dom.parse_html(text)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(doc, dom.DomDocument)
+
+
+def test_import_loads_no_html_parser():
+    code = (
+        "import sys, accessfix, accessfix.cli; "
+        "print('html.parser' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(accessfix.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from accessfix import cli
 from accessfix.corpus import write_all
 from accessfix.dom import parse_fragment_element
 from accessfix.errors import SchemaError
@@ -230,3 +231,36 @@ def test_render_report_other_styles(corpus_paths):
     assert "%" in distribution
     parsed = json.loads(render_report(result, "json"))
     assert parsed["model"] == "m"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_page_whose_provider_raises_is_a_recorded_failure(corpus_paths,
+                                                          workers):
+    entries = load_entries(corpus_paths)
+    broken = entries[3].source_id
+
+    class Raising(HeuristicProvider):
+        def propose(self, bundle, violation=None):
+            if violation.web_url == broken:
+                raise RuntimeError("no answer")
+            return super().propose(bundle, violation)
+
+    result, rows, _, failures = run_benchmark(entries, Raising(),
+                                              workers=workers)
+    assert failures == [(broken, "RuntimeError: no answer")]
+    others = [e for e in entries if e.source_id != broken]
+    expected, expected_rows, _, _ = run_benchmark(others, HeuristicProvider())
+    assert (result, rows) == (expected, expected_rows)
+    assert result.total_final == 0
+
+
+def test_bench_exits_2_when_a_page_raises(corpus_paths, monkeypatch, capsys):
+    class Raising(HeuristicProvider):
+        def propose(self, bundle, violation=None):
+            raise RuntimeError("no answer")
+
+    monkeypatch.setattr(cli, "_provider_from_args",
+                        lambda args, config: Raising())
+    assert cli.main(["bench", corpus_paths[0], "--provider", "heuristic"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {corpus_paths[0]}: RuntimeError: no answer" in err

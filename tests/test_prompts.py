@@ -1,12 +1,21 @@
+import re
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accessfix import dom, rules
+from accessfix.dom import VOID_ELEMENTS
 from accessfix.errors import IncompleteViolationError, UnparseableResponseError
-from accessfix.prompts import STRATEGIES, build_prompt, parse_fix
+from accessfix.prompts import (
+    _CORRECTED_RE,
+    _FENCE_RE,
+    STRATEGIES,
+    _candidates,
+    build_prompt,
+    parse_fix,
+)
 from accessfix.rules import Violation
 
 
@@ -113,3 +122,64 @@ def test_parse_fix_total_on_arbitrary_text(text):
     except UnparseableResponseError:
         return
     assert proposal.corrected_html
+
+
+_TAG_START_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9-]*)")
+
+
+def reference_candidates(text: str):
+    """The candidate scan as it was, with one depth scan per start tag:
+    quadratic or worse on unclosed tags, kept as the reference."""
+    m = _CORRECTED_RE.search(text)
+    if m:
+        yield m.group(2).strip()
+    for fence in _FENCE_RE.finditer(text):
+        yield fence.group(1).strip()
+    for m in _TAG_START_RE.finditer(text):
+        tag = m.group(1).lower()
+        start = m.start()
+        gt = text.find(">", start)
+        if gt == -1:
+            continue
+        if tag in VOID_ELEMENTS or text[gt - 1] == "/":
+            yield text[start : gt + 1]
+            continue
+        depth = 0
+        for tm in re.finditer(
+            rf"</?{re.escape(tag)}(?=[\s/>])[^>]*>|</?{re.escape(tag)}>",
+            text[start:],
+            re.IGNORECASE,
+        ):
+            token = tm.group(0)
+            if token.startswith("</"):
+                depth -= 1
+            elif not token.endswith("/>"):
+                depth += 1
+            if depth == 0:
+                yield text[start : start + tm.end()]
+                break
+
+
+# Pieces of tags, whole tags and text, so that responses hold unclosed,
+# self-closing, misnested and half-written tags of a few names.
+_pieces = st.sampled_from([
+    "<p>", "</p>", "<p", "</p", "<P>", "</P >", "<p/>", "<p-1>", "</p-1>",
+    "<p.x>", "<p.x/>", ".x", "<p id=a>", "<a>", "</a>", "<a", "<a/", "<b>",
+    "</b>", "<B/>",
+    "<br>", "</br>", "<img>", "<div>", "</div>", "<", ">", "/", "/>", " ",
+    "\n", "x", "p", "-", "=", '"', "CORRECTED: `", "`", "```html\n",
+    "```",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_pieces, max_size=16).map("".join))
+def test_candidates_match_reference_scan(text):
+    assert list(_candidates(text)) == list(reference_candidates(text))
+
+
+def test_parse_fix_is_linear_on_unclosed_tags():
+    start = time.perf_counter()
+    with pytest.raises(UnparseableResponseError):
+        parse_fix("<p>" * 4000)
+    assert time.perf_counter() - start < 0.1

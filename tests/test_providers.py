@@ -183,6 +183,31 @@ def test_heuristic_proposal_round_trips_through_parse_fix():
         assert parse_fix(fix.raw_response).corrected_html == fix.corrected_html
 
 
+def test_heuristic_proposal_element_is_its_corrected_html_parsed(
+        corpus_paths, rules_dir, rules_manifest, composed_pages):
+    """The heuristic provider hands over its recipe's element instead of
+    letting the corrector parse its own output again; that is only sound
+    while the two trees are equal."""
+    compared = []
+
+    class Comparing(HeuristicProvider):
+        def propose(self, bundle, violation=None):
+            proposal = super().propose(bundle, violation)
+            compared.append(proposal.__dict__["element"] ==
+                            dom.parse_fragment_element(proposal.corrected_html))
+            return proposal
+
+    pages = [(path, open(path, encoding="utf-8").read())
+             for path in corpus_paths]
+    pages += [(name, (rules_dir / name).read_text("utf-8"))
+              for name in sorted(rules_manifest)]
+    for name, html in pages + composed_pages:
+        doc = dom.parse_html(html)
+        correct_document(doc, rules.audit(doc, web_url=name), Comparing())
+    assert len(compared) > 1000
+    assert all(compared)
+
+
 def test_transcript_save_load_round_trip(tmp_path):
     t = Transcript()
     t.record("abc", "CORRECTED: `<p>x</p>`")
