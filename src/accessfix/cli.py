@@ -87,7 +87,9 @@ def _setup(args):
         ruleset = tuple(r.strip() for r in args.rules.split(",") if r.strip())
     entries = harness.ingest(args.sources, cache_dir=args.cache_dir,
                              refresh=args.refresh)
-    return config, ruleset, entries
+    settings = dict(ruleset=ruleset, impacts=config.impacts,
+                    thresholds=config.thresholds, weights=config.weights)
+    return config, entries, settings
 
 
 def _provider_from_args(args, config):
@@ -107,74 +109,73 @@ def _fmt_for(path: str) -> str:
 
 
 def _cmd_scan(args) -> int:
-    config, ruleset, entries = _setup(args)
-    rows = []
-    for entry in entries:
-        if entry.error:
-            print(f"error: {entry.source_id}: {entry.error}", file=sys.stderr)
+    _, entries, settings = _setup(args)
+    rows, failed = [], False
+    for run in harness.run_pages(entries, **settings):
+        if run.error:
+            print(f"error: {run.source_id}: {run.error}", file=sys.stderr)
+            failed = True
             continue
-        doc = dom.parse_html(entry.html_text)
-        violations = rules.audit(doc, ruleset, web_url=entry.source_id,
-                                 impacts=config.impacts,
-                                 thresholds=config.thresholds)
-        score = scoring.url_score(violations, config.weights)
-        rows.extend(harness.rows_for_entry(
-            entry, violations, score, doc.serialize()
-        ))
-        print(f"{entry.source_id}: {len(violations)} violations, score {score}")
+        rows.extend(run.rows)
+        print(f"{run.source_id}: {run.initial.num_violations} violations, "
+              f"score {run.initial.score}")
     if args.out:
         harness.export_rows(rows, _fmt_for(args.out), args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
-    return 2 if any(e.error for e in entries) else 0
+    return 2 if failed else 0
+
+
+def _out_name(source_id, taken) -> str:
+    """A file name for a source's corrected page, unique among ``taken``
+    (which it joins): ``index.html``, then ``index-2.html``, ..."""
+    stem = os.path.splitext(os.path.basename(source_id))[0] or "page"
+    name, n = stem, 1
+    while name in taken:
+        n += 1
+        name = f"{stem}-{n}"
+    taken.add(name)
+    return f"{name}.html"
 
 
 def _cmd_fix(args) -> int:
-    config, ruleset, entries = _setup(args)
+    config, entries, settings = _setup(args)
     provider = _provider_from_args(args, config)
     strategy = _STRATEGY_NAMES[args.strategy]
     os.makedirs(args.out_dir, exist_ok=True)
-    summaries = []
-    for entry in entries:
-        if entry.error:
-            print(f"error: {entry.source_id}: {entry.error}", file=sys.stderr)
+    summaries, taken, failed = [], set(), False
+    for run in harness.run_pages(entries, provider, strategy=strategy,
+                                 **settings):
+        if run.error:
+            print(f"error: {run.source_id}: {run.error}", file=sys.stderr)
+            failed = True
             continue
-        doc = dom.parse_html(entry.html_text)
-        violations = rules.audit(doc, ruleset, web_url=entry.source_id,
-                                 impacts=config.impacts,
-                                 thresholds=config.thresholds)
-        corrected, records = corrector.correct_document(
-            doc, violations, provider, strategy
-        )
-        name = os.path.splitext(os.path.basename(entry.source_id))[0] or "page"
-        out_path = os.path.join(args.out_dir, f"{name}.html")
+        out_path = os.path.join(args.out_dir, _out_name(run.source_id, taken))
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(corrected.serialize())
-        applied = sum(1 for r in records if r.outcome == corrector.APPLIED)
+            handle.write(run.corrected_html)
+        applied = sum(1 for r in run.records if r.outcome == corrector.APPLIED)
         summaries.append({
-            "source": entry.source_id,
+            "source": run.source_id,
             "corrected": out_path,
-            "violations": len(violations),
+            "violations": run.initial.num_violations,
             "applied": applied,
-            "outcomes": dict(Counter(r.outcome for r in records)),
+            "outcomes": dict(Counter(r.outcome for r in run.records)),
         })
-        print(f"{entry.source_id}: applied {applied}/{len(violations)} "
-              f"fixes -> {out_path}")
+        print(f"{run.source_id}: applied {applied}/"
+              f"{run.initial.num_violations} fixes -> {out_path}")
     with open(os.path.join(args.out_dir, "records.json"), "w",
               encoding="utf-8") as handle:
         json.dump(summaries, handle, indent=2)
         handle.write("\n")
-    return 2 if any(e.error for e in entries) else 0
+    return 2 if failed else 0
 
 
 def _cmd_bench(args) -> int:
-    config, ruleset, entries = _setup(args)
+    config, entries, settings = _setup(args)
     provider = _provider_from_args(args, config)
-    strategy = _STRATEGY_NAMES[args.strategy]
     result, rows, _, failures = harness.run_benchmark(
-        entries, provider, ruleset=ruleset, strategy=strategy,
-        impacts=config.impacts, thresholds=config.thresholds,
-        weights=config.weights, model_name=args.model or args.provider,
-        workers=args.workers,
+        entries, provider, strategy=_STRATEGY_NAMES[args.strategy],
+        model_name=args.model or args.provider, workers=args.workers,
+        **settings,
     )
     print(harness.render_report(result, args.report))
     if args.rows:

@@ -71,7 +71,7 @@ def parse_color(text: str):
             r, g, b = (int(float(p)) for p in parts[:3])
             alpha = float(parts[3]) if len(parts) == 4 else 1.0
             return RgbColor(r, g, b, alpha)
-        except ValueError:
+        except (ValueError, OverflowError):  # int(float("1e999")) overflows
             return None
     return None
 

@@ -1,4 +1,5 @@
-"""Corpus ingestion, the scan->fix->rescan benchmark, and report rendering."""
+"""Corpus ingestion, the one per-page path (audit -> fix -> re-audit), the
+benchmark over it, and report rendering."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import corrector, dom, rules, scoring
 from .errors import SchemaError
@@ -154,23 +155,59 @@ def rows_for_entry(entry, violations, score, dom_text,
     ]
 
 
-def _bench_one(entry, ruleset, provider, strategy, impacts, thresholds,
-               weights):
-    doc = dom.parse_html(entry.html_text)
-    dom_text = doc.serialize()
-    before = rules.audit(doc, ruleset, web_url=entry.source_id,
-                         impacts=impacts, thresholds=thresholds)
-    initial = AuditReport.from_violations(entry.source_id, before, weights)
-    corrected, records = corrector.correct_document(
-        doc, before, provider, strategy
-    )
-    corrected_text = corrected.serialize()
-    after = rules.audit(corrected, ruleset, web_url=entry.source_id,
-                        impacts=impacts, thresholds=thresholds)
-    final = AuditReport.from_violations(entry.source_id, after, weights)
-    rows = rows_for_entry(entry, before, initial.score, dom_text,
-                          corrected_text)
-    return initial, final, rows, records
+@dataclass
+class PageRun:
+    """One page through audit and score and, with a provider, through
+    correct, re-audit and score again. ``error`` is set instead when the
+    page could not be ingested or its processing raised."""
+
+    source_id: str
+    error: str = ""
+    initial: AuditReport | None = None
+    final: AuditReport | None = None
+    rows: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    corrected_html: str = ""
+
+
+def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
+              impacts=None, thresholds=None, weights=None, workers: int = 1):
+    """Yield a PageRun per entry, in entry order, as each is done; without a
+    provider a page is only audited and scored. A bad ruleset raises before
+    the first page; a page that fails yields a PageRun with ``error`` set."""
+    ruleset = rules.check_ruleset(ruleset)
+
+    def audit(doc, source_id):
+        violations = rules.audit(doc, ruleset, web_url=source_id,
+                                 impacts=impacts, thresholds=thresholds)
+        return AuditReport.from_violations(source_id, violations, weights)
+
+    def run_page(entry):
+        page = PageRun(entry.source_id, entry.error)
+        if entry.error:
+            return page
+        try:
+            doc = dom.parse_html(entry.html_text)
+            dom_text = doc.serialize()
+            page.initial = audit(doc, entry.source_id)
+            if provider is not None:
+                corrected, page.records = corrector.correct_document(
+                    doc, page.initial.violations, provider, strategy
+                )
+                page.corrected_html = corrected.serialize()
+                page.final = audit(corrected, entry.source_id)
+            page.rows = rows_for_entry(entry, page.initial.violations,
+                                       page.initial.score, dom_text,
+                                       page.corrected_html)
+        except Exception as exc:  # noqa: BLE001 - isolation per page
+            page = PageRun(entry.source_id, f"{type(exc).__name__}: {exc}")
+        return page
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run_page, entries)
+    else:
+        yield from map(run_page, entries)
 
 
 def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
@@ -181,46 +218,26 @@ def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
     Returns (BenchmarkResult, rows, records, failures); failures are
     (source_id, error) pairs for entries that could not be ingested and
     for pages whose processing raised, which are left out of the result.
-    Aggregation is an ordered reduce over source ids, so the worker count
-    never changes the output.
+    Pages run and report in source order, whatever the worker count.
     """
-    failures = [(e.source_id, e.error) for e in entries if e.error]
-    usable = sorted(
-        (e for e in entries if not e.error), key=lambda e: e.source_id
-    )
-
-    def work(entry):
-        try:
-            return _bench_one(entry, ruleset, provider, strategy, impacts,
-                              thresholds, weights)
-        except Exception as exc:  # noqa: BLE001 - isolation per page
-            return f"{type(exc).__name__}: {exc}"
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, usable))
-    else:
-        outcomes = [work(entry) for entry in usable]
-    results = []
-    for entry, outcome in zip(usable, outcomes):
-        if isinstance(outcome, str):
-            failures.append((entry.source_id, outcome))
+    runs, failures = [], []
+    for run in run_pages(sorted(entries, key=lambda e: e.source_id),
+                         provider, ruleset, strategy, impacts, thresholds,
+                         weights, workers):
+        if run.error:
+            failures.append((run.source_id, run.error))
         else:
-            results.append(outcome)
-
-    before, after, rows, records = [], [], [], []
-    for initial, final, entry_rows, entry_records in results:
-        before.extend(initial.violations)
-        after.extend(final.violations)
-        rows.extend(entry_rows)
-        records.extend(entry_records)
+            runs.append(run)
     result = scoring.aggregate(
-        [initial.score for initial, _, _, _ in results],
-        [final.score for _, final, _, _ in results],
-        before, after,
+        [run.initial.score for run in runs],
+        [run.final.score for run in runs],
+        [v for run in runs for v in run.initial.violations],
+        [v for run in runs for v in run.final.violations],
         model_name=model_name or getattr(provider, "provider_id", ""),
         strategy=strategy,
     )
+    rows = [row for run in runs for row in run.rows]
+    records = [record for run in runs for record in run.records]
     return result, rows, records, failures
 
 
@@ -285,13 +302,9 @@ def build_replay_transcript(entries, ruleset=None, strategy: str = "react",
     replay runs, while correcting every page as a replay run corrects it."""
     transcript = Transcript()
     provider = _RecordingProvider(transcript)
-    for entry in entries:
-        if entry.error:
-            continue
-        doc = dom.parse_html(entry.html_text)
-        violations = rules.audit(doc, ruleset, web_url=entry.source_id,
-                                 impacts=impacts, thresholds=thresholds)
-        corrector.correct_document(doc, violations, provider, strategy)
+    for _ in run_pages(entries, provider, ruleset, strategy, impacts,
+                       thresholds):
+        pass
     return transcript
 
 

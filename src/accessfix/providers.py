@@ -215,8 +215,10 @@ def _fix_image_alt(el, v):
 
 
 def _fix_link_name(el, v):
-    el.children.append(Text("link"))
-    return "inserted placeholder link text"
+    # A name, not text: new text outside every landmark would be a new
+    # region violation.
+    el.set("aria-label", "link")
+    return "named the link with a placeholder aria-label"
 
 
 def _fix_empty_heading(el, v):

@@ -609,10 +609,17 @@ def check_color_contrast(ix):
                 bg = c
         m = _FONT_SIZE_RE.match(decls.get("font-size", ""))
         if m:
-            size = float(m.group(1))
+            try:
+                size = float(m.group(1))
+            except ValueError:  # "1.2.3px", ".px": ignored, as bad colours are
+                pass
         weight = decls.get("font-weight", "").lower()
-        if weight in ("bold", "bolder") or weight.isdigit() and int(weight) >= 600:
-            bold = True
+        try:
+            if weight in ("bold", "bolder") or (
+                    weight.isdigit() and int(weight) >= 600):
+                bold = True
+        except ValueError:  # digits int() rejects: "²", a run past its limit
+            pass
         if el.tag in ("b", "strong"):
             bold = True
         state[i] = (fg, bg, size, bold)
@@ -663,6 +670,19 @@ RULE_CATALOG = {
 ALL_RULES = tuple(RULE_CATALOG)
 
 
+def check_ruleset(ruleset=None) -> tuple:
+    """The rule ids to run, every catalog rule for None; raises
+    UnknownRuleError if the ruleset is empty or names an unknown rule."""
+    if ruleset is None:
+        return ALL_RULES
+    if not ruleset:
+        raise UnknownRuleError("ruleset must not be empty")
+    for rule_id in ruleset:
+        if rule_id not in RULE_CATALOG:
+            raise UnknownRuleError(f"unknown rule id: {rule_id}")
+    return tuple(ruleset)
+
+
 def audit(
     doc: DomDocument,
     ruleset=None,
@@ -672,13 +692,7 @@ def audit(
 ) -> list:
     """Run the rule catalog over a document, returning violations in document
     order (ties broken by catalog order)."""
-    if ruleset is None:
-        ruleset = ALL_RULES
-    if not ruleset:
-        raise UnknownRuleError("ruleset must not be empty")
-    for rule_id in ruleset:
-        if rule_id not in RULE_CATALOG:
-            raise UnknownRuleError(f"unknown rule id: {rule_id}")
+    ruleset = check_ruleset(ruleset)
     impact_map = dict(DEFAULT_IMPACTS)
     if impacts:
         impact_map.update(impacts)

@@ -1,7 +1,12 @@
 import json
+import shutil
 
+import pytest
+
+from accessfix import cli, dom
 from accessfix.cli import main
 from accessfix.harness import import_rows
+from accessfix.providers import HeuristicProvider
 
 PAGE = (
     '<html lang="en"><body>'
@@ -100,10 +105,18 @@ def test_unreadable_source_exit_code_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_rule_exit_code_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["scan"],
+    ["fix", "--provider", "heuristic"],
+    ["bench", "--provider", "heuristic"],
+], ids=["scan", "fix", "bench"])
+def test_unknown_rule_exit_code_1(tmp_path, capsys, monkeypatch, command):
     page = write_page(tmp_path)
-    assert main(["scan", page, "--rules", "no-such-rule"]) == 1
-    assert "error:" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)  # fix's default --out-dir
+    assert main(command + [page, "--rules", "no-such-rule"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown rule id: no-such-rule\n"
 
 
 def test_bad_config_exit_code_1(tmp_path, capsys):
@@ -120,3 +133,85 @@ def test_config_overrides_apply(tmp_path, capsys):
     cfg.write_text("[weights]\ncritical = 50\n", encoding="utf-8")
     assert main(["scan", page, "--config", str(cfg)]) == 0
     assert "score 50" in capsys.readouterr().out
+
+
+def test_fix_gives_colliding_names_distinct_files(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    pages = [
+        write_page(tmp_path / "a", "index.html"),
+        write_page(tmp_path / "b", "index.html",
+                   PAGE.replace("cart-icon.png", "logo.png")),
+    ]
+    out_dir = tmp_path / "fixed"
+    assert main(["fix", *pages, "--provider", "heuristic",
+                 "--out-dir", str(out_dir)]) == 0
+    summaries = json.loads((out_dir / "records.json").read_text("utf-8"))
+    paths = [summary["corrected"] for summary in summaries]
+    assert paths == [str(out_dir / "index.html"),
+                     str(out_dir / "index-2.html")]
+    for i, page in enumerate(pages):
+        alone = tmp_path / f"alone-{i}"
+        assert main(["fix", page, "--provider", "heuristic",
+                     "--out-dir", str(alone)]) == 0
+        expected = (alone / "index.html").read_text("utf-8")
+        assert open(paths[i], encoding="utf-8").read() == expected
+    taken = set()
+    assert [cli._out_name(url, taken) for url in
+            ("https://a.test/", "https://b.test/", "https://c.test/page")] \
+        == ["page.html", "page-2.html", "page-3.html"]
+
+
+def write_three_pages(tmp_path):
+    """Three pages; the middle one is the one made to fail."""
+    return [write_page(tmp_path, f"p{i}.html",
+                       PAGE.replace("cart-icon", f"icon-{i}"))
+            for i in range(3)]
+
+
+def test_scan_records_a_page_that_raises_and_goes_on(tmp_path, capsys,
+                                                     monkeypatch):
+    pages = write_three_pages(tmp_path)
+    rows = tmp_path / "rows.json"
+    assert main(["scan", pages[0], pages[2], "--out", str(rows)]) == 0
+    expected_out, expected_rows = capsys.readouterr().out, rows.read_text()
+
+    parse = dom.parse_html
+
+    def failing_parse(text):
+        if "icon-1" in text:
+            raise RuntimeError("no tree")
+        return parse(text)
+
+    monkeypatch.setattr(dom, "parse_html", failing_parse)
+    assert main(["scan", *pages, "--out", str(rows)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {pages[1]}: RuntimeError: no tree\n"
+    assert captured.out == expected_out
+    assert rows.read_text() == expected_rows
+
+
+def test_fix_records_a_page_that_raises_and_goes_on(tmp_path, capsys,
+                                                    monkeypatch):
+    pages = write_three_pages(tmp_path)
+    out_dir = tmp_path / "fixed"
+    argv = ["--provider", "heuristic", "--out-dir", str(out_dir)]
+    assert main(["fix", pages[0], pages[2], *argv]) == 0
+    expected_out = capsys.readouterr().out
+    expected = {p.name: p.read_text("utf-8") for p in out_dir.iterdir()}
+    shutil.rmtree(out_dir)
+
+    class Raising(HeuristicProvider):
+        def propose(self, bundle, violation=None):
+            if violation.web_url == pages[1]:
+                raise RuntimeError("no answer")
+            return super().propose(bundle, violation)
+
+    monkeypatch.setattr(cli, "_provider_from_args",
+                        lambda args, config: Raising())
+    assert main(["fix", *pages, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {pages[1]}: RuntimeError: no answer\n"
+    assert captured.out == expected_out
+    assert {p.name: p.read_text("utf-8") for p in out_dir.iterdir()} \
+        == expected

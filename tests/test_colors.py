@@ -84,6 +84,7 @@ def test_parse_color_forms(text, expected):
 def test_parse_color_rejects_garbage():
     assert parse_color("not-a-color") is None
     assert parse_color("#12345") is None
+    assert parse_color("rgb(1e999,0,0)") is None  # int(inf) overflows
 
 
 def test_channel_range_enforced():

@@ -7,7 +7,7 @@ import pytest
 from accessfix import cli
 from accessfix.corpus import write_all
 from accessfix.dom import parse_fragment_element
-from accessfix.errors import SchemaError
+from accessfix.errors import SchemaError, UnknownRuleError
 from accessfix.harness import (
     CorpusEntry,
     DatasetRow,
@@ -163,6 +163,31 @@ def test_run_benchmark_reports_ingest_failures(corpus_paths, tmp_path):
     result, rows, records, failures = run_benchmark(entries, HeuristicProvider())
     assert len(failures) == 1
     assert result.m == 2
+
+
+def test_run_benchmark_rejects_an_unknown_rule_before_any_page(corpus_paths):
+    entries = load_entries(corpus_paths[:2])
+    with pytest.raises(UnknownRuleError):
+        run_benchmark(entries, HeuristicProvider(), ruleset=("nope",))
+
+
+def test_link_name_fix_adds_no_region_violation():
+    # Text added to the link would sit outside every landmark.
+    page = '<html lang="en"><body><div>intro</div><a href="/x"></a></body></html>'
+    result, _, records, failures = run_benchmark(
+        [CorpusEntry.from_text("link.html", page)], HeuristicProvider()
+    )
+    assert failures == []
+    assert {r.outcome for r in records} == {"applied"}
+    assert result.total_final == 0
+
+
+def test_replay_transcript_skips_an_unreadable_source(corpus_paths, tmp_path):
+    entries = load_entries(corpus_paths[:3])
+    missing = ingest([str(tmp_path / "missing.html")])
+    transcript = build_replay_transcript(entries[:1] + missing + entries[1:])
+    assert transcript.entries
+    assert transcript == build_replay_transcript(entries)
 
 
 def test_replay_transcript_reproduces_heuristic_run(corpus_paths,

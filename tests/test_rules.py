@@ -1,4 +1,5 @@
 import hashlib
+import html
 from collections import Counter
 
 import pytest
@@ -154,6 +155,61 @@ def test_meta_viewport_max_scale_below_two():
         'content="maximum-scale=1.5"></head><body><main>x</main></body></html>'
     )
     assert counts["meta-viewport"] == 1
+
+
+# Declarations that the style parsing admits and that int(), float() or
+# RgbColor reject.
+UNUSABLE_STYLES = {
+    "superscript-weight": "font-weight:\u00b2",  # str.isdigit accepts it
+    "weight-past-int-limit": "font-weight:" + "9" * 5000,
+    "size-with-two-points": "font-size:1.2.3px",
+    "size-without-digits": "font-size:.px",
+    "overflowing-rgb": "color: rgb(1e999,0,0)",
+}
+
+
+def contrast_page(style):
+    """Low-contrast text whose <p> carries ``style``."""
+    return (
+        '<html lang="en"><body><main>'
+        '<div style="color:#777777; background-color:#ffffff">'
+        f'<p style="{html.escape(style)}">x</p></div></main></body></html>'
+    )
+
+
+@pytest.mark.parametrize("style", UNUSABLE_STYLES.values(),
+                         ids=UNUSABLE_STYLES.keys())
+def test_unusable_style_value_is_ignored(style):
+    assert audit_counts(contrast_page(style)) == audit_counts(contrast_page(""))
+    assert audit_counts(contrast_page(""))["color-contrast"] == 1
+
+
+STYLE_PROPERTIES = ("color", "background-color", "background", "font-size",
+                    "font-weight")
+numbers = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),  # with inf, nan and 1e+300
+    st.text(alphabet="0123456789.e+-", min_size=1, max_size=8),
+    st.text(alphabet="0123456789\u00b2\u0663", min_size=1),  # isdigit()
+)
+style_values = st.one_of(
+    st.text(max_size=12),
+    st.builds("{}{}".format, numbers, st.sampled_from(["", "px", "%"])),
+    st.lists(numbers, min_size=3, max_size=4).map(
+        lambda parts: f"rgb({','.join(parts)})"),
+)
+style_texts = st.one_of(
+    st.text(),
+    st.lists(st.tuples(st.sampled_from(STYLE_PROPERTIES), style_values),
+             max_size=4).map(
+        lambda decls: "; ".join(f"{prop}:{value}" for prop, value in decls)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(style_texts)
+def test_audit_never_raises_on_any_inline_style(style):
+    rules.audit(dom.parse_html(contrast_page(style)))
 
 
 # SHA-256 of every reported field of every violation on the bundled pages.
