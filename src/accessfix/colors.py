@@ -63,7 +63,10 @@ def parse_color(text: str):
             )
         return None
     if text.startswith("rgb(") or text.startswith("rgba("):
-        body = text[text.index("(") + 1 : text.rfind(")")]
+        close = text.rfind(")")
+        if close < 0:
+            return None
+        body = text[text.index("(") + 1 : close]
         parts = [p.strip() for p in body.split(",")]
         if len(parts) not in (3, 4):
             return None

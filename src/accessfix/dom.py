@@ -12,7 +12,6 @@ elements without closing tags, so equal trees always serialize identically.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from html import unescape
@@ -385,21 +384,17 @@ def normalized_outer_html(el: Element) -> str:
     return _serialize(el, normalized=True)
 
 
-def _snippet_hash(el: Element) -> str:
-    return hashlib.sha1(normalized_outer_html(el).encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class NodeLocator:
     path: tuple  # child indices from the root element
-    snippet_hash: str
+    snippet: str  # serialize_node of the element when it was located
 
 
 def make_locator(doc: DomDocument, path: tuple) -> NodeLocator:
     el = _node_at(doc, path)
     if el is None:
         raise StaleLocatorError(f"no element at path {path}")
-    return NodeLocator(tuple(path), _snippet_hash(el))
+    return NodeLocator(tuple(path), serialize_node(el))
 
 
 def _node_at(doc: DomDocument, path: tuple) -> Optional[Element]:
@@ -412,9 +407,9 @@ def _node_at(doc: DomDocument, path: tuple) -> Optional[Element]:
 
 
 def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
-    """Resolve a locator, raising StaleLocatorError if the node moved or changed."""
+    """The located element; StaleLocatorError if it moved or changed at all."""
     el = _node_at(doc, loc.path)
-    if el is None or _snippet_hash(el) != loc.snippet_hash:
+    if el is None or serialize_node(el) != loc.snippet:
         raise StaleLocatorError(f"locator {loc.path} is stale")
     return el
 
@@ -427,7 +422,7 @@ def find_by_snippet(doc: DomDocument, snippet: str) -> list:
     found = []
     for path, el in iter_elements(doc):
         if normalized_outer_html(el) == target:
-            found.append(NodeLocator(path, _snippet_hash(el)))
+            found.append(NodeLocator(path, serialize_node(el)))
     return found
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -116,6 +117,8 @@ class DatasetRow:
 
     @classmethod
     def from_record(cls, record: dict, where: str) -> "DatasetRow":
+        if not isinstance(record, dict):
+            raise SchemaError(f"{where}: not an object")
         for column in ROW_COLUMNS:
             if column not in record:
                 raise SchemaError(f"{where}: missing column '{column}'")
@@ -261,25 +264,34 @@ def import_rows(path, fmt=None) -> list:
     """Read dataset rows back, validating the schema row by row."""
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
+    if fmt not in ("csv", "json"):
+        raise SchemaError(f"unknown import format: {fmt}")
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read rows file {path}: {exc}") from exc
     rows = []
     if fmt == "csv":
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
             header = reader.fieldnames or []
             for column in ROW_COLUMNS:
                 if column not in header:
                     raise SchemaError(f"header: missing column '{column}'")
             for i, record in enumerate(reader):
                 rows.append(DatasetRow.from_record(record, f"row {i + 1}"))
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
+    else:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
         if not isinstance(data, list):
             raise SchemaError("JSON dataset must be an array of objects")
         for i, record in enumerate(data):
             rows.append(DatasetRow.from_record(record, f"row {i + 1}"))
-    else:
-        raise SchemaError(f"unknown import format: {fmt}")
     return rows
 
 

@@ -62,14 +62,28 @@ class Transcript:
 
     @classmethod
     def load(cls, path) -> "Transcript":
+        """Read a JSONL transcript. A file that cannot be read, or a line
+        that is not a record with string ``requestHash`` and ``rawResponse``,
+        raises ConfigError naming the path and the line number."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read transcript {path}: {exc}") from exc
         entries = {}
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                entries[record["requestHash"]] = record["rawResponse"]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{number}: not JSON: {exc}") from exc
+            if not (isinstance(record, dict)
+                    and isinstance(record.get("requestHash"), str)
+                    and isinstance(record.get("rawResponse"), str)):
+                raise ConfigError(f"{path}:{number}: a transcript record needs "
+                                  "string requestHash and rawResponse")
+            entries[record["requestHash"]] = record["rawResponse"]
         return cls(entries)
 
     def save(self, path) -> None:
@@ -112,7 +126,7 @@ class RemoteProvider:
         self._post_json = post_json or _default_post_json
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._last_request = 0.0
+        self._next_send = 0.0  # monotonic time the next request may go out
         self._slots = threading.Semaphore(max(cfg.max_in_flight, 1))
 
     def _headers(self) -> dict:
@@ -120,13 +134,15 @@ class RemoteProvider:
         return {"Authorization": f"Bearer {key}"} if key else {}
 
     def _respect_interval(self) -> None:
+        """Reserve the next send time under the lock, then wait for it."""
         if self.cfg.min_interval <= 0:
             return
         with self._lock:
-            wait = self.cfg.min_interval - (time.monotonic() - self._last_request)
-            if wait > 0:
-                self._sleep(wait)
-            self._last_request = time.monotonic()
+            now = time.monotonic()
+            send_at = max(now, self._next_send)
+            self._next_send = send_at + self.cfg.min_interval
+        if send_at > now:
+            self._sleep(send_at - now)
 
     def propose(self, bundle: PromptBundle, violation=None) -> FixProposal:
         payload = {
@@ -136,11 +152,11 @@ class RemoteProvider:
             "max_tokens": self.cfg.max_tokens,
         }
         last_error = None
-        with self._slots:
-            for attempt in range(self.cfg.max_retries + 1):
-                if attempt:
-                    self._sleep(min(2 ** (attempt - 1), 30))
-                self._respect_interval()
+        for attempt in range(self.cfg.max_retries + 1):
+            if attempt:
+                self._sleep(min(2 ** (attempt - 1), 30))
+            self._respect_interval()
+            with self._slots:
                 try:
                     body = self._post_json(
                         self.cfg.endpoint_url, payload, self._headers(),
@@ -151,6 +167,14 @@ class RemoteProvider:
                 except (OSError, KeyError, IndexError, TypeError,
                         ValueError) as exc:
                     last_error = exc
+            # An HTTP error carries its status as ``code``; a client error
+            # other than 429 (too many requests) fails the same way again.
+            status = getattr(last_error, "code", None)
+            if isinstance(status, int) and 400 <= status < 500 and status != 429:
+                raise ProviderUnavailableError(
+                    f"remote provider refused the request: HTTP {status}: "
+                    f"{last_error}"
+                ) from last_error
         raise ProviderUnavailableError(
             f"remote provider failed after {self.cfg.max_retries + 1} attempts: "
             f"{last_error}"

@@ -19,7 +19,6 @@ from .dom import (
     Element,
     NodeLocator,
     Text,
-    make_locator,
     serialize_node,
 )
 from .errors import UnknownRuleError
@@ -711,18 +710,17 @@ def audit(
     violations = []
     seen = set()
     for index, _, rule_id, finding in collected:
-        locator = make_locator(doc, ix.path(index))
-        key = (rule_id, locator)
-        if key in seen:
+        if (index, rule_id) in seen:
             continue
-        seen.add(key)
+        seen.add((index, rule_id))
+        snippet = serialize_node(finding.element)
         violations.append(Violation(
             rule_id=rule_id,
             impact=impact_map[rule_id],
             description=RULE_DESCRIPTIONS[rule_id],
             help=finding.help or RULE_HELP[rule_id],
-            html_snippet=serialize_node(finding.element),
-            locator=locator,
+            html_snippet=snippet,
+            locator=NodeLocator(ix.path(index), snippet),
             web_url=web_url,
             data=finding.data,
         ))

@@ -127,6 +127,39 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,text", [
+    ("absent.jsonl", None),
+    ("garbled.jsonl", "not json\n"),
+    ("keyless.jsonl", '{"rawResponse": "r"}\n'),
+])
+def test_bench_bad_transcript_exit_code_1(tmp_path, capsys, name, text):
+    page = write_page(tmp_path)
+    transcript = tmp_path / name
+    if text is not None:
+        transcript.write_text(text, encoding="utf-8")
+    assert main(["bench", page, "--provider", "replay",
+                 "--transcript", str(transcript)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and str(transcript) in captured.err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("absent.csv", None),
+    ("garbled.json", "[{"),
+])
+def test_report_bad_rows_file_exit_code_1(tmp_path, capsys, name, text):
+    rows = tmp_path / name
+    if text is not None:
+        rows.write_text(text, encoding="utf-8")
+    assert main(["report", str(rows)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and str(rows) in captured.err
+
+
 def test_config_overrides_apply(tmp_path, capsys):
     page = write_page(tmp_path)
     cfg = tmp_path / "heavy.ini"

@@ -87,6 +87,11 @@ def test_parse_color_rejects_garbage():
     assert parse_color("rgb(1e999,0,0)") is None  # int(inf) overflows
 
 
+@pytest.mark.parametrize("text", ["rgb(10,20,30", "rgba(10,20,30,0.5"])
+def test_parse_color_rejects_unclosed_function(text):
+    assert parse_color(text) is None
+
+
 def test_channel_range_enforced():
     with pytest.raises(ValueError):
         RgbColor(300, 0, 0)

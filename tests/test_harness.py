@@ -9,6 +9,7 @@ from accessfix.corpus import write_all
 from accessfix.dom import parse_fragment_element
 from accessfix.errors import SchemaError, UnknownRuleError
 from accessfix.harness import (
+    ROW_COLUMNS,
     CorpusEntry,
     DatasetRow,
     build_replay_transcript,
@@ -132,6 +133,34 @@ def test_import_rejects_bad_csv_header(tmp_path):
     path.write_text("webURL,id\nx,y\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         import_rows(path)
+
+
+@pytest.mark.parametrize("name,text", [
+    ("missing.json", None),
+    ("missing.csv", None),
+    ("truncated.json", '[{"webURL": "x"'),
+    ("numbers.json", "[1, 2]"),
+    ("latin1.csv", b"webURL\xff\n"),
+])
+def test_import_unreadable_rows_file_is_schema_error(tmp_path, name, text):
+    path = tmp_path / name
+    if isinstance(text, str):
+        path.write_text(text, encoding="utf-8")
+    elif text is not None:
+        path.write_bytes(text)
+    with pytest.raises(SchemaError) as exc:
+        import_rows(path)
+    if text is None or name == "truncated.json":
+        assert str(path) in str(exc.value)
+
+
+def test_import_csv_field_over_the_csv_limit_is_schema_error(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(ROW_COLUMNS) + "\n" + "x" * 200_000 + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        import_rows(path)
+    assert str(path) in str(exc.value)
 
 
 def test_run_benchmark_on_bundled_corpus(corpus_paths, corpus_manifest):

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+import urllib.error
 
 import pytest
 
@@ -216,6 +218,27 @@ def test_transcript_save_load_round_trip(tmp_path):
     assert Transcript.load(path).entries == t.entries
 
 
+@pytest.mark.parametrize("text,line", [
+    ('{"requestHash": "a", "rawResponse": "r"}\n{"requestHash": "b"\n', 2),
+    ('\n{"requestHash": "a"}\n', 2),
+    ('{"requestHash": 1, "rawResponse": "r"}\n', 1),
+    ('["a", "r"]\n', 1),
+])
+def test_transcript_load_names_the_bad_line(tmp_path, text, line):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        Transcript.load(path)
+    assert f"{path}:{line}:" in str(exc.value)
+
+
+def test_transcript_load_missing_file_is_config_error(tmp_path):
+    path = tmp_path / "absent.jsonl"
+    with pytest.raises(ConfigError) as exc:
+        Transcript.load(path)
+    assert str(path) in str(exc.value)
+
+
 def test_replay_provider_hit_and_miss():
     v = violation_for(PAGE.format(seed='<img src="a.png">'), "image-alt")
     bundle = build_prompt(v, "react")
@@ -305,6 +328,72 @@ def test_remote_provider_wrong_shape_body_is_provider_failed(body):
     _, records = correct_document(doc, violations, provider)
     assert {r.outcome for r in records} == {"provider_failed"}
     assert len(calls) == 3 * len(records)
+
+
+OK_BODY = {"choices": [{"message": {"content": "CORRECTED: `<p>ok</p>`"}}]}
+
+
+def http_error(status):
+    return urllib.error.HTTPError("https://example.test/v1", status,
+                                  "status", None, None)
+
+
+@pytest.mark.parametrize("failure,retried", [
+    (http_error(400), False),
+    (http_error(404), False),
+    (http_error(429), True),
+    (http_error(500), True),
+    (http_error(503), True),
+    (TimeoutError("timed out"), True),
+    (json.JSONDecodeError("bad", "{", 1), True),
+], ids=["400", "404", "429", "500", "503", "timeout", "malformed-json"])
+def test_remote_provider_retries_only_what_may_pass(failure, retried):
+    calls, slept = [], []
+
+    def failing(url, payload, headers, timeout):
+        calls.append(url)
+        raise failure
+
+    provider = RemoteProvider(remote_cfg(max_retries=2), post_json=failing,
+                              sleep=slept.append)
+    doc = dom.parse_html(PAGE.format(seed='<img src="a.png">'))
+    violations = [v for v in rules.audit(doc) if v.rule_id == "image-alt"]
+    _, records = correct_document(doc, violations, provider)
+    assert [r.outcome for r in records] == ["provider_failed"]
+    assert len(calls) == (3 if retried else 1)
+    assert slept == ([1, 2] if retried else [])
+    if not retried:
+        assert f"HTTP {failure.code}" in records[0].detail
+
+
+def test_remote_provider_holds_no_slot_or_lock_while_sleeping():
+    calls, slept = [], []
+
+    def flaky(url, payload, headers, timeout):
+        calls.append(url)
+        if len(calls) < 3:
+            raise http_error(503)
+        return OK_BODY
+
+    def sleep(seconds):
+        assert provider._slots.acquire(blocking=False)
+        provider._slots.release()
+        assert provider._lock.acquire(blocking=False)
+        provider._lock.release()
+        slept.append(seconds)
+
+    provider = RemoteProvider(
+        remote_cfg(max_retries=2, max_in_flight=1, min_interval=60.0),
+        post_json=flaky, sleep=sleep,
+    )
+    v = violation_for(PAGE.format(seed='<img src="a.png">'), "image-alt")
+    assert provider.propose(build_prompt(v, "react")).corrected_html == "<p>ok</p>"
+    assert len(calls) == 3
+    # Backoff 1 s, then the wait for the send time 60 s after the first
+    # send; backoff 2 s, then the wait for the one 60 s after that (sleeps
+    # do not advance the clock).
+    assert slept[0::2] == [1, 2]
+    assert 55 < slept[1] <= 60 and 115 < slept[3] <= 120
 
 
 def test_provider_config_validation():

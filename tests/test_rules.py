@@ -216,10 +216,10 @@ def test_audit_never_raises_on_any_inline_style(style):
 # Any change to a field or to the order changes them; update them only for a
 # deliberate change of audit output.
 CORPUS_AUDIT_SHA256 = (
-    "c0ae72fefe7e4e653de644a71baea9879180120a3ef37032723af575f540e347"
+    "87e234885e38f8674db131fe2caac8167c07ba97a1249e603beea24a83f39b89"
 )
 RULES_AUDIT_SHA256 = (
-    "bcd9fba064253e00c5f8c54bb5237541cd6efad4fbb687c159d29b3fe2bbdda3"
+    "39a0f23f36a71dfd5769c84cb5f5fec4b30399174c71bcb7962344e9ac6d81b5"
 )
 
 
@@ -229,9 +229,10 @@ def audit_digest(folder, manifest):
         digest.update(name.encode("utf-8"))
         doc = dom.parse_html((folder / name).read_text("utf-8"))
         for v in rules.audit(doc, web_url=name):
+            assert v.locator.snippet is v.html_snippet
             digest.update(repr((
                 v.rule_id, v.impact, v.help, v.html_snippet, v.locator.path,
-                v.locator.snippet_hash, sorted(v.data.items()),
+                sorted(v.data.items()),
             )).encode("utf-8"))
     return digest.hexdigest()
 
@@ -240,6 +241,24 @@ def test_audit_output_pinned(corpus_dir, corpus_manifest, rules_dir,
                              rules_manifest):
     assert audit_digest(corpus_dir, corpus_manifest) == CORPUS_AUDIT_SHA256
     assert audit_digest(rules_dir, rules_manifest) == RULES_AUDIT_SHA256
+
+
+def test_audit_serializes_each_violation_once(corpus_dir, corpus_manifest,
+                                              monkeypatch):
+    calls = []
+    serialize = dom._serialize
+
+    def counting(node, normalized):
+        calls.append(node)
+        return serialize(node, normalized)
+
+    monkeypatch.setattr(dom, "_serialize", counting)
+    for name in sorted(corpus_manifest):
+        doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
+        calls.clear()
+        violations = rules.audit(doc)
+        assert violations
+        assert len(calls) == len(violations), name
 
 
 TREE_TAGS = ("div", "span", "p", "a", "label", "main", "section", "script",
