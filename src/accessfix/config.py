@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .providers import ProviderConfig
-from .rules import DEFAULT_WEIGHTS, IMPACT_LEVELS, RULE_CATALOG
+from .rules import (DEFAULT_THRESHOLDS, DEFAULT_WEIGHTS, IMPACT_LEVELS,
+                    RULE_CATALOG)
 
 
 @dataclass
@@ -86,6 +87,8 @@ def load_config(path=None) -> AppConfig:
 
     if parser.has_section("thresholds"):
         for key, value in parser.items("thresholds"):
+            if key not in DEFAULT_THRESHOLDS:
+                raise ConfigError(f"[thresholds] unknown key: {key}")
             try:
                 config.thresholds[key] = float(value)
             except ValueError as exc:

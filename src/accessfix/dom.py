@@ -74,27 +74,8 @@ class Doctype:
 @dataclass
 class Element:
     tag: str
-    attrs: list = field(default_factory=list)  # ordered (name, value) pairs
+    attrs: dict = field(default_factory=dict)  # lowercase name -> value
     children: list = field(default_factory=list)
-
-    def get(self, name: str, default=None):
-        name = name.lower()
-        for k, v in self.attrs:
-            if k == name:
-                return v
-        return default
-
-    def set(self, name: str, value: str) -> None:
-        name = name.lower()
-        for i, (k, _) in enumerate(self.attrs):
-            if k == name:
-                self.attrs[i] = (k, value)
-                return
-        self.attrs.append((name, value))
-
-    def remove_attr(self, name: str) -> None:
-        name = name.lower()
-        self.attrs = [(k, v) for k, v in self.attrs if k != name]
 
 
 Node = Union[Element, Text, Comment, Doctype]
@@ -146,12 +127,12 @@ _RAW_END = {
 }
 
 
-def _attrs(text: str, start: int, end: int) -> list:
-    """(name, value) pairs of an attribute blob; the first of a name wins."""
+def _attrs(text: str, start: int, end: int) -> dict:
+    """An attribute blob's names and values in source order; first one wins."""
     attrs = {}
     for name, single, double, bare in _ATTR_RE.findall(text, start, end):
-        attrs.setdefault(name.lower(), single or double or bare)
-    return [(name, unescape(value)) for name, value in attrs.items()]
+        attrs.setdefault(name.lower(), unescape(single or double or bare))
+    return attrs
 
 
 def _tokenize(text: str) -> Element:
@@ -202,7 +183,7 @@ def _tokenize(text: str) -> Element:
                 open_count[parent.tag] -= 1
                 parent = stack[-1]
             start, end = m.span("attrs")
-            el = Element(tag, _attrs(text, start, end) if start < end else [],
+            el = Element(tag, _attrs(text, start, end) if start < end else {},
                          [])
             parent.children.append(el)
             if close == "/>" or tag in VOID_ELEMENTS:
@@ -265,7 +246,7 @@ def _normalize_document(top: Element) -> Element:
     if len(roots) == 1 and roots[0].tag == "html":
         html = roots[0]
     else:
-        html = Element("html", [], [
+        html = Element("html", {}, [
             n for n in top.children
             if not isinstance(n, Doctype)
             and not (isinstance(n, Text) and not n.data.strip())
@@ -353,7 +334,8 @@ def _serialize(node: Node, normalized: bool) -> str:
             parts.append(f"<!{node.data}>")
         else:
             parts.append(f"<{node.tag}")
-            for name, value in sorted(node.attrs) if normalized else node.attrs:
+            attrs = node.attrs.items()
+            for name, value in sorted(attrs) if normalized else attrs:
                 parts.append(f' {name}="{_escape_attr(value)}"')
             parts.append(">")
             if node.tag in VOID_ELEMENTS:

@@ -273,6 +273,8 @@ def import_rows(path, fmt=None) -> list:
         raise SchemaError(f"cannot read rows file {path}: {exc}") from exc
     rows = []
     if fmt == "csv":
+        # A field is no longer than the file it is in.
+        csv.field_size_limit(max(csv.field_size_limit(), len(text)))
         reader = csv.DictReader(io.StringIO(text, newline=""))
         try:
             header = reader.fieldnames or []

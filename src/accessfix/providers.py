@@ -22,7 +22,7 @@ from .errors import (
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
 from .rules import (ARIA_REQUIRED_ATTRS, RULE_CATALOG, Violation, _Index,
-                    _is_main)
+                    _is_main, _role)
 
 
 @dataclass
@@ -48,6 +48,8 @@ class ProviderConfig:
             raise ConfigError("replay provider requires a transcript path")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
 
 
 def request_hash(messages) -> str:
@@ -231,17 +233,17 @@ def _words_from(value: str) -> str:
 
 
 def _fix_image_alt(el, v):
-    src = el.get("src") or ""
+    src = el.attrs.get("src", "")
     stem = src.rsplit("/", 1)[-1].split("?")[0].rsplit(".", 1)[0]
     alt = _words_from(stem) or "decorative image"
-    el.set("alt", alt)
+    el.attrs["alt"] = alt
     return f'added alt text "{alt}" derived from the image filename'
 
 
 def _fix_link_name(el, v):
     # A name, not text: new text outside every landmark would be a new
     # region violation.
-    el.set("aria-label", "link")
+    el.attrs["aria-label"] = "link"
     return "named the link with a placeholder aria-label"
 
 
@@ -251,13 +253,13 @@ def _fix_empty_heading(el, v):
 
 
 def _fix_html_has_lang(el, v):
-    el.set("lang", "en")
+    el.attrs["lang"] = "en"
     return 'added lang="en" to the html element'
 
 
 def _fix_duplicate_id(el, v):
-    new_id = v.data.get("rename_to", (el.get("id") or "id") + "-2")
-    el.set("id", new_id)
+    new_id = v.data.get("rename_to", (el.attrs.get("id") or "id") + "-2")
+    el.attrs["id"] = new_id
     return f'renamed the duplicate id to "{new_id}"'
 
 
@@ -270,9 +272,9 @@ def _fix_heading_order(el, v):
 
 
 def _fix_label(el, v):
-    label = _words_from(el.get("name") or el.get("placeholder") or "")
+    label = _words_from(el.attrs.get("name") or el.attrs.get("placeholder", ""))
     label = label or "input field"
-    el.set("aria-label", label)
+    el.attrs["aria-label"] = label
     return f'added aria-label "{label}"'
 
 
@@ -295,7 +297,7 @@ def _fix_region(el, v):
         wrap(el, Element("main"))
         return "wrapped the stray content in a main landmark"
     label = f"region-{_hash6(v.html_snippet)}"
-    wrap(el, Element("section", [("aria-label", label)]))
+    wrap(el, Element("section", {"aria-label": label}))
     return f'wrapped the stray content in a section labeled "{label}"'
 
 
@@ -310,27 +312,27 @@ def _fix_landmark_one_main(el, v):
                 return "wrapped the body content in a main landmark"
         raise NoRecipeError("document has no body to wrap")
     el.tag = "section"
-    if not (el.get("aria-label") or "").strip():
-        el.set("aria-label", f"section-{_hash6(v.html_snippet)}")
+    if not el.attrs.get("aria-label", "").strip():
+        el.attrs["aria-label"] = f"section-{_hash6(v.html_snippet)}"
     return "converted the extra main into a labeled section"
 
 
 def _fix_landmark_unique(el, v):
-    base = (el.get("aria-label") or "").strip() or el.tag
+    base = el.attrs.get("aria-label", "").strip() or el.tag
     label = f"{base} {_hash6(v.html_snippet)}"
-    el.set("aria-label", label)
+    el.attrs["aria-label"] = label
     return f'added the distinguishing aria-label "{label}"'
 
 
 def _fix_landmark_content(el, v):
     el.tag = "div"
-    el.remove_attr("role")
+    el.attrs.pop("role", None)
     return "re-tagged the nested landmark to a plain div"
 
 
 def _fix_skip_link(el, v):
     target = v.data.get("target", "main-content")
-    el.set("href", f"#{target}")
+    el.attrs["href"] = f"#{target}"
     return f'retargeted the skip link at "#{target}"'
 
 
@@ -344,11 +346,11 @@ _ARIA_DEFAULTS = {
 
 
 def _fix_aria_required_attr(el, v):
-    role = (el.get("role") or "").lower()
+    role = _role(el)
     added = []
     for attr in ARIA_REQUIRED_ATTRS.get(role, ()):
-        if not (el.get(attr) or "").strip():
-            el.set(attr, _ARIA_DEFAULTS[attr])
+        if not el.attrs.get(attr, "").strip():
+            el.attrs[attr] = _ARIA_DEFAULTS[attr]
             added.append(attr)
     if not added:
         raise NoRecipeError(f"no missing required attributes for role {role}")
@@ -357,7 +359,7 @@ def _fix_aria_required_attr(el, v):
 
 def _fix_meta_viewport(el, v):
     parts = []
-    for chunk in re.split(r"[,;]", el.get("content") or ""):
+    for chunk in re.split(r"[,;]", el.attrs.get("content", "")):
         if "=" not in chunk:
             continue
         key, _, value = chunk.partition("=")
@@ -371,7 +373,7 @@ def _fix_meta_viewport(el, v):
             except ValueError:
                 pass
         parts.append(f"{key}={value}")
-    el.set("content", ", ".join(parts))
+    el.attrs["content"] = ", ".join(parts)
     return "removed the zoom restrictions from the viewport meta tag"
 
 
@@ -417,11 +419,11 @@ def _fix_color_contrast(el, v):
     fixed = rescale_for_contrast(fg, bg, required)
     decls = [
         chunk.strip()
-        for chunk in (el.get("style") or "").split(";")
+        for chunk in el.attrs.get("style", "").split(";")
         if chunk.strip() and not chunk.strip().lower().startswith("color")
     ]
     decls.insert(0, f"color:{fixed.to_hex()}")
-    el.set("style", "; ".join(decls))
+    el.attrs["style"] = "; ".join(decls)
     return f"darkened or lightened the text color to {fixed.to_hex()}"
 
 

@@ -151,10 +151,10 @@ def _text_of(el: Element) -> str:
 
 
 def _accessible_name(el: Element, ids: dict) -> str:
-    label = el.get("aria-label")
+    label = el.attrs.get("aria-label")
     if label and label.strip():
         return label.strip()
-    labelledby = el.get("aria-labelledby")
+    labelledby = el.attrs.get("aria-labelledby")
     if labelledby:
         texts = []
         for ref in labelledby.split():
@@ -164,16 +164,23 @@ def _accessible_name(el: Element, ids: dict) -> str:
         joined = " ".join(t for t in texts if t)
         if joined:
             return joined
-    title = el.get("title")
+    title = el.attrs.get("title")
     if title and title.strip():
         return title.strip()
     return ""
 
 
+def _role(el: Element) -> str:
+    """The explicit role: the first token of ``role``, lowercased, or "".
+
+    The full rule takes the first token the user agent recognises."""
+    role = el.attrs.get("role", "").split()
+    return role[0].lower() if role else ""
+
+
 def _landmark_role(el: Element, ids: dict) -> Optional[str]:
-    role = (el.get("role") or "").split()
+    role = _role(el)
     if role:
-        role = role[0].lower()
         if role in LANDMARK_ROLES:
             if role in _NAME_REQUIRED_ROLES and not _accessible_name(el, ids):
                 return None
@@ -215,7 +222,7 @@ class _Index:
             elements.append(el)
             parent.append(up)
             slot.append(at)
-            value = el.get("id")
+            value = el.attrs.get("id")
             if value and value not in ids:
                 ids[value] = el
             for k in range(len(el.children) - 1, -1, -1):
@@ -265,10 +272,10 @@ def check_image_alt(ix):
     for i, el in enumerate(ix.elements):
         if el.tag != "img":
             continue
-        alt = el.get("alt")
+        alt = el.attrs.get("alt")
         if alt is not None and alt.strip():
             continue
-        if alt == "" and (el.get("role") or "").lower() in ("presentation", "none"):
+        if alt == "" and _role(el) in ("presentation", "none"):
             continue
         findings.append(_Finding(i, el))
     return findings
@@ -276,7 +283,7 @@ def check_image_alt(ix):
 
 def _has_described_img(ix, i: int) -> bool:
     return any(
-        sub.tag == "img" and (sub.get("alt") or "").strip()
+        sub.tag == "img" and sub.attrs.get("alt", "").strip()
         for sub in ix.elements[i + 1 : ix.end[i]]
     )
 
@@ -284,7 +291,7 @@ def _has_described_img(ix, i: int) -> bool:
 def check_link_name(ix):
     findings = []
     for i, el in enumerate(ix.elements):
-        if el.tag != "a" or el.get("href") is None:
+        if el.tag != "a" or el.attrs.get("href") is None:
             continue
         if _text_of(el).strip():
             continue
@@ -300,19 +307,19 @@ def check_label(ix):
     """Simplified: title/aria-label/label[for]/wrapping label all count."""
     label_for = set()
     for el in ix.elements:
-        if el.tag == "label" and el.get("for"):
-            label_for.add(el.get("for"))
+        if el.tag == "label" and el.attrs.get("for"):
+            label_for.add(el.attrs.get("for"))
     findings = []
     for i, el in enumerate(ix.elements):
         if el.tag == "input":
-            input_type = (el.get("type") or "text").lower()
+            input_type = (el.attrs.get("type") or "text").lower()
             if input_type in _UNLABELED_INPUT_TYPES_EXEMPT:
                 continue
         elif el.tag not in ("select", "textarea"):
             continue
         if _accessible_name(el, ix.ids):
             continue
-        if el.get("id") and el.get("id") in label_for:
+        if el.attrs.get("id") and el.attrs.get("id") in label_for:
             continue
         if any(ix.elements[a].tag == "label" for a in ix.ancestors(i)):
             continue
@@ -322,7 +329,7 @@ def check_label(ix):
 
 def check_html_has_lang(ix):
     root = ix.elements[0]
-    lang = root.get("lang")
+    lang = root.attrs.get("lang")
     if lang and lang.strip():
         return []
     return [_Finding(0, root)]
@@ -332,7 +339,7 @@ def check_duplicate_id(ix):
     findings = []
     suggested = set()
     for i, el in enumerate(ix.elements):
-        value = el.get("id")
+        value = el.attrs.get("id")
         if not value or ix.ids[value] is el:
             continue
         n = 2
@@ -352,9 +359,9 @@ def check_duplicate_id(ix):
 def _heading_level(el: Element) -> Optional[int]:
     if len(el.tag) == 2 and el.tag[0] == "h" and el.tag[1] in "123456":
         return int(el.tag[1])
-    if (el.get("role") or "").lower() == "heading":
+    if _role(el) == "heading":
         try:
-            return int(el.get("aria-level") or 2)
+            return int(el.attrs.get("aria-level") or 2)
         except ValueError:
             return 2
     return None
@@ -392,7 +399,7 @@ def check_empty_heading(ix):
 
 
 def _is_main(el: Element) -> bool:
-    return el.tag == "main" or (el.get("role") or "").lower() == "main"
+    return el.tag == "main" or _role(el) == "main"
 
 
 def _has_text(el: Element) -> bool:
@@ -485,13 +492,13 @@ def check_landmark_no_duplicate_content(ix):
 def check_skip_link(ix):
     first_link = None
     for i, el in enumerate(ix.elements):
-        if el.tag == "a" and el.get("href") is not None:
+        if el.tag == "a" and el.attrs.get("href") is not None:
             first_link = (i, el)
             break
     if first_link is None:
         return []
     i, el = first_link
-    href = el.get("href") or ""
+    href = el.attrs.get("href", "")
     if not href.startswith("#") or len(href) < 2:
         return []
     if href[1:] in ix.ids:
@@ -513,11 +520,11 @@ def check_skip_link(ix):
 def check_aria_required_attr(ix):
     findings = []
     for i, el in enumerate(ix.elements):
-        role = (el.get("role") or "").lower()
+        role = _role(el)
         required = ARIA_REQUIRED_ATTRS.get(role)
         if not required:
             continue
-        missing = [a for a in required if not (el.get(a) or "").strip()]
+        missing = [a for a in required if not el.attrs.get(a, "").strip()]
         if missing:
             findings.append(_Finding(
                 i, el,
@@ -539,9 +546,9 @@ def _parse_viewport_content(content: str) -> dict:
 def check_meta_viewport(ix):
     findings = []
     for i, el in enumerate(ix.elements):
-        if el.tag != "meta" or (el.get("name") or "").lower() != "viewport":
+        if el.tag != "meta" or el.attrs.get("name", "").lower() != "viewport":
             continue
-        pairs = _parse_viewport_content(el.get("content") or "")
+        pairs = _parse_viewport_content(el.attrs.get("content", ""))
         bad = pairs.get("user-scalable") in ("no", "0")
         max_scale = pairs.get("maximum-scale")
         if max_scale is not None:
@@ -588,13 +595,13 @@ def check_color_contrast(ix):
     for i in ix.rendered_body():
         el = ix.elements[i]
         fg, bg, size, bold = state[ix.parent[i]]
-        decls = _parse_style(el.get("style") or "")
+        decls = _parse_style(el.attrs.get("style", ""))
         if "color" in decls:
             c = parse_color(decls["color"])
             if c is not None:
                 fg = c
-        elif el.tag == "font" and el.get("color"):
-            c = parse_color(el.get("color"))
+        elif el.tag == "font" and el.attrs.get("color"):
+            c = parse_color(el.attrs.get("color"))
             if c is not None:
                 fg = c
         bg_value = decls.get("background-color") or decls.get("background")
@@ -602,8 +609,8 @@ def check_color_contrast(ix):
             c = _first_color_token(bg_value)
             if c is not None:
                 bg = c
-        elif el.get("bgcolor"):
-            c = parse_color(el.get("bgcolor"))
+        elif el.attrs.get("bgcolor"):
+            c = parse_color(el.attrs.get("bgcolor"))
             if c is not None:
                 bg = c
         m = _FONT_SIZE_RE.match(decls.get("font-size", ""))

@@ -99,6 +99,19 @@ def test_report_agrees_with_bench(tmp_path, capsys, corpus_paths):
     assert report == bench
 
 
+def test_report_reads_csv_rows_of_a_page_over_the_csv_limit(tmp_path, capsys):
+    page = write_page(tmp_path, text=PAGE.replace(
+        "<h1>", "<p>" + "word " * 28_000 + "</p><h1>"))
+    reports = []
+    for name in ("rows.csv", "rows.json"):
+        assert main(["scan", page, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / name), "--style", "json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["totalInitial"] > 0
+
+
 def test_unreadable_source_exit_code_2(tmp_path, capsys):
     good = write_page(tmp_path)
     assert main(["scan", str(tmp_path / "missing.html"), good]) == 2
@@ -125,6 +138,23 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     cfg.write_text("[weights]\ncritical = banana\n", encoding="utf-8")
     assert main(["scan", page, "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Settings that were ignored, or that left the provider sending nothing.
+@pytest.mark.parametrize("command, text, message", [
+    (["scan"], "[thresholds]\ncontrast_nromal = 7\n",
+     "[thresholds] unknown key: contrast_nromal"),
+    (["bench", "--provider", "heuristic"], "[provider]\nmax_retries = -1\n",
+     "max_retries must be >= 0"),
+], ids=["threshold-typo", "negative-retries"])
+def test_unusable_config_exit_code_1(tmp_path, capsys, command, text, message):
+    page = write_page(tmp_path)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(command + [page, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name,text", [

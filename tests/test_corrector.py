@@ -48,7 +48,7 @@ def test_applied_proposal_shares_no_tree_between_documents():
         assert apply_fix(doc, get_violation(doc, "image-alt"), p).outcome \
             == APPLIED
     img = docs[0].root.children[1].children[1].children[0]
-    img.set("alt", "changed")
+    img.attrs["alt"] = "changed"
     assert 'alt="changed"' not in docs[1].serialize()
     assert 'alt="a"' in docs[1].serialize()
 

@@ -52,6 +52,13 @@ def test_duplicate_attributes_keep_first():
     assert '<p id="a">x</p>' in doc.serialize()
 
 
+def test_attrs_are_a_dict_in_source_order():
+    body = dom.parse_html('<p B="1" a="2" b="3">').root.children[1]
+    attrs = body.children[0].attrs
+    assert attrs == {"b": "1", "a": "2"}
+    assert list(attrs) == ["b", "a"]
+
+
 def test_void_elements_have_no_close_tag():
     doc = dom.parse_html("<br><hr><input>")
     out = doc.serialize()
@@ -155,4 +162,4 @@ def test_replace_root_element():
     dom.replace_node(doc, loc, dom.parse_fragment_element(
         '<html lang="en"><head></head><body><p>hi</p></body></html>'
     ))
-    assert doc.root.get("lang") == "en"
+    assert doc.root.attrs.get("lang") == "en"

@@ -59,6 +59,19 @@ def test_image_alt_recipe_uses_filename_stem():
     assert fix.corrected_html == '<img src="cart-icon.png" alt="cart icon">'
 
 
+def test_image_alt_recipe_keeps_the_attribute_in_place():
+    v = violation_for(PAGE.format(seed='<img alt=" " src="chart-1.png">'),
+                      "image-alt")
+    fix = heuristic_fix(v)
+    assert fix.corrected_html == '<img alt="chart 1" src="chart-1.png">'
+
+
+def test_landmark_content_recipe_drops_only_the_role():
+    v = violation_for(PAGE.format(seed='<div role="banner" class="x">hi</div>'),
+                      "landmark-no-duplicate-content")
+    assert heuristic_fix(v).corrected_html == '<div class="x">hi</div>'
+
+
 def test_image_alt_recipe_fallback_for_empty_stem():
     v = violation_for(PAGE.format(seed='<img src="">'), "image-alt")
     assert 'alt="decorative image"' in heuristic_fix(v).corrected_html
@@ -78,7 +91,7 @@ def test_contrast_recipe_meets_threshold_with_margin():
     )
     fix = heuristic_fix(v)
     el = dom.parse_fragment_element(fix.corrected_html)
-    style = el.get("style")
+    style = el.attrs.get("style")
     fg = parse_color(style.split(";")[0].split(":")[1])
     assert contrast_ratio(fg, parse_color("#ffffff")) >= 4.55
 

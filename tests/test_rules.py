@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accessfix import dom, rules
+from accessfix.corrector import APPLIED, correct_document
 from accessfix.errors import UnknownRuleError
+from accessfix.providers import HeuristicProvider
 
 
 def audit_counts(html, **kwargs):
@@ -157,6 +159,25 @@ def test_meta_viewport_max_scale_below_two():
     assert counts["meta-viewport"] == 1
 
 
+# A role is read by its first token, by every rule and by the heuristic
+# recipes: each page's audit, then its heuristic correction and re-audit.
+@pytest.mark.parametrize("body, found", [
+    ('<div role="main navigation"><p>Hi</p></div>', {}),
+    ('<main><h1>A</h1><div role="heading dummy" aria-level="4">x</div></main>',
+     {"heading-order": 1}),
+    ('<main><div role="checkbox focusable">x</div></main>',
+     {"aria-required-attr": 1}),
+    ('<main><img src="a.png" alt="" role="presentation none"></main>', {}),
+], ids=["main", "heading", "checkbox", "presentation"])
+def test_role_is_its_first_token(body, found):
+    doc = dom.parse_html(f'<html lang="en"><body>{body}</body></html>')
+    violations = rules.audit(doc)
+    assert Counter(v.rule_id for v in violations) == found
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert [r.outcome for r in records] == [APPLIED] * len(violations)
+    assert rules.audit(doc) == []
+
+
 # Declarations that the style parsing admits and that int(), float() or
 # RgbColor reject.
 UNUSABLE_STYLES = {
@@ -280,7 +301,7 @@ def build_tree(events) -> dom.DomDocument:
     stack = [root]
     for event in events:
         if event[0] == "open" and len(stack) <= MAX_DEPTH:
-            el = dom.Element(event[1], [("id", event[2])] if event[2] else [])
+            el = dom.Element(event[1], {"id": event[2]} if event[2] else {})
             stack[-1].children.append(el)
             stack.append(el)
         elif event[0] == "close" and len(stack) > 1:
@@ -315,7 +336,7 @@ def test_index_matches_recursive_reference_walk(events):
             if len(sub_path) > len(path) and sub_path[:len(path)] == path
         ]
         assert [id(sub) for sub in ix.elements[i + 1:ix.end[i]]] == subtree
-        if el.get("id") and el.get("id") not in first:
-            first[el.get("id")] = el
+        if el.attrs.get("id") and el.attrs["id"] not in first:
+            first[el.attrs["id"]] = el
     assert {k: id(v) for k, v in ix.ids.items()} == \
         {k: id(v) for k, v in first.items()}

@@ -43,7 +43,7 @@ class _Oracle(HTMLParser):
         first = {}
         for name, value in attrs:
             first.setdefault(name.lower(), value or "")
-        self._append(dom.Element(tag, list(first.items())))
+        self._append(dom.Element(tag, first))
 
     def handle_starttag(self, tag, attrs):
         self.handle_startendtag(tag, attrs)
@@ -82,7 +82,7 @@ def dump(nodes):
         if node is None:
             events.append(("end",))
         elif isinstance(node, dom.Element):
-            events.append(("start", node.tag, tuple(node.attrs)))
+            events.append(("start", node.tag, tuple(node.attrs.items())))
             stack.append(None)
             stack.extend(reversed(node.children))
         else:
@@ -181,9 +181,20 @@ _other = st.one_of(
         "<![endif] >", "<a&amp;\x00b>", "<a\"\x00b>",
     ]),
 )
+
+
+def _nothing_open_at_end(text):
+    """html.parser holds back unparsed only a construct still open at end of
+    input. Pieces can join into one: a bare value can swallow the next
+    attribute's opening quote and leave its closing quote open."""
+    parser = HTMLParser()
+    parser.feed(text)
+    return not parser.rawdata.startswith("<")
+
+
 near_well_formed = st.lists(
     st.one_of(_text, _start, _end, _raw, _other), max_size=25,
-).map("".join)
+).map("".join).filter(_nothing_open_at_end)
 
 
 @settings(max_examples=250, deadline=None)
@@ -200,6 +211,7 @@ T, C, D = dom.Text, dom.Comment, dom.Doctype
     # that follows it; so is a quoted value that never closes.
     ("x<a b", [T("x")]),
     ("x<a title=\"y>z</a>w", [T("x")]),
+    ("x<p id=;/id=\" ;=\">", [T("x")]),
     ("x</a", [T("x")]),
     # Comments, doctypes and bogus comments end at end of input.
     ("x<!--y<p>", [T("x"), C("y<p>")]),
@@ -210,10 +222,10 @@ T, C, D = dom.Text, dom.Comment, dom.Doctype
     ("x<?pi", [T("x")]),
     ("x<![CDATA[y", [T("x")]),
     # Raw text runs to end of input.
-    ("<script>a<b", [dom.Element("script", [], [T("a<b")])]),
+    ("<script>a<b", [dom.Element("script", {}, [T("a<b")])]),
     ("<style>", [dom.Element("style")]),
-], ids=["start-tag", "quoted-value", "end-tag", "comment", "doctype",
-        "bogus-comment", "bogus-end-tag", "pi", "marked-section",
+], ids=["start-tag", "quoted-value", "swallowed-quote", "end-tag", "comment",
+        "doctype", "bogus-comment", "bogus-end-tag", "pi", "marked-section",
         "raw-text", "empty-raw-text"])
 def test_end_of_input_follows_whatwg(text, nodes):
     assert dom.parse_fragment(text) == nodes
