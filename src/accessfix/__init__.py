@@ -10,7 +10,6 @@ from .dom import (
     find_by_snippet,
     parse_html,
     replace_node,
-    serialize,
 )
 from .prompts import FixProposal, PromptBundle, build_prompt, parse_fix
 from .providers import (

@@ -8,7 +8,7 @@ import os
 import sys
 from collections import Counter
 
-from . import corrector, dom, harness, rules, scoring
+from . import corrector, harness, scoring
 from .config import load_config
 from .errors import AccessfixError
 from .providers import make_provider
@@ -191,18 +191,26 @@ def _cmd_report(args) -> int:
     first_rows = {}
     for row in rows:
         first_rows.setdefault(row.web_url, row)
-    initial_scores, final_scores, after = [], [], []
-    for url, first in sorted(first_rows.items()):
-        initial_scores.append(first.initial_score)
-        corrected = dom.parse_html(first.dom_corrected or first.dom)
-        url_after = rules.audit(corrected, web_url=url, impacts=config.impacts,
-                                thresholds=config.thresholds)
-        final_scores.append(scoring.url_score(url_after, config.weights))
-        after.extend(url_after)
-    result = scoring.aggregate(initial_scores, final_scores, rows, after,
+    entries = [
+        harness.CorpusEntry.from_text(url, first.dom_corrected or first.dom)
+        for url, first in sorted(first_rows.items())
+    ]
+    initial_scores, final_scores, after, failed = [], [], [], set()
+    for run in harness.run_pages(entries, impacts=config.impacts,
+                                 thresholds=config.thresholds,
+                                 weights=config.weights):
+        if run.error:
+            print(f"error: {run.source_id}: {run.error}", file=sys.stderr)
+            failed.add(run.source_id)
+            continue
+        initial_scores.append(first_rows[run.source_id].initial_score)
+        final_scores.append(run.initial.score)
+        after.extend(run.initial.violations)
+    before = [row for row in rows if row.web_url not in failed]
+    result = scoring.aggregate(initial_scores, final_scores, before, after,
                                model_name="recorded")
     print(harness.render_report(result, args.style))
-    return 0
+    return 2 if failed else 0
 
 
 _COMMANDS = {

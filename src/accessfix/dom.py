@@ -346,10 +346,6 @@ def _serialize(node: Node, normalized: bool) -> str:
     return "".join(parts)
 
 
-def serialize(doc: DomDocument) -> str:
-    return doc.serialize()
-
-
 def iter_elements(doc: DomDocument) -> Iterator[tuple]:
     """Yield (path, element) pairs in document (preorder) order."""
     stack = [((), doc.root)]

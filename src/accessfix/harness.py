@@ -8,7 +8,6 @@ import hashlib
 import io
 import json
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,19 +25,12 @@ ROW_COLUMNS = (
 @dataclass
 class CorpusEntry:
     source_id: str
-    fetched_at: float
     html_text: str
-    content_hash: str
     error: str = ""
 
     @classmethod
-    def from_text(cls, source_id, text, fetched_at=0.0):
-        return cls(
-            source_id=source_id,
-            fetched_at=fetched_at,
-            html_text=text,
-            content_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        )
+    def from_text(cls, source_id, text):
+        return cls(source_id, text)
 
 
 def _default_fetch(url, timeout, user_agent):
@@ -71,20 +63,18 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False,
             try:
                 text = fetch(source, timeout, user_agent)
             except Exception as exc:  # noqa: BLE001 - isolation per source
-                entries.append(CorpusEntry(source, time.time(), "", "",
-                                           error=str(exc)))
+                entries.append(CorpusEntry(source, "", error=str(exc)))
                 continue
             if cache_path:
                 with open(cache_path, "w", encoding="utf-8") as handle:
                     handle.write(text)
-            entries.append(CorpusEntry.from_text(source, text, time.time()))
+            entries.append(CorpusEntry.from_text(source, text))
         else:
             try:
                 with open(source, encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as exc:
-                entries.append(CorpusEntry(source, time.time(), "", "",
-                                           error=str(exc)))
+                entries.append(CorpusEntry(source, "", error=str(exc)))
                 continue
             entries.append(CorpusEntry.from_text(source, text))
     return entries

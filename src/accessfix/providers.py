@@ -21,8 +21,7 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
-from .rules import (ARIA_REQUIRED_ATTRS, RULE_CATALOG, Violation, _Index,
-                    _is_main, _role)
+from .rules import Violation, _Index, _is_main
 
 
 @dataclass
@@ -224,8 +223,12 @@ def make_provider(cfg: ProviderConfig, post_json=None):
 # --- heuristic recipes ------------------------------------------------------
 
 
-def _hash6(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:6]
+def _param(v, key):
+    """The fix parameter ``key`` that the audit put on the violation."""
+    try:
+        return v.data[key]
+    except KeyError:
+        raise NoRecipeError(f"{v.rule_id} violation lacks {key!r}") from None
 
 
 def _words_from(value: str) -> str:
@@ -258,15 +261,14 @@ def _fix_html_has_lang(el, v):
 
 
 def _fix_duplicate_id(el, v):
-    new_id = v.data.get("rename_to", (el.attrs.get("id") or "id") + "-2")
+    new_id = _param(v, "rename_to")
     el.attrs["id"] = new_id
     return f'renamed the duplicate id to "{new_id}"'
 
 
 def _fix_heading_order(el, v):
-    previous = v.data.get("previous_level")
     # aria-level can be any integer; keep the new tag within h1..h6.
-    level = min(max(previous + 1, 1), 6) if previous is not None else 2
+    level = min(max(_param(v, "previous_level") + 1, 1), 6)
     el.tag = f"h{level}"
     return f"lowered the heading to h{level}"
 
@@ -293,10 +295,10 @@ def _fix_region(el, v):
     # <main> and <section> implicitly close an open <p>, so a <p> is wrapped
     # whole: wrapping its children would not re-parse as one element.
     wrap = _wrap_self if el.tag == "p" else _wrap_children
-    if v.data.get("wrap_in") == "main":
+    if _param(v, "wrap_in") == "main":
         wrap(el, Element("main"))
         return "wrapped the stray content in a main landmark"
-    label = f"region-{_hash6(v.html_snippet)}"
+    label = _param(v, "label")
     wrap(el, Element("section", {"aria-label": label}))
     return f'wrapped the stray content in a section labeled "{label}"'
 
@@ -313,13 +315,12 @@ def _fix_landmark_one_main(el, v):
         raise NoRecipeError("document has no body to wrap")
     el.tag = "section"
     if not el.attrs.get("aria-label", "").strip():
-        el.attrs["aria-label"] = f"section-{_hash6(v.html_snippet)}"
+        el.attrs["aria-label"] = _param(v, "label")
     return "converted the extra main into a labeled section"
 
 
 def _fix_landmark_unique(el, v):
-    base = el.attrs.get("aria-label", "").strip() or el.tag
-    label = f"{base} {_hash6(v.html_snippet)}"
+    label = _param(v, "label")
     el.attrs["aria-label"] = label
     return f'added the distinguishing aria-label "{label}"'
 
@@ -346,15 +347,10 @@ _ARIA_DEFAULTS = {
 
 
 def _fix_aria_required_attr(el, v):
-    role = _role(el)
-    added = []
-    for attr in ARIA_REQUIRED_ATTRS.get(role, ()):
-        if not el.attrs.get(attr, "").strip():
-            el.attrs[attr] = _ARIA_DEFAULTS[attr]
-            added.append(attr)
-    if not added:
-        raise NoRecipeError(f"no missing required attributes for role {role}")
-    return "added default values for " + ", ".join(added)
+    missing = _param(v, "missing")
+    for attr in missing:
+        el.attrs[attr] = _ARIA_DEFAULTS[attr]
+    return "added default values for " + ", ".join(missing)
 
 
 def _fix_meta_viewport(el, v):
@@ -412,10 +408,7 @@ def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbCol
 
 
 def _fix_color_contrast(el, v):
-    try:
-        fg, bg, required = v.data["fg"], v.data["bg"], v.data["required"]
-    except KeyError as exc:
-        raise NoRecipeError(f"contrast violation lacks {exc}") from None
+    fg, bg, required = (_param(v, key) for key in ("fg", "bg", "required"))
     fixed = rescale_for_contrast(fg, bg, required)
     decls = [
         chunk.strip()
@@ -448,8 +441,6 @@ _RECIPES = {
 
 def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule."""
-    if v.rule_id not in RULE_CATALOG:
-        raise NoRecipeError(f"unknown rule id: {v.rule_id}")
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")

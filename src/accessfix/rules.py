@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .colors import RgbColor, composite_over, contrast_ratio, parse_color
@@ -195,6 +196,23 @@ def _landmark_role(el: Element, ids: dict) -> Optional[str]:
     return None
 
 
+class _Names:
+    """Fresh names for one audit: ``stem + n``, with ``n`` the smallest from 2
+    up that neither ``taken`` (the page's names) nor an earlier call holds.
+    The next ``n`` is kept per stem, so k names from one stem cost O(k)."""
+
+    def __init__(self, taken):
+        self.taken = taken
+        self.next = {}
+
+    def __call__(self, stem: str) -> str:
+        n = self.next.get(stem, 2)
+        while f"{stem}{n}" in self.taken:
+            n += 1
+        self.next[stem] = n + 1
+        return f"{stem}{n}"
+
+
 @dataclass
 class _Index:
     """One pre-order pass over the document, read by every checker.
@@ -233,6 +251,18 @@ class _Index:
             end[parent[i]] = max(end[parent[i]], end[i])
         landmark = [_landmark_role(el, ids) for el in elements]
         return cls(elements, parent, slot, end, ids, landmark, thresholds)
+
+    @cached_property
+    def new_id(self) -> _Names:
+        """Ids that the page does not use yet."""
+        return _Names(self.ids)
+
+    @cached_property
+    def new_label(self) -> _Names:
+        """Labels that no landmark on the page is named yet."""
+        return _Names({_accessible_name(el, self.ids)
+                       for el, role in zip(self.elements, self.landmark)
+                       if role is not None})
 
     def path(self, i: int) -> tuple:
         steps = []
@@ -337,16 +367,11 @@ def check_html_has_lang(ix):
 
 def check_duplicate_id(ix):
     findings = []
-    suggested = set()
     for i, el in enumerate(ix.elements):
         value = el.attrs.get("id")
         if not value or ix.ids[value] is el:
             continue
-        n = 2
-        while f"{value}-{n}" in ix.ids or f"{value}-{n}" in suggested:
-            n += 1
-        candidate = f"{value}-{n}"
-        suggested.add(candidate)
+        candidate = ix.new_id(f"{value}-")
         findings.append(_Finding(
             i, el,
             f'Multiple elements share the id "{value}"; '
@@ -408,15 +433,9 @@ def _has_text(el: Element) -> bool:
 
 def check_region(ix):
     """Flags parents of text outside landmarks; contiguous flagged siblings
-    collapse to one finding on their shared parent."""
-    has_main = any(_is_main(el) for el in ix.elements)
-    wrap_in = "section" if has_main else "main"
-    hint = (
-        "Wrap this content in a labeled section landmark."
-        if has_main
-        else "Wrap this content in a main landmark."
-    )
-
+    collapse to one finding on their shared parent. On a page without a main
+    landmark the first run is wrapped in one; every other run is wrapped in a
+    labeled section."""
     # An element is covered when it or an ancestor is a landmark. The body's
     # parent is the root, never covered.
     covered = [False] * len(ix.elements)
@@ -426,8 +445,10 @@ def check_region(ix):
         if not covered[i] and _has_text(ix.elements[i]):
             by_parent.setdefault(ix.parent[i], []).append(i)
 
-    # Collapse contiguous flagged siblings onto their parent.
+    # Collapse contiguous flagged siblings onto their parent. The first
+    # parent's first run holds the first flagged element of the page.
     findings = []
+    main_wanted = not any(_is_main(el) for el in ix.elements)
     for up, group in by_parent.items():
         siblings = ix.elements[up].children
         runs = [[group[0]]]
@@ -444,9 +465,14 @@ def check_region(ix):
                 runs.append([i])
         for run in runs:
             at = up if len(run) > 1 else run[0]
-            findings.append(
-                _Finding(at, ix.elements[at], hint, {"wrap_in": wrap_in})
-            )
+            if main_wanted:
+                main_wanted = False
+                hint = "Wrap this content in a main landmark."
+                data = {"wrap_in": "main"}
+            else:
+                hint = "Wrap this content in a labeled section landmark."
+                data = {"wrap_in": "section", "label": ix.new_label("region-")}
+            findings.append(_Finding(at, ix.elements[at], hint, data))
     return findings
 
 
@@ -458,7 +484,8 @@ def check_landmark_one_main(ix):
         )]
     return [
         _Finding(i, el,
-                 "Convert this extra main landmark into a labeled section.")
+                 "Convert this extra main landmark into a labeled section.",
+                 {"label": ix.new_label("section-")})
         for i, el in mains[1:]
     ]
 
@@ -470,11 +497,12 @@ def check_landmark_unique(ix):
         role = ix.landmark[i]
         if role is None:
             continue
-        key = (role, _accessible_name(el, ix.ids))
-        if key in seen:
-            findings.append(_Finding(i, el))
+        name = _accessible_name(el, ix.ids)
+        if (role, name) in seen:
+            label = ix.new_label(f"{name or el.tag} ")
+            findings.append(_Finding(i, el, data={"label": label}))
         else:
-            seen.add(key)
+            seen.add((role, name))
     return findings
 
 
@@ -530,6 +558,7 @@ def check_aria_required_attr(ix):
                 i, el,
                 f'The role "{role}" requires the attributes: '
                 + ", ".join(missing) + ".",
+                {"missing": tuple(missing)},
             ))
     return findings
 

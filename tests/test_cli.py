@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from accessfix import cli, dom
+from accessfix import cli, dom, rules
 from accessfix.cli import main
 from accessfix.harness import import_rows
 from accessfix.providers import HeuristicProvider
@@ -188,6 +188,31 @@ def test_report_bad_rows_file_exit_code_1(tmp_path, capsys, name, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and str(rows) in captured.err
+
+
+def test_report_leaves_out_a_page_that_fails(tmp_path, capsys, monkeypatch):
+    good = write_page(tmp_path)
+    bad = write_page(tmp_path, "bad.html", PAGE.replace(' lang="en"', ""))
+    rows = tmp_path / "rows.json"
+    assert main(["bench", good, bad, "--provider", "heuristic",
+                 "--rows", str(rows)]) == 0
+    capsys.readouterr()
+    audit = rules.audit
+
+    def failing(doc, *args, web_url="", **kwargs):
+        if web_url == bad:
+            raise RuntimeError("boom")
+        return audit(doc, *args, web_url=web_url, **kwargs)
+
+    monkeypatch.setattr(rules, "audit", failing)
+    assert main(["report", str(rows), "--style", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: RuntimeError: boom\n"
+    report = json.loads(captured.out)
+    assert (report["urlCount"], report["totalInitial"],
+            report["totalFinal"]) == (1, 5, 0)
+    assert report["ruleDistribution"] == {"image-alt": "100.00"}
+    assert report["perRuleCorrectionRate"] == {"image-alt": "100.00"}
 
 
 def test_config_overrides_apply(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_correct_document_records_carry_violation_and_outcome_metadata():
 
 
 def test_fixes_compose(composed_pages):
-    assert len(composed_pages) == 2 + 210
+    assert len(composed_pages) == 2 + 5 + 210
     for name, html in composed_pages:
         doc = dom.parse_html(html)
         violations = rules.audit(doc, web_url=name)

@@ -10,7 +10,7 @@ import urllib.error
 import pytest
 
 import accessfix
-from accessfix import dom, rules
+from accessfix import dom, providers, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
 from accessfix.corrector import correct_document
 from accessfix.errors import (
@@ -137,7 +137,7 @@ def test_recipes_handle_quoted_ids(html, rule_id):
 @pytest.mark.parametrize("wrap_in, before, wrapped", [
     ("main", "", r'<main><p class="x" id="m-1">Text 1</p></main>'),
     ("section", "<main>ok</main>",
-     r'<section aria-label="region-[0-9a-f]{6}">'
+     r'<section aria-label="region-2">'
      r'<p class="x" id="m-1">Text 1</p></section>'),
 ], ids=["main", "section"])
 def test_region_recipe_wraps_a_paragraph_whole(wrap_in, before, wrapped):
@@ -178,6 +178,34 @@ def test_no_recipe_for_unknown_rule():
     v = Violation("bogus", "minor", "d", "h", "<p></p>", None, "u")
     with pytest.raises(NoRecipeError):
         heuristic_fix(v)
+
+
+def test_every_rule_has_a_recipe():
+    assert set(providers._RECIPES) == set(rules.RULE_CATALOG)
+
+
+@pytest.mark.parametrize("seed, rule_id", [
+    ('<p id="n">a</p><p id="n">b</p>', "duplicate-id"),
+    ("<h1>a</h1><h3>b</h3>", "heading-order"),
+    ('<nav>a</nav><nav>b</nav>', "landmark-unique"),
+    ("</main><main>b", "landmark-one-main"),
+    ("</main><p>stray</p><main>", "region"),
+    ('<div role="checkbox">x</div>', "aria-required-attr"),
+    ('<p style="color:#777;background-color:#fff">x</p>', "color-contrast"),
+])
+def test_recipe_without_its_parameters_has_no_fix(seed, rule_id):
+    v = violation_for(PAGE.format(seed=seed), rule_id)
+    assert heuristic_fix(v).corrected_html
+    with pytest.raises(NoRecipeError):
+        heuristic_fix(dataclasses.replace(v, data={}))
+
+
+def test_aria_required_attr_recipe_adds_what_the_audit_found_missing():
+    v = violation_for(PAGE.format(seed='<div role="scrollbar">x</div>'),
+                      "aria-required-attr")
+    v = dataclasses.replace(v, data={"missing": ("aria-valuenow",)})
+    assert heuristic_fix(v).corrected_html == \
+        '<div role="scrollbar" aria-valuenow="0">x</div>'
 
 
 def test_heuristic_provider_delegates():

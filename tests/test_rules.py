@@ -1,12 +1,13 @@
 import hashlib
 import html
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accessfix import dom, rules
+from accessfix import dom, harness, rules
 from accessfix.corrector import APPLIED, correct_document
 from accessfix.errors import UnknownRuleError
 from accessfix.providers import HeuristicProvider
@@ -86,6 +87,69 @@ def test_duplicate_id_suggests_unique_rename():
     dup = [v for v in violations if v.rule_id == "duplicate-id"]
     assert len(dup) == 1
     assert '"x-3"' in dup[0].help  # x-2 is taken
+
+
+def data_of(html, rule_id, key):
+    violations = rules.audit(dom.parse_html(html))
+    return [v.data[key] for v in violations if v.rule_id == rule_id]
+
+
+LINKED_NAV = '<nav{}><a href="/">H</a></nav>'
+
+
+@pytest.mark.parametrize("body, labels", [
+    (LINKED_NAV.format(' aria-label="Menu 2"')
+     + LINKED_NAV.format(' aria-label="Menu"') * 3, ["Menu 3", "Menu 4"]),
+    ('<aside>a</aside><aside>b</aside><nav title="nav 2">c</nav>'
+     "<nav>d</nav><nav>e</nav>", ["aside 2", "nav 3"]),
+], ids=["named", "unnamed"])
+def test_landmark_unique_label_skips_the_names_on_the_page(body, labels):
+    page = f'<html lang="en"><body><main>{body}</main></body></html>'
+    assert data_of(page, "landmark-unique", "label") == labels
+
+
+def test_section_labels_skip_the_names_of_landmarks():
+    page = ('<html lang="en"><body><main>a</main>'
+            '<section aria-label="region-2">b</section>'
+            '<p>one</p><nav>n</nav><p>two</p>'
+            '<main>c</main><main aria-label="section-2">d</main></body></html>')
+    assert data_of(page, "region", "label") == ["region-3", "region-4"]
+    assert data_of(page, "landmark-one-main", "label") == [
+        "section-3", "section-4"]
+
+
+def test_only_the_first_region_run_of_a_page_without_main_gets_main():
+    violations = rules.audit(dom.parse_html(
+        '<html lang="en"><body><p>a</p><nav>x</nav><p>b</p><aside>y</aside>'
+        "<p>c</p></body></html>"
+    ))
+    assert [v.data for v in violations if v.rule_id == "region"] == [
+        {"wrap_in": "main"},
+        {"wrap_in": "section", "label": "region-2"},
+        {"wrap_in": "section", "label": "region-3"},
+    ]
+
+
+def test_aria_required_attr_names_what_is_missing():
+    assert data_of(
+        '<html lang="en"><body><main><div role="scrollbar" aria-valuenow="1">'
+        '</div><div role="scrollbar"></div></main></body></html>',
+        "aria-required-attr", "missing",
+    ) == [("aria-controls",), ("aria-controls", "aria-valuenow")]
+
+
+def test_many_copies_of_one_id_fix_in_linear_time():
+    page = ('<html lang="en"><body><main>' + '<p id="x">t</p>' * 8000
+            + "</main></body></html>")
+    entries = [harness.CorpusEntry.from_text("ids.html", page)]
+    start = time.perf_counter()
+    (run,) = harness.run_pages(entries, HeuristicProvider())
+    elapsed = time.perf_counter() - start
+    assert run.error == ""
+    assert run.initial.num_violations == 7999
+    assert {r.outcome for r in run.records} == {APPLIED}
+    assert run.final.violations == []
+    assert elapsed < 2.0
 
 
 def test_unknown_rule_is_configuration_error():
@@ -237,10 +301,10 @@ def test_audit_never_raises_on_any_inline_style(style):
 # Any change to a field or to the order changes them; update them only for a
 # deliberate change of audit output.
 CORPUS_AUDIT_SHA256 = (
-    "87e234885e38f8674db131fe2caac8167c07ba97a1249e603beea24a83f39b89"
+    "a6c148170ecc5c3584a941c56669bf7ef489c1eb796f149680683b9e43471430"
 )
 RULES_AUDIT_SHA256 = (
-    "39a0f23f36a71dfd5769c84cb5f5fec4b30399174c71bcb7962344e9ac6d81b5"
+    "202db3771454e355bd754d659bb6c1ce8b46b7486cc1178096a968127af61b9a"
 )
 
 
