@@ -73,14 +73,22 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
     return _apply(el, v, p)
 
 
-def _correct(el: Optional[Element], v: Violation, provider, strategy: str):
+def _ask(v: Violation, current: str, provider, strategy: str) -> FixProposal:
+    """Prompt for ``v`` with its element's current snippet and propose."""
+    seen = v if current == v.html_snippet else replace(v, html_snippet=current)
+    return provider.propose(build_prompt(seen, strategy), seen)
+
+
+def _correct(el: Optional[Element], v: Violation, provider, strategy: str,
+             early=None) -> CorrectionRecord:
     if el is None:
         return CorrectionRecord(v, None, MATCH_FAILED, _STALE)
-    # A fix that already landed inside the target shows in its prompt.
-    current = serialize_node(el)
-    seen = v if current == v.html_snippet else replace(v, html_snippet=current)
     try:
-        proposal = provider.propose(build_prompt(seen, strategy), seen)
+        if early is not None:
+            proposal = early.result()
+        else:
+            # A fix that already landed inside the target shows in its prompt.
+            proposal = _ask(v, serialize_node(el), provider, strategy)
     except NoRecipeError as exc:
         return CorrectionRecord(v, None, NO_RECIPE, str(exc))
     except (ProviderUnavailableError, ReplayMissError) as exc:
@@ -88,6 +96,20 @@ def _correct(el: Optional[Element], v: Violation, provider, strategy: str):
     except (IncompleteViolationError, UnparseableResponseError) as exc:
         return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
     return _apply(el, v, proposal)
+
+
+def _independent(targets) -> list:
+    """Indices of the located targets that no other target's fix can reach.
+
+    In ``(locator.path, index)`` order an element's subtree follows it, so
+    a target is independent when the next one lies outside its subtree. A
+    second violation on the same element lies inside it.
+    """
+    located = sorted((v.locator.path, i)
+                     for i, (el, v) in enumerate(targets) if el is not None)
+    following = [path for path, _ in located[1:]] + [None]
+    return [i for (path, i), after in zip(located, following)
+            if after is None or after[:len(path)] != path]
 
 
 def correct_document(
@@ -102,7 +124,33 @@ def correct_document(
     Every target is resolved before any fix, and a fix rewrites its element
     in place, so no fix moves a target still waiting for its own. Failures
     are recorded and skipped: one record per violation, in input order.
+
+    A provider whose ``max_in_flight`` is above 1 (``RemoteProvider``) is
+    asked up front, on a pool of that many threads, for every independent
+    target (see ``_independent``): no other fix can change its snippet, so
+    its prompt is the one the loop would build. The loop then takes those
+    answers as it reaches them and asks in-line for the rest. The fixes,
+    their order, the prompts and the records are those of a provider asked
+    one violation at a time. Other providers are asked in-line only.
     """
     targets = [(_target(doc, v), v) for v in violations]
-    records = [_correct(el, v, provider, strategy) for el, v in targets[::-1]]
+    early = {}
+    pool = None
+    try:
+        in_flight = getattr(provider, "max_in_flight", 1)
+        if in_flight > 1 and targets:
+            # Imported on first use: in-process providers start no thread.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(in_flight)
+            for i in sorted(_independent(targets), reverse=True):
+                v = targets[i][1]
+                # _target checked that the element serializes to this.
+                early[i] = pool.submit(_ask, v, v.locator.snippet, provider,
+                                       strategy)
+        records = [_correct(el, v, provider, strategy, early.get(i))
+                   for i, (el, v) in reversed(list(enumerate(targets)))]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return doc, records[::-1]

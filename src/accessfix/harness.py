@@ -8,7 +8,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import corrector, dom, rules, scoring
@@ -197,6 +196,8 @@ def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
         return page
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # import on first use
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run_page, entries)
     else:

@@ -63,10 +63,15 @@ class FixProposal:
         return parse_fragment_element(self.corrected_html)
 
 
-def _render(template: str, values: dict) -> str:
-    for key, value in values.items():
-        template = template.replace("{{" + key + "}}", value)
-    return template
+# The user message split at its placeholders: odd parts are their names.
+_USER_PARTS = re.split(r"\{\{(\w+)\}\}", _TEMPLATES["user_message"])
+
+
+def _render(parts: list, values: dict) -> str:
+    """Fill the placeholders of a split template in one pass, so no value
+    is searched for placeholders (a page's text may contain ``{{html}}``)."""
+    return "".join(values[part] if i % 2 else part
+                   for i, part in enumerate(parts))
 
 
 def build_prompt(v: Violation, strategy: str) -> PromptBundle:
@@ -77,7 +82,7 @@ def build_prompt(v: Violation, strategy: str) -> PromptBundle:
         raise IncompleteViolationError("violation has an empty HTML snippet")
     if not v.description.strip() or not v.help.strip():
         raise IncompleteViolationError("violation is missing description or help")
-    user = _render(_TEMPLATES["user_message"], {
+    user = _render(_USER_PARTS, {
         "rule_id": v.rule_id,
         "description": v.description,
         "help": v.help,

@@ -49,6 +49,8 @@ class ProviderConfig:
             raise ConfigError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        if self.max_in_flight < 1:
+            raise ConfigError("max_in_flight must be >= 1")
 
 
 def request_hash(messages) -> str:
@@ -128,7 +130,13 @@ class RemoteProvider:
         self._sleep = sleep
         self._lock = threading.Lock()
         self._next_send = 0.0  # monotonic time the next request may go out
-        self._slots = threading.Semaphore(max(cfg.max_in_flight, 1))
+        self._slots = threading.Semaphore(cfg.max_in_flight)
+
+    @property
+    def max_in_flight(self) -> int:
+        """How many requests may wait on the endpoint at once, across all
+        callers; ``correct_document`` overlaps up to this many per page."""
+        return self.cfg.max_in_flight
 
     def _headers(self) -> dict:
         key = os.environ.get(self.cfg.api_key_env, "")

@@ -146,7 +146,9 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
      "[thresholds] unknown key: contrast_nromal"),
     (["bench", "--provider", "heuristic"], "[provider]\nmax_retries = -1\n",
      "max_retries must be >= 0"),
-], ids=["threshold-typo", "negative-retries"])
+    (["bench", "--provider", "heuristic"], "[provider]\nmax_in_flight = 0\n",
+     "max_in_flight must be >= 1"),
+], ids=["threshold-typo", "negative-retries", "no-requests-in-flight"])
 def test_unusable_config_exit_code_1(tmp_path, capsys, command, text, message):
     page = write_page(tmp_path)
     cfg = tmp_path / "bad.ini"

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from accessfix import dom, rules
@@ -11,8 +13,13 @@ from accessfix.corrector import (
     correct_document,
 )
 from accessfix.errors import ProviderUnavailableError
+from accessfix.harness import build_replay_transcript, ingest
 from accessfix.prompts import FixProposal
-from accessfix.providers import HeuristicProvider, heuristic_fix
+from accessfix.providers import (
+    HeuristicProvider,
+    ReplayProvider,
+    heuristic_fix,
+)
 from accessfix.rules import Violation
 
 PAGE = (
@@ -152,3 +159,17 @@ def test_fixes_compose(composed_pages):
         _, records = correct_document(doc, violations, HeuristicProvider())
         assert [r.outcome for r in records] == [APPLIED] * len(violations), name
         assert rules.audit(doc, web_url=name) == [], name
+
+
+def test_in_process_providers_start_no_thread(corpus_paths, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-process provider started a thread pool")
+
+    entries = ingest(corpus_paths)
+    replay = ReplayProvider(build_replay_transcript(entries))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    for provider in (HeuristicProvider(), replay):
+        for entry in entries:
+            doc = dom.parse_html(entry.html_text)
+            _, records = correct_document(doc, rules.audit(doc), provider)
+            assert {r.outcome for r in records} == {APPLIED}, entry.source_id

@@ -58,6 +58,16 @@ def test_bundles_are_deterministic():
         assert build_prompt(v, strategy) == build_prompt(v, strategy)
 
 
+def test_placeholders_in_page_text_are_not_filled():
+    doc = dom.parse_html('<html lang="en"><body><main><p id="{{html}}">a</p>'
+                         '<p id="{{html}}">b</p></main></body></html>')
+    v = next(v for v in rules.audit(doc) if v.rule_id == "duplicate-id")
+    user = build_prompt(v, "react").user_message
+    assert 'SUGGESTED CHANGE: Multiple elements share the id "{{html}}";' in user
+    assert 'INCORRECT HTML: `<p id="{{html}}">b</p>`' in user
+    assert user.count("<p") == 1
+
+
 def test_empty_snippet_rejected():
     v = sample_violation()
     v.html_snippet = "  "

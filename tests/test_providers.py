@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import time
 import urllib.error
 
 import pytest
@@ -18,6 +20,13 @@ from accessfix.errors import (
     NoRecipeError,
     ProviderUnavailableError,
     ReplayMissError,
+)
+from accessfix.harness import (
+    CorpusEntry,
+    build_replay_transcript,
+    ingest,
+    run_benchmark,
+    run_pages,
 )
 from accessfix.prompts import build_prompt, parse_fix
 from accessfix.providers import (
@@ -437,6 +446,111 @@ def test_remote_provider_holds_no_slot_or_lock_while_sleeping():
     assert 55 < slept[1] <= 60 and 115 < slept[3] <= 120
 
 
+class TranscriptEndpoint:
+    """A fake ``post_json``: answers from a transcript after a random 0-2 ms
+    and counts the requests in flight."""
+
+    def __init__(self, transcript):
+        self.transcript = transcript
+        self.rng = random.Random(0)
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.hashes = []
+
+    def __call__(self, url, payload, headers, timeout):
+        key = request_hash(payload["messages"])
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.hashes.append(key)
+            delay = self.rng.uniform(0, 0.002)
+        try:
+            time.sleep(delay)
+            content = self.transcript.entries[key]
+            return {"choices": [{"message": {"content": content}}]}
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def joined(fn, timeout=60):
+    """``fn()``, run on a thread that must finish within ``timeout`` s."""
+    out = {}
+    thread = threading.Thread(target=lambda: out.update(value=fn()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    return out["value"]
+
+
+def test_overlapped_requests_keep_the_cap_and_the_results(corpus_paths,
+                                                          composed_pages):
+    # Two violations on one element, and violations on nested elements.
+    entries = ingest(corpus_paths) + [
+        CorpusEntry.from_text(name, html) for name, html in composed_pages
+        if name in ("one-element.html", "nested.html")]
+    transcript = build_replay_transcript(entries)
+
+    def run(max_in_flight, workers):
+        endpoint = TranscriptEndpoint(transcript)
+        provider = RemoteProvider(remote_cfg(max_in_flight=max_in_flight),
+                                  post_json=endpoint, sleep=lambda s: None)
+        return run_benchmark(entries, provider, workers=workers), endpoint
+
+    serial, serial_endpoint = run(1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        overlapped, endpoint = joined(lambda: run(3, 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial_endpoint.peak == 1
+    assert 2 <= endpoint.peak <= 3
+    assert serial[3] == overlapped[3] == []
+    assert {r.outcome for r in serial[2]} == {"applied"}
+    assert overlapped[:3] == serial[:3]
+    assert sorted(endpoint.hashes) == sorted(serial_endpoint.hashes)
+
+
+def test_overlapped_request_failures_stay_per_fix_or_per_page():
+    seed = '<img src="a.png"><img src="b.png"><img src="c.png">'
+    entry = CorpusEntry.from_text("imgs.html", PAGE.format(seed=seed))
+    transcript = build_replay_transcript([entry])
+    refused = request_hash(build_prompt(
+        violation_for(PAGE.format(seed=seed), "image-alt"), "react"
+    ).messages())
+    answer = TranscriptEndpoint(transcript)
+    senders = {}
+
+    def post(url, payload, headers, timeout):
+        key = request_hash(payload["messages"])
+        senders[key] = threading.current_thread()
+        if key == refused:
+            raise http_error(400)
+        return answer(url, payload, headers, timeout)
+
+    for max_in_flight in (1, 3):
+        provider = RemoteProvider(remote_cfg(max_in_flight=max_in_flight),
+                                  post_json=post, sleep=lambda s: None)
+        [page] = run_pages([entry], provider)
+        assert [r.outcome for r in page.records] == [
+            "provider_failed", "applied", "applied"]
+        assert "HTTP 400" in page.records[0].detail
+    # With three in flight, the refused request went out before the loop.
+    assert senders[refused] is not threading.current_thread()
+
+    def broken(url, payload, headers, timeout):
+        time.sleep(0.001)
+        raise RuntimeError("endpoint bug")
+
+    before = set(threading.enumerate())
+    provider = RemoteProvider(remote_cfg(max_in_flight=2), post_json=broken)
+    [page] = joined(lambda: list(run_pages([entry], provider)))
+    assert page.error == "RuntimeError: endpoint bug"
+    assert set(threading.enumerate()) == before
+
+
 def test_provider_config_validation():
     with pytest.raises(ConfigError):
         ProviderConfig(kind="remote").validate()
@@ -446,6 +560,8 @@ def test_provider_config_validation():
         ProviderConfig(kind="mystery").validate()
     with pytest.raises(ConfigError):
         ProviderConfig(kind="heuristic", temperature=-1).validate()
+    with pytest.raises(ConfigError):
+        ProviderConfig(kind="heuristic", max_in_flight=0).validate()
 
 
 def test_make_provider_kinds(tmp_path):
@@ -459,10 +575,11 @@ def test_make_provider_kinds(tmp_path):
 
 
 def test_import_loads_no_network_stack():
+    """Nor the thread pool, which only a remote provider's run needs."""
     code = (
         "import sys, accessfix, accessfix.cli; "
-        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', "
+        "'concurrent.futures') if m in sys.modules))"
     )
     src = os.path.dirname(os.path.dirname(accessfix.__file__))
     env = dict(os.environ, PYTHONPATH=src)
