@@ -21,7 +21,7 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
-from .rules import Violation, _Index, _is_main
+from .rules import Violation, _Index
 
 
 @dataclass
@@ -314,7 +314,7 @@ def _fix_region(el, v):
 def _fix_landmark_one_main(el, v):
     if el.tag == "html":
         # An earlier region fix may have added the main landmark already.
-        if any(map(_is_main, _Index.build(DomDocument(el), {}).elements)):
+        if _Index.build(DomDocument(el), {}).mains:
             return "left the page as it is: it already has a main landmark"
         for child in el.children:
             if isinstance(child, Element) and child.tag == "body":

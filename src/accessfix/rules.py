@@ -171,16 +171,7 @@ def _accessible_name(el: Element, ids: dict) -> str:
     return ""
 
 
-def _role(el: Element) -> str:
-    """The explicit role: the first token of ``role``, lowercased, or "".
-
-    The full rule takes the first token the user agent recognises."""
-    role = el.attrs.get("role", "").split()
-    return role[0].lower() if role else ""
-
-
-def _landmark_role(el: Element, ids: dict) -> Optional[str]:
-    role = _role(el)
+def _landmark_role(el: Element, role: str, ids: dict) -> Optional[str]:
     if role:
         if role in LANDMARK_ROLES:
             if role in _NAME_REQUIRED_ROLES and not _accessible_name(el, ids):
@@ -219,20 +210,26 @@ class _Index:
 
     Element 0 is the root. Element ``i``'s subtree is
     ``elements[i + 1:end[i]]``, so a forward loop over that range visits every
-    element after its parent.
+    element after its parent. An explicit role is the first token of
+    ``role``, lowercased, or ""; the full rule takes the first token the user
+    agent recognises.
     """
 
     elements: list
     parent: list  # index of each element's parent, -1 for the root
     slot: list  # index of each element among its parent's children
     end: list  # one past each element's last descendant
+    role: list  # explicit role of each element
+    has_text: list  # a child text node is non-blank
+    text: list  # the subtree holds non-blank text outside script and style
+    described_img: list  # an <img> with a non-blank alt lies below
     ids: dict  # id value -> first element carrying it
     landmark: list  # _landmark_role of each element
     thresholds: dict
 
     @classmethod
     def build(cls, doc: DomDocument, thresholds: dict) -> "_Index":
-        elements, parent, slot, ids = [], [], [], {}
+        elements, parent, slot, role, has_text, ids = [], [], [], [], [], {}
         stack = [(doc.root, -1, 0)]
         while stack:
             el, up, at = stack.pop()
@@ -240,17 +237,39 @@ class _Index:
             elements.append(el)
             parent.append(up)
             slot.append(at)
+            words = el.attrs.get("role", "").split()
+            role.append(words[0].lower() if words else "")
             value = el.attrs.get("id")
             if value and value not in ids:
                 ids[value] = el
+            nonblank = False
             for k in range(len(el.children) - 1, -1, -1):
-                if isinstance(el.children[k], Element):
-                    stack.append((el.children[k], here, k))
+                child = el.children[k]
+                if isinstance(child, Element):
+                    stack.append((child, here, k))
+                elif not nonblank and isinstance(child, Text):
+                    nonblank = bool(child.data.strip())
+            has_text.append(nonblank)
         end = list(range(1, len(elements) + 1))
+        shown = [el.tag not in ("script", "style") for el in elements]
+        text = [t and s for t, s in zip(has_text, shown)]
+        img = [False] * len(elements)
         for i in range(len(elements) - 1, 0, -1):
-            end[parent[i]] = max(end[parent[i]], end[i])
-        landmark = [_landmark_role(el, ids) for el in elements]
-        return cls(elements, parent, slot, end, ids, landmark, thresholds)
+            up, el = parent[i], elements[i]
+            end[up] = max(end[up], end[i])
+            if text[i] and shown[up]:
+                text[up] = True
+            if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
+                img[up] = True
+        landmark = [_landmark_role(el, r, ids) for el, r in zip(elements, role)]
+        return cls(elements, parent, slot, end, role, has_text, text, img,
+                   ids, landmark, thresholds)
+
+    @cached_property
+    def mains(self) -> list:
+        """Indices of the main landmarks: ``<main>`` or role "main"."""
+        return [i for i, el in enumerate(self.elements)
+                if el.tag == "main" or self.role[i] == "main"]
 
     @cached_property
     def new_id(self) -> _Names:
@@ -305,17 +324,10 @@ def check_image_alt(ix):
         alt = el.attrs.get("alt")
         if alt is not None and alt.strip():
             continue
-        if alt == "" and _role(el) in ("presentation", "none"):
+        if alt == "" and ix.role[i] in ("presentation", "none"):
             continue
         findings.append(_Finding(i, el))
     return findings
-
-
-def _has_described_img(ix, i: int) -> bool:
-    return any(
-        sub.tag == "img" and sub.attrs.get("alt", "").strip()
-        for sub in ix.elements[i + 1 : ix.end[i]]
-    )
 
 
 def check_link_name(ix):
@@ -323,11 +335,7 @@ def check_link_name(ix):
     for i, el in enumerate(ix.elements):
         if el.tag != "a" or el.attrs.get("href") is None:
             continue
-        if _text_of(el).strip():
-            continue
-        if _accessible_name(el, ix.ids):
-            continue
-        if _has_described_img(ix, i):
+        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
             continue
         findings.append(_Finding(i, el))
     return findings
@@ -381,10 +389,10 @@ def check_duplicate_id(ix):
     return findings
 
 
-def _heading_level(el: Element) -> Optional[int]:
+def _heading_level(el: Element, role: str) -> Optional[int]:
     if len(el.tag) == 2 and el.tag[0] == "h" and el.tag[1] in "123456":
         return int(el.tag[1])
-    if _role(el) == "heading":
+    if role == "heading":
         try:
             return int(el.attrs.get("aria-level") or 2)
         except ValueError:
@@ -396,7 +404,7 @@ def check_heading_order(ix):
     findings = []
     previous = None
     for i, el in enumerate(ix.elements):
-        level = _heading_level(el)
+        level = _heading_level(el, ix.role[i])
         if level is None:
             continue
         if previous is not None and level > previous + 1:
@@ -413,22 +421,12 @@ def check_heading_order(ix):
 def check_empty_heading(ix):
     findings = []
     for i, el in enumerate(ix.elements):
-        if _heading_level(el) is None:
+        if _heading_level(el, ix.role[i]) is None:
             continue
-        if _text_of(el).strip() or _accessible_name(el, ix.ids):
-            continue
-        if _has_described_img(ix, i):
+        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
             continue
         findings.append(_Finding(i, el))
     return findings
-
-
-def _is_main(el: Element) -> bool:
-    return el.tag == "main" or _role(el) == "main"
-
-
-def _has_text(el: Element) -> bool:
-    return any(isinstance(c, Text) and c.data.strip() for c in el.children)
 
 
 def check_region(ix):
@@ -442,13 +440,13 @@ def check_region(ix):
     by_parent = {}  # parent index -> flagged children, in document order
     for i in ix.rendered_body():
         covered[i] = covered[ix.parent[i]] or ix.landmark[i] is not None
-        if not covered[i] and _has_text(ix.elements[i]):
+        if not covered[i] and ix.has_text[i]:
             by_parent.setdefault(ix.parent[i], []).append(i)
 
     # Collapse contiguous flagged siblings onto their parent. The first
     # parent's first run holds the first flagged element of the page.
     findings = []
-    main_wanted = not any(_is_main(el) for el in ix.elements)
+    main_wanted = not ix.mains
     for up, group in by_parent.items():
         siblings = ix.elements[up].children
         runs = [[group[0]]]
@@ -477,16 +475,15 @@ def check_region(ix):
 
 
 def check_landmark_one_main(ix):
-    mains = [(i, el) for i, el in enumerate(ix.elements) if _is_main(el)]
-    if not mains:
+    if not ix.mains:
         return [_Finding(
             0, ix.elements[0], "Add a main landmark around the page content."
         )]
     return [
-        _Finding(i, el,
+        _Finding(i, ix.elements[i],
                  "Convert this extra main landmark into a labeled section.",
                  {"label": ix.new_label("section-")})
-        for i, el in mains[1:]
+        for i in ix.mains[1:]
     ]
 
 
@@ -548,7 +545,7 @@ def check_skip_link(ix):
 def check_aria_required_attr(ix):
     findings = []
     for i, el in enumerate(ix.elements):
-        role = _role(el)
+        role = ix.role[i]
         required = ARIA_REQUIRED_ATTRS.get(role)
         if not required:
             continue
@@ -659,7 +656,7 @@ def check_color_contrast(ix):
             bold = True
         state[i] = (fg, bg, size, bold)
 
-        if _has_text(el) and (fg is not None or bg is not None):
+        if ix.has_text[i] and (fg is not None or bg is not None):
             effective_fg = fg if fg is not None else RgbColor(0, 0, 0)
             effective_bg = bg if bg is not None else RgbColor(255, 255, 255)
             large = size >= thresholds["large_font_px"] or (
@@ -745,11 +742,14 @@ def audit(
 
     violations = []
     seen = set()
+    snippets = {}  # index -> snippet, shared by every rule flagging it
     for index, _, rule_id, finding in collected:
         if (index, rule_id) in seen:
             continue
         seen.add((index, rule_id))
-        snippet = serialize_node(finding.element)
+        if index not in snippets:
+            snippets[index] = serialize_node(finding.element)
+        snippet = snippets[index]
         violations.append(Violation(
             rule_id=rule_id,
             impact=impact_map[rule_id],

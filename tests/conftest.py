@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,19 @@ def composed_pages(rules_dir, rules_manifest):
                 f"<body>{bodies[a]}{bodies[b]}</body></html>",
             ))
     return pages
+
+
+@pytest.fixture(scope="session")
+def perfbench_pages():
+    """(name, html) of one pass of every ``perfbench/gen.py`` mix for seeds
+    1-3, imported from the benchmark's own generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    spec.loader.exec_module(gen)
+    return [
+        (f"{mix}:{seed}:{page.name}", page.html)
+        for mix in sorted(gen.PASSES) for seed in (1, 2, 3)
+        for page in gen.build(mix, seed)
+    ]

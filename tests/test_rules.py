@@ -328,8 +328,10 @@ def test_audit_output_pinned(corpus_dir, corpus_manifest, rules_dir,
     assert audit_digest(rules_dir, rules_manifest) == RULES_AUDIT_SHA256
 
 
-def test_audit_serializes_each_violation_once(corpus_dir, corpus_manifest,
-                                              monkeypatch):
+def test_audit_serializes_each_flagged_element_once(
+        corpus_dir, corpus_manifest, perfbench_pages, monkeypatch):
+    """One serialization per flagged element, however many rules flag it: a
+    wide_fix page's <p> carries duplicate-id and color-contrast."""
     calls = []
     serialize = dom._serialize
 
@@ -338,12 +340,128 @@ def test_audit_serializes_each_violation_once(corpus_dir, corpus_manifest,
         return serialize(node, normalized)
 
     monkeypatch.setattr(dom, "_serialize", counting)
-    for name in sorted(corpus_manifest):
-        doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
+    pages = [(name, (corpus_dir / name).read_text("utf-8"))
+             for name in sorted(corpus_manifest)]
+    wide = next(html for name, html in perfbench_pages
+                if name.startswith("wide_fix:") and name.endswith("-wide.html"))
+    for name, html in pages + [("wide_fix", wide)]:
+        doc = dom.parse_html(html)
         calls.clear()
         violations = rules.audit(doc)
         assert violations
-        assert len(calls) == len(violations), name
+        assert len(calls) == len({v.locator.path for v in violations}), name
+    assert len(calls) < len(violations)
+
+
+# The subtree walks that the index facts replaced, kept as their reference.
+def reference_role(el):
+    role = el.attrs.get("role", "").split()
+    return role[0].lower() if role else ""
+
+
+def reference_text(el):
+    """Whether ``el`` holds non-blank text outside script and style."""
+    parts = []
+    stack = [el]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dom.Text):
+            parts.append(node.data)
+        elif isinstance(node, dom.Element) and node.tag not in ("script",
+                                                                 "style"):
+            stack.extend(reversed(node.children))
+    return bool("".join(parts).strip())
+
+
+def reference_described_img(ix, i):
+    return any(
+        sub.tag == "img" and sub.attrs.get("alt", "").strip()
+        for sub in ix.elements[i + 1 : ix.end[i]]
+    )
+
+
+def reference_has_text(el):
+    return any(isinstance(c, dom.Text) and c.data.strip() for c in el.children)
+
+
+def reference_is_main(el):
+    return el.tag == "main" or reference_role(el) == "main"
+
+
+# Nested shapes, each opened n times and never closed, inside <main>.
+NESTED = {
+    "link": '<a href="/x">',
+    "heading": "<h2><span>",
+    "role-heading": '<div role="heading"><span>',
+}
+
+
+def nested_page(opener, n):
+    return f'<html lang="en"><body><main>{opener * n}</main></body></html>'
+
+
+def test_index_facts_match_the_subtree_walks(
+        corpus_dir, corpus_manifest, rules_dir, rules_manifest,
+        composed_pages, perfbench_pages):
+    pages = [(corpus_dir / name).read_text("utf-8")
+             for name in sorted(corpus_manifest)]
+    pages += [(rules_dir / name).read_text("utf-8")
+              for name in sorted(rules_manifest)]
+    pages += [html for _, html in composed_pages]
+    # A seed changes only the name that a wide or deep page shows, and the
+    # reference walks are quadratic on deep pages: each shape is checked once.
+    pages += {html.replace(name.rsplit(":", 1)[1], ""): html
+              for name, html in perfbench_pages}.values()
+    pages += [nested_page(opener, 40) for opener in [
+        *NESTED.values(), '<a href="/x"> ', '<a href="/x"><img alt=" ">',
+        '<h3><img alt="y">', '<div role=" Heading x">', "<div><script>x",
+        "<div><script>x</script>", "<style>p{}</style><div>",
+        '<div role="MAIN"><main>\n',
+    ]]
+    elements = 0
+    for html in pages:
+        ix = rules._Index.build(dom.parse_html(html), {})
+        elements += len(ix.elements)
+        assert ix.role == [reference_role(el) for el in ix.elements]
+        assert ix.has_text == [reference_has_text(el) for el in ix.elements]
+        assert ix.text == [reference_text(el) for el in ix.elements]
+        assert ix.described_img == [reference_described_img(ix, i)
+                                    for i in range(len(ix.elements))]
+        assert ix.mains == [i for i, el in enumerate(ix.elements)
+                            if reference_is_main(el)]
+    assert elements > 20000
+
+
+def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
+    """Snippets of nested violations are still quadratic, so serialization
+    is stubbed out; what is counted is the rules' own text walks."""
+    calls = []
+    text_of = rules._text_of
+
+    def counting(el):
+        calls.append(el)
+        return text_of(el)
+
+    monkeypatch.setattr(rules, "_text_of", counting)
+    monkeypatch.setattr(rules, "serialize_node", lambda el: el.tag)
+    for opener in NESTED.values():
+        violations = rules.audit(dom.parse_html(nested_page(opener, 2000)))
+        assert len(violations) >= 2000
+    assert calls == []
+
+
+@pytest.mark.parametrize("rule_id, shape", [
+    ("link-name", "link"),
+    ("empty-heading", "heading"),
+    ("empty-heading", "role-heading"),
+])
+def test_nested_name_checks_run_in_linear_time(rule_id, shape):
+    doc = dom.parse_html(nested_page(NESTED[shape], 8000))
+    ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
+    start = time.perf_counter()
+    findings = rules.RULE_CATALOG[rule_id](ix)
+    assert time.perf_counter() - start < 1.0
+    assert len(findings) == 8000
 
 
 TREE_TAGS = ("div", "span", "p", "a", "label", "main", "section", "script",

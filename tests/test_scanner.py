@@ -6,11 +6,8 @@ construction rules. At end of input it follows WHATWG instead; those cases
 are pinned one by one below.
 """
 
-import importlib.util
-import sys
 from html.parser import HTMLParser
 from importlib import resources
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,16 +91,8 @@ def agrees(text):
     return dump(dom.parse_fragment(text)) == dump(oracle_fragment(text))
 
 
-def _perfbench_gen():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_scanner_matches_oracle_on_bundled_and_generated_pages():
+def test_scanner_matches_oracle_on_bundled_and_generated_pages(
+        perfbench_pages):
     fixtures = resources.files("accessfix") / "fixtures"
     pages = [
         (f"{folder}/{path.name}", path.read_text("utf-8"))
@@ -111,12 +100,7 @@ def test_scanner_matches_oracle_on_bundled_and_generated_pages():
         for path in sorted((fixtures / folder).iterdir(), key=str)
         if path.name.endswith(".html")
     ]
-    gen = _perfbench_gen()
-    pages += [
-        (f"{mix}:{seed}:{page.name}", page.html)
-        for mix in sorted(gen.PASSES) for seed in (1, 2, 3)
-        for page in gen.build(mix, seed)
-    ]
+    pages += perfbench_pages
     assert len(pages) > 150
     assert [name for name, html in pages if not agrees(html)] == []
 
