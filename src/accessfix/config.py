@@ -38,25 +38,14 @@ class AppConfig:
     provider: ProviderConfig = field(default_factory=ProviderConfig)
 
 
-_PROVIDER_KEYS = {
-    "kind": str,
-    "endpoint": str,
-    "model": str,
-    "max_tokens": int,
-    "temperature": float,
-    "timeout": float,
-    "max_retries": int,
-    "api_key_env": str,
-    "transcript": str,
-    "min_interval": float,
-    "max_in_flight": int,
-}
-
+# [provider] INI key -> ProviderConfig field; a value takes the type of its
+# field's default.
 _PROVIDER_FIELDS = {
-    "endpoint": "endpoint_url",
-    "model": "model_name",
-    "timeout": "request_timeout",
-    "transcript": "transcript_path",
+    "kind": "kind", "endpoint": "endpoint_url", "model": "model_name",
+    "max_tokens": "max_tokens", "temperature": "temperature",
+    "timeout": "request_timeout", "max_retries": "max_retries",
+    "api_key_env": "api_key_env", "transcript": "transcript_path",
+    "min_interval": "min_interval", "max_in_flight": "max_in_flight",
 }
 
 
@@ -96,12 +85,13 @@ def load_config(path=None) -> AppConfig:
 
     if parser.has_section("provider"):
         for key, value in parser.items("provider"):
-            if key not in _PROVIDER_KEYS:
+            name = _PROVIDER_FIELDS.get(key)
+            if name is None:
                 raise ConfigError(f"[provider] unknown key: {key}")
             try:
-                parsed = _PROVIDER_KEYS[key](value)
+                parsed = type(getattr(ProviderConfig, name))(value)
             except ValueError as exc:
                 raise ConfigError(f"[provider] bad value for {key}") from exc
-            setattr(config.provider, _PROVIDER_FIELDS.get(key, key), parsed)
+            setattr(config.provider, name, parsed)
 
     return config

@@ -468,8 +468,10 @@ def check_region(ix):
                 hint = "Wrap this content in a main landmark."
                 data = {"wrap_in": "main"}
             else:
-                hint = "Wrap this content in a labeled section landmark."
-                data = {"wrap_in": "section", "label": ix.new_label("region-")}
+                label = ix.new_label("region-")
+                hint = ("Wrap this content in a section landmark labeled "
+                        f'"{label}".')
+                data = {"wrap_in": "section", "label": label}
             findings.append(_Finding(at, ix.elements[at], hint, data))
     return findings
 
@@ -479,12 +481,16 @@ def check_landmark_one_main(ix):
         return [_Finding(
             0, ix.elements[0], "Add a main landmark around the page content."
         )]
-    return [
-        _Finding(i, ix.elements[i],
-                 "Convert this extra main landmark into a labeled section.",
-                 {"label": ix.new_label("section-")})
-        for i in ix.mains[1:]
-    ]
+    findings = []
+    for i in ix.mains[1:]:
+        label = ix.new_label("section-")
+        findings.append(_Finding(
+            i, ix.elements[i],
+            f"Convert this extra main landmark into a section labeled "
+            f'"{label}" unless it has a label.',
+            {"label": label},
+        ))
+    return findings
 
 
 def check_landmark_unique(ix):
@@ -497,7 +503,9 @@ def check_landmark_unique(ix):
         name = _accessible_name(el, ix.ids)
         if (role, name) in seen:
             label = ix.new_label(f"{name or el.tag} ")
-            findings.append(_Finding(i, el, data={"label": label}))
+            findings.append(_Finding(
+                i, el, f'Add the distinguishing aria-label "{label}" to this '
+                "landmark.", {"label": label}))
         else:
             seen.add((role, name))
     return findings

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from accessfix import cli, dom, rules
 from accessfix.cli import main
+from accessfix.config import load_config
+from accessfix.errors import ConfigError
 from accessfix.harness import import_rows
 from accessfix.providers import HeuristicProvider
 
@@ -225,6 +229,42 @@ def test_config_overrides_apply(tmp_path, capsys):
     assert "score 50" in capsys.readouterr().out
 
 
+# Every [provider] key: (INI text, ProviderConfig field, value read).
+PROVIDER_SETTINGS = {
+    "kind": ("replay", "kind", "replay"),
+    "endpoint": ("http://localhost:1/v1", "endpoint_url",
+                 "http://localhost:1/v1"),
+    "model": ("m-16k", "model_name", "m-16k"),
+    "max_tokens": ("256", "max_tokens", 256),
+    "temperature": ("0.5", "temperature", 0.5),
+    "timeout": ("2", "request_timeout", 2.0),
+    "max_retries": ("5", "max_retries", 5),
+    "api_key_env": ("KEY", "api_key_env", "KEY"),
+    "transcript": ("t.jsonl", "transcript_path", "t.jsonl"),
+    "min_interval": ("0.25", "min_interval", 0.25),
+    "max_in_flight": ("8", "max_in_flight", 8),
+}
+
+
+def test_config_reads_every_provider_key_with_its_type(tmp_path):
+    cfg = tmp_path / "provider.ini"
+    cfg.write_text("[provider]\n" + "".join(
+        f"{key} = {text}\n" for key, (text, _, _) in PROVIDER_SETTINGS.items()
+    ), encoding="utf-8")
+    provider = load_config(str(cfg)).provider
+    assert {f.name for f in dataclasses.fields(provider)} == \
+        {name for _, name, _ in PROVIDER_SETTINGS.values()}
+    for key, (_, name, value) in PROVIDER_SETTINGS.items():
+        read = getattr(provider, name)
+        assert (read, type(read)) == (value, type(value)), key
+    for text, message in [("max_tokens = 1.5", "bad value for max_tokens"),
+                          ("retries = 2", "unknown key: retries")]:
+        cfg.write_text(f"[provider]\n{text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(cfg))
+        assert str(caught.value) == f"[provider] {message}"
+
+
 def test_fix_gives_colliding_names_distinct_files(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -245,7 +285,7 @@ def test_fix_gives_colliding_names_distinct_files(tmp_path):
         assert main(["fix", page, "--provider", "heuristic",
                      "--out-dir", str(alone)]) == 0
         expected = (alone / "index.html").read_text("utf-8")
-        assert open(paths[i], encoding="utf-8").read() == expected
+        assert Path(paths[i]).read_text("utf-8") == expected
     taken = set()
     assert [cli._out_name(url, taken) for url in
             ("https://a.test/", "https://b.test/", "https://c.test/page")] \

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -249,8 +250,7 @@ def test_heuristic_proposal_element_is_its_corrected_html_parsed(
                             dom.parse_fragment_element(proposal.corrected_html))
             return proposal
 
-    pages = [(path, open(path, encoding="utf-8").read())
-             for path in corpus_paths]
+    pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
     pages += [(name, (rules_dir / name).read_text("utf-8"))
               for name in sorted(rules_manifest)]
     for name, html in pages + composed_pages:

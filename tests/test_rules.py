@@ -301,10 +301,10 @@ def test_audit_never_raises_on_any_inline_style(style):
 # Any change to a field or to the order changes them; update them only for a
 # deliberate change of audit output.
 CORPUS_AUDIT_SHA256 = (
-    "a6c148170ecc5c3584a941c56669bf7ef489c1eb796f149680683b9e43471430"
+    "8136791df660776c71297c8a484a030fa81ea4ec1cabfcc1e55f050e7a8e9cf9"
 )
 RULES_AUDIT_SHA256 = (
-    "202db3771454e355bd754d659bb6c1ce8b46b7486cc1178096a968127af61b9a"
+    "1325d97af12928f7dae1ed371045c76bad610fcb937d84f3b694ec4319b3bed6"
 )
 
 
@@ -326,6 +326,31 @@ def test_audit_output_pinned(corpus_dir, corpus_manifest, rules_dir,
                              rules_manifest):
     assert audit_digest(corpus_dir, corpus_manifest) == CORPUS_AUDIT_SHA256
     assert audit_digest(rules_dir, rules_manifest) == RULES_AUDIT_SHA256
+
+
+def test_help_names_every_fix_parameter(corpus_dir, corpus_manifest,
+                                        rules_dir, rules_manifest,
+                                        composed_pages):
+    """A prompt shows the help, not ``data``: each string parameter must be
+    in the help for a model or a replayed transcript to use it."""
+    pages = [(corpus_dir / name).read_text("utf-8")
+             for name in sorted(corpus_manifest)]
+    pages += [(rules_dir / name).read_text("utf-8")
+              for name in sorted(rules_manifest)]
+    named = Counter()
+    for html in pages + [html for _, html in composed_pages]:
+        for v in rules.audit(dom.parse_html(html)):
+            for key, value in v.data.items():
+                for item in value if isinstance(value, tuple) else [value]:
+                    if isinstance(item, str):
+                        assert item in v.help, (v.rule_id, key, v.help)
+                        named[v.rule_id, key] += 1
+    assert set(named) == {
+        ("duplicate-id", "rename_to"), ("region", "wrap_in"),
+        ("region", "label"), ("landmark-one-main", "label"),
+        ("landmark-unique", "label"), ("skip-link", "target"),
+        ("aria-required-attr", "missing"),
+    }
 
 
 def test_audit_serializes_each_flagged_element_once(
