@@ -413,6 +413,20 @@ def reference_is_main(el):
     return el.tag == "main" or reference_role(el) == "main"
 
 
+def assert_index_facts(doc):
+    """Check the index facts of ``doc`` against the reference walks; return
+    the number of elements checked."""
+    ix = rules._Index.build(doc, {})
+    assert ix.role == [reference_role(el) for el in ix.elements]
+    assert ix.has_text == [reference_has_text(el) for el in ix.elements]
+    assert ix.text == [reference_text(el) for el in ix.elements]
+    assert ix.described_img == [reference_described_img(ix, i)
+                                for i in range(len(ix.elements))]
+    assert ix.mains == [i for i, el in enumerate(ix.elements)
+                        if reference_is_main(el)]
+    return len(ix.elements)
+
+
 # Nested shapes, each opened n times and never closed, inside <main>.
 NESTED = {
     "link": '<a href="/x">',
@@ -445,16 +459,12 @@ def test_index_facts_match_the_subtree_walks(
     ]]
     elements = 0
     for html in pages:
-        ix = rules._Index.build(dom.parse_html(html), {})
-        elements += len(ix.elements)
-        assert ix.role == [reference_role(el) for el in ix.elements]
-        assert ix.has_text == [reference_has_text(el) for el in ix.elements]
-        assert ix.text == [reference_text(el) for el in ix.elements]
-        assert ix.described_img == [reference_described_img(ix, i)
-                                    for i in range(len(ix.elements))]
-        assert ix.mains == [i for i, el in enumerate(ix.elements)
-                            if reference_is_main(el)]
+        elements += assert_index_facts(dom.parse_html(html))
     assert elements > 20000
+    # Unlike the parser, a built tree can put elements in script and style.
+    for tag in ("script", "style"):
+        assert_index_facts(build_tree([("open", "div", ""), ("open", tag, ""),
+                                       ("open", "p", ""), ("text", "x")]))
 
 
 def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
