@@ -11,9 +11,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .colors import RgbColor, contrast_ratio, relative_luminance
-from .dom import (DomDocument, Element, Text, parse_fragment_element,
-                  rewrite, serialize_node)
+from .colors import LINEAR, RgbColor, relative_luminance
+from .dom import (Comment, DomDocument, Element, Text,
+                  parse_fragment_element, rewrite, serialize_node)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -311,14 +311,45 @@ def _fix_region(el, v):
     return f'wrapped the stray content in a section labeled "{label}"'
 
 
+def _wrap_body_content(ix, body):
+    """Wrap the children of element ``body`` of ``ix`` in ``<main>``, all but
+    a leading run of banner landmarks and a trailing run of contentinfo ones
+    (with the blank text and comments among them), which would be nested
+    landmarks inside main."""
+    kids = ix.elements[body].children
+    role = {ix.slot[i]: ix.landmark[i]
+            for i in range(body + 1, ix.end[body]) if ix.parent[i] == body}
+
+    def blank(k):
+        node = kids[k]
+        return isinstance(node, Comment) or (
+            isinstance(node, Text) and not node.data.strip())
+
+    start = 0
+    for k in range(len(kids)):
+        if role.get(k) == "banner":
+            start = k + 1
+        elif not blank(k):
+            break
+    stop = len(kids)
+    for k in range(len(kids) - 1, start - 1, -1):
+        if role.get(k) == "contentinfo":
+            stop = k
+        elif not blank(k):
+            break
+    main = Element("main", {}, kids[start:stop])
+    ix.elements[body].children = kids[:start] + [main] + kids[stop:]
+
+
 def _fix_landmark_one_main(el, v):
     if el.tag == "html":
+        ix = _Index.build(DomDocument(el), {})
         # An earlier region fix may have added the main landmark already.
-        if _Index.build(DomDocument(el), {}).mains:
+        if ix.mains:
             return "left the page as it is: it already has a main landmark"
-        for child in el.children:
-            if isinstance(child, Element) and child.tag == "body":
-                _wrap_children(child, Element("main"))
+        for i, up in enumerate(ix.parent):
+            if up == 0 and ix.elements[i].tag == "body":
+                _wrap_body_content(ix, i)
                 return "wrapped the body content in a main landmark"
         raise NoRecipeError("document has no body to wrap")
     el.tag = "section"
@@ -381,38 +412,44 @@ def _fix_meta_viewport(el, v):
     return "removed the zoom restrictions from the viewport meta tag"
 
 
-def _scaled(color: RgbColor, t: float, toward_white: bool) -> RgbColor:
-    if toward_white:
-        return RgbColor(
-            round(color.r + (255 - color.r) * t),
-            round(color.g + (255 - color.g) * t),
-            round(color.b + (255 - color.b) * t),
-        )
-    return RgbColor(
-        round(color.r * (1 - t)), round(color.g * (1 - t)), round(color.b * (1 - t))
-    )
-
-
 def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbColor:
     """Move the foreground toward black or white (whichever can reach a higher
     ratio) until the contrast exceeds threshold + 0.05; hue is preserved by
-    scaling all channels uniformly. Binary search, <= 20 iterations."""
+    scaling all channels uniformly. Binary search, <= 20 iterations.
+
+    Each step works on the rounded channel integers and reads their
+    luminance from ``colors.LINEAR``; the float operations and their order
+    are those of ``contrast_ratio`` on an ``RgbColor``, so the result is the
+    same colour."""
     target = threshold + 0.05
     bg_lum = relative_luminance(bg)
     toward_white = (1.05 / (bg_lum + 0.05)) > ((bg_lum + 0.05) / 0.05)
+    r, g, b = fg.r, fg.g, fg.b
+
+    def scaled(t):
+        if toward_white:
+            return (round(r + (255 - r) * t), round(g + (255 - g) * t),
+                    round(b + (255 - b) * t))
+        return round(r * (1 - t)), round(g * (1 - t)), round(b * (1 - t))
+
+    def ratio(channels):
+        cr, cg, cb = channels
+        lum = 0.2126 * LINEAR[cr] + 0.7152 * LINEAR[cg] + 0.0722 * LINEAR[cb]
+        return (max(lum, bg_lum) + 0.05) / (min(lum, bg_lum) + 0.05)
+
     lo, hi = 0.0, 1.0
     for _ in range(20):
         mid = (lo + hi) / 2
-        if contrast_ratio(_scaled(fg, mid, toward_white), bg) >= target:
+        if ratio(scaled(mid)) >= target:
             hi = mid
         else:
             lo = mid
-    candidate = _scaled(fg, hi, toward_white)
+    candidate = scaled(hi)
     # Channel rounding can nudge the ratio back under target; step outward.
-    while contrast_ratio(candidate, bg) < target and hi < 1.0:
+    while ratio(candidate) < target and hi < 1.0:
         hi = min(hi + 0.02, 1.0)
-        candidate = _scaled(fg, hi, toward_white)
-    return candidate
+        candidate = scaled(hi)
+    return RgbColor(*candidate)
 
 
 def _fix_color_contrast(el, v):

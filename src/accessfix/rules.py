@@ -615,77 +615,125 @@ def _first_color_token(value: str):
 _FONT_SIZE_RE = re.compile(r"^([\d.]+)px$")
 
 
+def _style_facts(style: str) -> tuple:
+    """What a ``style`` value sets for contrast: (color declared, its colour
+    or None, background declared, its colour or None, px size or None,
+    bold). A declared colour that does not parse is ignored but still
+    shadows ``<font color>`` and ``bgcolor``, as do bad sizes and weights."""
+    decls = _parse_style(style)
+    has_color = "color" in decls
+    color = parse_color(decls["color"]) if has_color else None
+    bg_value = decls.get("background-color") or decls.get("background")
+    background = _first_color_token(bg_value) if bg_value else None
+    size = None
+    m = _FONT_SIZE_RE.match(decls.get("font-size", ""))
+    if m:
+        try:
+            size = float(m.group(1))
+        except ValueError:  # "1.2.3px", ".px": ignored, as bad colours are
+            pass
+    weight = decls.get("font-weight", "").lower()
+    try:
+        bold = weight in ("bold", "bolder") or (
+            weight.isdigit() and int(weight) >= 600)
+    except ValueError:  # digits int() rejects: "²", a run past its limit
+        bold = False
+    return has_color, color, bool(bg_value), background, size, bold
+
+
+def _contrast_verdict(state: tuple, thresholds: dict):
+    """(help, fg, bg, required) for text in ``state`` = (fg, bg, font size,
+    bold) whose contrast is too low, None if it passes. A missing colour is
+    black text or a white background."""
+    fg, bg, size, bold = state
+    effective_fg = fg if fg is not None else RgbColor(0, 0, 0)
+    effective_bg = bg if bg is not None else RgbColor(255, 255, 255)
+    large = size >= thresholds["large_font_px"] or (
+        size >= thresholds["large_bold_font_px"] and bold
+    )
+    required = (
+        thresholds["contrast_large"] if large
+        else thresholds["contrast_normal"]
+    )
+    ratio = contrast_ratio(effective_fg, effective_bg)
+    if ratio >= required - 1e-9:
+        return None
+    if effective_fg.alpha < 1.0:
+        effective_fg = composite_over(effective_fg, effective_bg)
+    return (
+        f"The text color {effective_fg.to_hex()} on background "
+        f"{effective_bg.to_hex()} has a contrast ratio of "
+        f"{ratio:.2f}; at least {required:.2f}:1 is required.",
+        effective_fg, effective_bg, required,
+    )
+
+
+_NO_STYLE = (False, None, False, None, None, False)
+_STATE_TAGS = ("font", "b", "strong")  # tags that set colour or weight
+
+
 def check_color_contrast(ix):
     """Static resolution only: inline style, color=/bgcolor= attributes, and
     inheritance through the tree. Elements with no explicit color anywhere in
-    their ancestor chain are skipped rather than assumed black-on-white."""
+    their ancestor chain are skipped rather than assumed black-on-white.
+
+    An element with no style, no bgcolor and none of ``_STATE_TAGS`` takes
+    its parent's state as it is. Each distinct style value is parsed once
+    per call, and each distinct state of an element with text is judged
+    once per call."""
     thresholds = ix.thresholds
+    elements, parent, has_text = ix.elements, ix.parent, ix.has_text
     findings = []
+    facts = {}  # style value -> _style_facts(style value)
+    verdicts = {}  # state -> _contrast_verdict(state, thresholds)
 
     # (fg, bg, font size, bold) per element, inherited from the parent; the
     # body's parent is the root.
-    state = [None] * len(ix.elements)
+    state = [None] * len(elements)
     state[0] = (None, None, 16.0, False)
     for i in ix.rendered_body():
-        el = ix.elements[i]
-        fg, bg, size, bold = state[ix.parent[i]]
-        decls = _parse_style(el.attrs.get("style", ""))
-        if "color" in decls:
-            c = parse_color(decls["color"])
-            if c is not None:
-                fg = c
-        elif el.tag == "font" and el.attrs.get("color"):
-            c = parse_color(el.attrs.get("color"))
-            if c is not None:
-                fg = c
-        bg_value = decls.get("background-color") or decls.get("background")
-        if bg_value:
-            c = _first_color_token(bg_value)
-            if c is not None:
-                bg = c
-        elif el.attrs.get("bgcolor"):
-            c = parse_color(el.attrs.get("bgcolor"))
-            if c is not None:
-                bg = c
-        m = _FONT_SIZE_RE.match(decls.get("font-size", ""))
-        if m:
-            try:
-                size = float(m.group(1))
-            except ValueError:  # "1.2.3px", ".px": ignored, as bad colours are
-                pass
-        weight = decls.get("font-weight", "").lower()
-        try:
-            if weight in ("bold", "bolder") or (
-                    weight.isdigit() and int(weight) >= 600):
+        el = elements[i]
+        attrs = el.attrs
+        style = attrs.get("style")
+        if not style and not attrs.get("bgcolor") and el.tag not in _STATE_TAGS:
+            state[i] = here = state[parent[i]]
+        else:
+            fg, bg, size, bold = state[parent[i]]
+            if style:
+                if style not in facts:
+                    facts[style] = _style_facts(style)
+                has_color, color, has_bg, background, px, heavy = facts[style]
+            else:
+                has_color, color, has_bg, background, px, heavy = _NO_STYLE
+            if has_color:
+                if color is not None:
+                    fg = color
+            elif el.tag == "font" and attrs.get("color"):
+                c = parse_color(attrs.get("color"))
+                if c is not None:
+                    fg = c
+            if has_bg:
+                if background is not None:
+                    bg = background
+            elif attrs.get("bgcolor"):
+                c = parse_color(attrs.get("bgcolor"))
+                if c is not None:
+                    bg = c
+            if px is not None:
+                size = px
+            if heavy or el.tag in ("b", "strong"):
                 bold = True
-        except ValueError:  # digits int() rejects: "²", a run past its limit
-            pass
-        if el.tag in ("b", "strong"):
-            bold = True
-        state[i] = (fg, bg, size, bold)
+            state[i] = here = (fg, bg, size, bold)
 
-        if ix.has_text[i] and (fg is not None or bg is not None):
-            effective_fg = fg if fg is not None else RgbColor(0, 0, 0)
-            effective_bg = bg if bg is not None else RgbColor(255, 255, 255)
-            large = size >= thresholds["large_font_px"] or (
-                size >= thresholds["large_bold_font_px"] and bold
-            )
-            required = (
-                thresholds["contrast_large"] if large
-                else thresholds["contrast_normal"]
-            )
-            ratio = contrast_ratio(effective_fg, effective_bg)
-            if ratio < required - 1e-9:
-                if effective_fg.alpha < 1.0:
-                    effective_fg = composite_over(effective_fg, effective_bg)
-                findings.append(_Finding(
-                    i, el,
-                    f"The text color {effective_fg.to_hex()} on background "
-                    f"{effective_bg.to_hex()} has a contrast ratio of "
-                    f"{ratio:.2f}; at least {required:.2f}:1 is required.",
-                    {"fg": effective_fg, "bg": effective_bg,
-                     "required": required},
-                ))
+        if not has_text[i] or (here[0] is None and here[1] is None):
+            continue
+        if here not in verdicts:
+            verdicts[here] = _contrast_verdict(here, thresholds)
+        verdict = verdicts[here]
+        if verdict is not None:
+            help_text, fg, bg, required = verdict
+            findings.append(_Finding(
+                i, el, help_text, {"fg": fg, "bg": bg, "required": required}))
     return findings
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import accessfix
-from accessfix import dom, providers, rules
+from accessfix import dom, harness, providers, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
 from accessfix.corrector import correct_document
 from accessfix.errors import (
@@ -171,6 +171,41 @@ def test_landmark_one_main_recipe_keeps_a_main_from_a_region_fix():
     assert [r.outcome for r in records] == ["applied"] * 2
     assert doc.serialize().count("<main>") == 1
     assert rules.audit(doc, web_url="f") == []
+
+
+@pytest.mark.parametrize("body, corrected", [
+    ("<header>h</header><nav>n</nav><footer>f</footer>",
+     "<header>h</header><main><nav>n</nav></main><footer>f</footer>"),
+    ('\n<!-- c --> <div role="banner">h</div>\n<nav>n</nav>\n'
+     "<footer>f</footer>\n",
+     '\n<!-- c --> <div role="banner">h</div><main>\n<nav>n</nav>\n'
+     "</main><footer>f</footer>\n"),
+    ("<nav>n</nav><header>h</header><aside>m</aside>",
+     "<main><nav>n</nav><header>h</header><aside>m</aside></main>"),
+], ids=["banner-and-contentinfo", "blank-text-and-comments", "inner-header"])
+def test_landmark_one_main_recipe_leaves_page_banner_and_footer_outside(
+        body, corrected):
+    # A <main> around the page's own banner or contentinfo would nest those
+    # landmarks in it (landmark-no-duplicate-content).
+    doc = dom.parse_html(f'<html lang="en"><body>{body}</body></html>')
+    violations = rules.audit(doc, web_url="f")
+    assert "landmark-one-main" in [v.rule_id for v in violations]
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert [r.outcome for r in records] == ["applied"] * len(records)
+    assert doc.serialize() == (f'<html lang="en"><head></head><body>'
+                               f"{corrected}</body></html>")
+
+
+def test_landmark_one_main_fix_on_a_landmark_only_page_ends_at_score_0():
+    html = ('<html lang="en"><body><header>h</header><nav>n</nav>'
+            "<footer>f</footer></body></html>")
+    result, rows, records, failures = harness.run_benchmark(
+        [harness.CorpusEntry.from_text("landmarks.html", html)],
+        HeuristicProvider())
+    assert failures == []
+    assert [row.rule_id for row in rows] == ["landmark-one-main"]
+    assert [r.outcome for r in records] == ["applied"]
+    assert result.total_final == 0
 
 
 def test_recipes_do_not_read_help_text(rules_dir, rules_manifest):
