@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from .dom import (
@@ -40,22 +41,19 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def _target(doc: DomDocument, v: Violation) -> Optional[Element]:
-    """The violation's element; None if its locator is missing or stale."""
+def _target(doc: DomDocument, loc) -> Optional[Element]:
+    """The located element; None if the locator is missing or stale."""
     try:
-        return resolve(doc, v.locator) if v.locator else None
+        return resolve(doc, loc) if loc else None
     except StaleLocatorError:
         return None
 
 
 def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
     try:
-        replacement = p.element
+        replacement = p.take_element()
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
-    # The document now owns the parse; a record that kept it would also
-    # keep alive every subtree that a later fix replaces.
-    del p.element
     rewrite(el, replacement)
     return CorrectionRecord(v, p, APPLIED)
 
@@ -67,28 +65,17 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
     untouched. The element takes over the lists of ``p.element``, which the
     proposal then drops, so applying it again parses afresh.
     """
-    el = _target(doc, v)
+    el = _target(doc, v.locator)
     if el is None:
         return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
     return _apply(el, v, p)
 
 
-def _ask(v: Violation, current: str, provider, strategy: str) -> FixProposal:
-    """Prompt for ``v`` with its element's current snippet and propose."""
-    seen = v if current == v.html_snippet else replace(v, html_snippet=current)
-    return provider.propose(build_prompt(seen, strategy), seen)
-
-
-def _correct(el: Optional[Element], v: Violation, provider, strategy: str,
-             early=None) -> CorrectionRecord:
+def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     if el is None:
         return CorrectionRecord(v, None, MATCH_FAILED, _STALE)
     try:
-        if early is not None:
-            proposal = early.result()
-        else:
-            # A fix that already landed inside the target shows in its prompt.
-            proposal = _ask(v, serialize_node(el), provider, strategy)
+        proposal = propose()
     except NoRecipeError as exc:
         return CorrectionRecord(v, None, NO_RECIPE, str(exc))
     except (ProviderUnavailableError, ReplayMissError) as exc:
@@ -98,7 +85,7 @@ def _correct(el: Optional[Element], v: Violation, provider, strategy: str,
     return _apply(el, v, proposal)
 
 
-def _independent(targets) -> list:
+def _independent(targets) -> set:
     """Indices of the located targets that no other target's fix can reach.
 
     In ``(locator.path, index)`` order an element's subtree follows it, so
@@ -108,8 +95,8 @@ def _independent(targets) -> list:
     located = sorted((v.locator.path, i)
                      for i, (el, v) in enumerate(targets) if el is not None)
     following = [path for path, _ in located[1:]] + [None]
-    return [i for (path, i), after in zip(located, following)
-            if after is None or after[:len(path)] != path]
+    return {i for (path, i), after in zip(located, following)
+            if after is None or after[:len(path)] != path}
 
 
 def correct_document(
@@ -121,34 +108,44 @@ def correct_document(
     """Run prompt -> propose -> apply for each violation, from the last in
     document order (the order ``rules.audit`` returns) to the first.
 
-    Every target is resolved before any fix, and a fix rewrites its element
-    in place, so no fix moves a target still waiting for its own. Failures
-    are recorded and skipped: one record per violation, in input order.
+    Each distinct locator is resolved once, before any fix, and a fix
+    rewrites its element in place, so no fix moves a target still waiting
+    for its own. Failures are recorded and skipped: one record per
+    violation, in input order.
 
-    A provider whose ``max_in_flight`` is above 1 (``RemoteProvider``) is
-    asked up front, on a pool of that many threads, for every independent
-    target (see ``_independent``): no other fix can change its snippet, so
-    its prompt is the one the loop would build. The loop then takes those
-    answers as it reaches them and asks in-line for the rest. The fixes,
-    their order, the prompts and the records are those of a provider asked
-    one violation at a time. Other providers are asked in-line only.
+    A target that no other fix can reach (see ``_independent``) is prompted
+    with its locator's snippet, which resolving checked; any other with its
+    element serialized at its turn, so a fix that landed inside it shows. A
+    provider whose ``max_in_flight`` is above 1 (``RemoteProvider``) is
+    asked for every independent target up front, on a pool of that many
+    threads. The fixes, their order, the prompts and the records are those
+    of a provider asked one violation at a time.
     """
-    targets = [(_target(doc, v), v) for v in violations]
+    located = {v.locator for v in violations}
+    elements = {loc: _target(doc, loc) for loc in located}
+    targets = [(elements[v.locator], v) for v in violations]
+    independent = _independent(targets)
+
+    def ask(i: int) -> FixProposal:
+        el, v = targets[i]
+        current = (v.locator.snippet if i in independent
+                   else serialize_node(el))
+        if current != v.html_snippet:
+            v = replace(v, html_snippet=current)
+        return provider.propose(build_prompt(v, strategy), v)
+
     early = {}
     pool = None
     try:
         in_flight = getattr(provider, "max_in_flight", 1)
-        if in_flight > 1 and targets:
+        if in_flight > 1 and independent:
             # Imported on first use: in-process providers start no thread.
             from concurrent.futures import ThreadPoolExecutor
 
             pool = ThreadPoolExecutor(in_flight)
-            for i in sorted(_independent(targets), reverse=True):
-                v = targets[i][1]
-                # _target checked that the element serializes to this.
-                early[i] = pool.submit(_ask, v, v.locator.snippet, provider,
-                                       strategy)
-        records = [_correct(el, v, provider, strategy, early.get(i))
+            for i in sorted(independent, reverse=True):
+                early[i] = pool.submit(ask, i).result
+        records = [_correct(el, v, early.get(i) or partial(ask, i))
                    for i, (el, v) in reversed(list(enumerate(targets)))]
     finally:
         if pool is not None:

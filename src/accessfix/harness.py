@@ -15,10 +15,16 @@ from .errors import SchemaError
 from .providers import HeuristicProvider, Transcript, request_hash
 from .scoring import AuditReport, BenchmarkResult, fmt2, fmt3
 
-ROW_COLUMNS = (
-    "webURL", "numViolations", "id", "initialScore",
-    "description", "help", "html", "DOM", "DOMCorrected",
-)
+# Dataset column -> DatasetRow field, in export order.
+_ROW_FIELDS = {
+    "webURL": "web_url", "numViolations": "num_violations", "id": "rule_id",
+    "initialScore": "initial_score", "description": "description",
+    "help": "help", "html": "html", "DOM": "dom",
+    "DOMCorrected": "dom_corrected",
+}
+ROW_COLUMNS = tuple(_ROW_FIELDS)
+FETCH_TIMEOUT_S = 30.0
+USER_AGENT = "accessfix/0.1"
 
 
 @dataclass
@@ -40,8 +46,7 @@ def _default_fetch(url, timeout, user_agent):
         return response.read().decode("utf-8", errors="replace")
 
 
-def ingest(sources, cache_dir=None, fetch=None, refresh=False,
-           timeout=30.0, user_agent="accessfix/0.1") -> list:
+def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
     """Read local paths and fetch URLs (cached by source) into corpus entries.
 
     Unreachable sources yield entries with ``error`` set; the run continues.
@@ -60,7 +65,7 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False,
                     entries.append(CorpusEntry.from_text(source, handle.read()))
                 continue
             try:
-                text = fetch(source, timeout, user_agent)
+                text = fetch(source, FETCH_TIMEOUT_S, USER_AGENT)
             except Exception as exc:  # noqa: BLE001 - isolation per source
                 entries.append(CorpusEntry(source, "", error=str(exc)))
                 continue
@@ -92,17 +97,8 @@ class DatasetRow:
     dom_corrected: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "webURL": self.web_url,
-            "numViolations": self.num_violations,
-            "id": self.rule_id,
-            "initialScore": self.initial_score,
-            "description": self.description,
-            "help": self.help,
-            "html": self.html,
-            "DOM": self.dom,
-            "DOMCorrected": self.dom_corrected,
-        }
+        return {column: getattr(self, name)
+                for column, name in _ROW_FIELDS.items()}
 
     @classmethod
     def from_record(cls, record: dict, where: str) -> "DatasetRow":
@@ -111,22 +107,14 @@ class DatasetRow:
         for column in ROW_COLUMNS:
             if column not in record:
                 raise SchemaError(f"{where}: missing column '{column}'")
+        values = {name: record[column] for column, name in _ROW_FIELDS.items()}
         try:
-            num_violations = int(record["numViolations"])
-            initial_score = int(record["initialScore"])
+            for name in ("num_violations", "initial_score"):
+                values[name] = int(values[name])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: non-integer count or score") from exc
-        return cls(
-            web_url=record["webURL"],
-            num_violations=num_violations,
-            rule_id=record["id"],
-            initial_score=initial_score,
-            description=record["description"],
-            help=record["help"],
-            html=record["html"],
-            dom=record["DOM"],
-            dom_corrected=record["DOMCorrected"] or "",
-        )
+        values["dom_corrected"] = values["dom_corrected"] or ""
+        return cls(**values)
 
 
 def rows_for_entry(entry, violations, score, dom_text,

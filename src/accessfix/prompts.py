@@ -15,7 +15,8 @@ from functools import cached_property
 from importlib import resources
 from typing import Optional
 
-from .dom import VOID_ELEMENTS, Element, parse_fragment_element
+from .dom import (VOID_ELEMENTS, Element, parse_fragment_element,
+                  serialize_node)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -61,6 +62,32 @@ class FixProposal:
         """``corrected_html`` parsed; ``InvalidFragmentError`` unless it is
         exactly one element. Parsed on first read only."""
         return parse_fragment_element(self.corrected_html)
+
+    def take_element(self) -> Element:
+        """``element``, handed over: the proposal drops its parse, so taking
+        it again parses afresh. A caller that puts the element into a
+        document owns it; a proposal that kept it would also keep alive
+        every subtree that a later fix replaces."""
+        el = self.element
+        del self.element
+        return el
+
+    @classmethod
+    def answer(cls, el: Element, thought: str,
+               provider_id: str) -> "FixProposal":
+        """The proposal of a ``Thought:`` / ``CORRECTED:`` response that
+        offers ``el``, in the form ``parse_fix`` reads back. The fence has
+        one backtick more than the longest run inside the fragment. ``el``
+        must be what parsing its serialization gives back: it fills the
+        ``element`` cache instead of a second parse."""
+        corrected = serialize_node(el)
+        fence = "`"
+        while fence in corrected:
+            fence += "`"
+        raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
+        proposal = cls(corrected, thought, raw, provider_id)
+        proposal.__dict__["element"] = el
+        return proposal
 
 
 # The user message split at its placeholders: odd parts are their names.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .colors import LINEAR, RgbColor, relative_luminance
 from .dom import (Comment, DomDocument, Element, Text,
-                  parse_fragment_element, rewrite, serialize_node)
+                  parse_fragment_element, rewrite)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -444,12 +444,7 @@ def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbCol
             hi = mid
         else:
             lo = mid
-    candidate = scaled(hi)
-    # Channel rounding can nudge the ratio back under target; step outward.
-    while ratio(candidate) < target and hi < 1.0:
-        hi = min(hi + 0.02, 1.0)
-        candidate = scaled(hi)
-    return RgbColor(*candidate)
+    return RgbColor(*scaled(hi))
 
 
 def _fix_color_contrast(el, v):
@@ -490,19 +485,4 @@ def heuristic_fix(v: Violation) -> FixProposal:
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
     el = parse_fragment_element(v.html_snippet)
-    thought = recipe(el, v)
-    corrected = serialize_node(el)
-    fence = "`"
-    while fence in corrected:
-        fence += "`"
-    proposal = FixProposal(
-        corrected_html=corrected,
-        thought=thought,
-        raw_response=(f"Thought: {thought}\n"
-                      f"CORRECTED: {fence}{corrected}{fence}"),
-        provider_id="heuristic",
-    )
-    # The recipe's element is what parsing ``corrected`` gives back, so it
-    # fills the ``element`` cache instead of a second parse.
-    proposal.__dict__["element"] = el
-    return proposal
+    return FixProposal.answer(el, recipe(el, v), "heuristic")

@@ -1,4 +1,5 @@
 import concurrent.futures
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from accessfix.corrector import (
     correct_document,
 )
 from accessfix.errors import ProviderUnavailableError
-from accessfix.harness import build_replay_transcript, ingest
+from accessfix.harness import CorpusEntry, build_replay_transcript, ingest
 from accessfix.prompts import FixProposal
 from accessfix.providers import (
     HeuristicProvider,
@@ -173,3 +174,42 @@ def test_in_process_providers_start_no_thread(corpus_paths, monkeypatch):
             doc = dom.parse_html(entry.html_text)
             _, records = correct_document(doc, rules.audit(doc), provider)
             assert {r.outcome for r in records} == {APPLIED}, entry.source_id
+
+
+def dependent_targets(violations) -> int:
+    """How many violations another one's fix can reach first: a later one
+    on the same element, or one on an element inside it."""
+    paths = [v.locator.path for v in violations]
+    return sum(
+        any(q[:len(p)] == p and (q != p or j > i) for j, q in enumerate(paths)
+            if j != i)
+        for i, p in enumerate(paths)
+    )
+
+
+def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
+        corpus_paths, perfbench_pages, monkeypatch):
+    """``correct_document`` resolves each distinct locator once, and
+    serializes again, at its turn, only a target that another fix can
+    reach; every other prompt shows the audited snippet."""
+    pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
+    pages += [(name, html) for name, html in perfbench_pages
+              if name == "wide_fix:1:0000-wide.html"]
+    replay = ReplayProvider(build_replay_transcript(
+        [CorpusEntry(name, html) for name, html in pages]))
+    serialize = dom._serialize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return serialize(*args, **kwargs)
+
+    monkeypatch.setattr(dom, "_serialize", counting)
+    for name, html in pages:
+        doc = dom.parse_html(html)
+        violations = rules.audit(doc, web_url=name)
+        calls.clear()
+        _, records = correct_document(doc, violations, replay)
+        assert {r.outcome for r in records} == {APPLIED}, name
+        located = {v.locator for v in violations}
+        assert len(calls) == len(located) + dependent_targets(violations), name
