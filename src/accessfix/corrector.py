@@ -9,6 +9,8 @@ from typing import Optional
 from .dom import (
     DomDocument,
     Element,
+    locate,
+    preorder,
     resolve,
     rewrite,
     serialize_node,
@@ -41,14 +43,6 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def _target(doc: DomDocument, loc) -> Optional[Element]:
-    """The located element; None if the locator is missing or stale."""
-    try:
-        return resolve(doc, loc) if loc else None
-    except StaleLocatorError:
-        return None
-
-
 def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
     try:
         replacement = p.take_element()
@@ -65,8 +59,9 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
     untouched. The element takes over the lists of ``p.element``, which the
     proposal then drops, so applying it again parses afresh.
     """
-    el = _target(doc, v.locator)
-    if el is None:
+    try:
+        el = resolve(doc, v.locator)
+    except StaleLocatorError:
         return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
     return _apply(el, v, p)
 
@@ -85,18 +80,18 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     return _apply(el, v, proposal)
 
 
-def _independent(targets) -> set:
+def _independent(targets, end: list) -> set:
     """Indices of the located targets that no other target's fix can reach.
 
-    In ``(locator.path, index)`` order an element's subtree follows it, so
-    a target is independent when the next one lies outside its subtree. A
-    second violation on the same element lies inside it.
+    In ``(locator.index, i)`` order an element's subtree follows it, so a
+    target is independent when the next one lies at or past its pre-order
+    ``end``. A second violation on the same element lies inside it.
     """
-    located = sorted((v.locator.path, i)
+    located = sorted((v.locator.index, i)
                      for i, (el, v) in enumerate(targets) if el is not None)
-    following = [path for path, _ in located[1:]] + [None]
-    return {i for (path, i), after in zip(located, following)
-            if after is None or after[:len(path)] != path}
+    following = [at for at, _ in located[1:]] + [len(end)]
+    return {i for (at, i), after in zip(located, following)
+            if after >= end[at]}
 
 
 def correct_document(
@@ -108,10 +103,10 @@ def correct_document(
     """Run prompt -> propose -> apply for each violation, from the last in
     document order (the order ``rules.audit`` returns) to the first.
 
-    Each distinct locator is resolved once, before any fix, and a fix
-    rewrites its element in place, so no fix moves a target still waiting
-    for its own. Failures are recorded and skipped: one record per
-    violation, in input order.
+    Each distinct locator is resolved once, after one walk of the document
+    and before any fix, and a fix rewrites its element in place, so no fix
+    moves a target still waiting for its own. Failures are recorded and
+    skipped: one record per violation, in input order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
     with its locator's snippet, which resolving checked; any other with its
@@ -121,10 +116,11 @@ def correct_document(
     threads. The fixes, their order, the prompts and the records are those
     of a provider asked one violation at a time.
     """
-    located = {v.locator for v in violations}
-    elements = {loc: _target(doc, loc) for loc in located}
-    targets = [(elements[v.locator], v) for v in violations]
-    independent = _independent(targets)
+    elements, _, _, end = preorder(doc.root)
+    found = {loc: locate(elements, loc)
+             for loc in {v.locator for v in violations}}
+    targets = [(found[v.locator], v) for v in violations]
+    independent = _independent(targets, end)
 
     def ask(i: int) -> FixProposal:
         el, v = targets[i]

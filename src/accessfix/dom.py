@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from html import unescape
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     EncodingError,
@@ -346,15 +346,34 @@ def _serialize(node: Node, normalized: bool) -> str:
     return "".join(parts)
 
 
-def iter_elements(doc: DomDocument) -> Iterator[tuple]:
-    """Yield (path, element) pairs in document (preorder) order."""
-    stack = [((), doc.root)]
+class Preorder(NamedTuple):
+    """The elements under a root in document order, the root first. Element
+    ``i`` is child ``slot[i]`` (of all nodes) of element ``parent[i]`` (-1
+    for the root), and its subtree is ``elements[i + 1:end[i]]``."""
+
+    elements: list
+    parent: list
+    slot: list
+    end: list
+
+
+def preorder(root: Element) -> Preorder:
+    """Walk the elements under ``root`` once, with an explicit stack."""
+    elements, parent, slot = [], [], []
+    stack = [(root, -1, 0)]
     while stack:
-        path, el = stack.pop()
-        yield path, el
-        for i in range(len(el.children) - 1, -1, -1):
-            if isinstance(el.children[i], Element):
-                stack.append((path + (i,), el.children[i]))
+        el, up, at = stack.pop()
+        here = len(elements)
+        elements.append(el)
+        parent.append(up)
+        slot.append(at)
+        for k in range(len(el.children) - 1, -1, -1):
+            if isinstance(el.children[k], Element):
+                stack.append((el.children[k], here, k))
+    end = list(range(1, len(elements) + 1))
+    for i in range(len(elements) - 1, 0, -1):
+        end[parent[i]] = max(end[parent[i]], end[i])
+    return Preorder(elements, parent, slot, end)
 
 
 def normalized_outer_html(el: Element) -> str:
@@ -364,31 +383,32 @@ def normalized_outer_html(el: Element) -> str:
 
 @dataclass(frozen=True)
 class NodeLocator:
-    path: tuple  # child indices from the root element
+    index: int  # pre-order position of the element in the document
     snippet: str  # serialize_node of the element when it was located
 
 
-def make_locator(doc: DomDocument, path: tuple) -> NodeLocator:
-    el = _node_at(doc, path)
-    if el is None:
-        raise StaleLocatorError(f"no element at path {path}")
-    return NodeLocator(tuple(path), serialize_node(el))
+def make_locator(doc: DomDocument, index: int) -> NodeLocator:
+    elements = preorder(doc.root).elements
+    if not 0 <= index < len(elements):
+        raise StaleLocatorError(f"no element at index {index}")
+    return NodeLocator(index, serialize_node(elements[index]))
 
 
-def _node_at(doc: DomDocument, path: tuple) -> Optional[Element]:
-    node = doc.root
-    for idx in path:
-        if not isinstance(node, Element) or idx >= len(node.children):
-            return None
-        node = node.children[idx]
-    return node if isinstance(node, Element) else None
+def locate(elements: list, loc: Optional[NodeLocator]) -> Optional[Element]:
+    """Element ``loc.index`` of a document's pre-order ``elements`` if it
+    serializes to exactly ``loc.snippet``; None if stale or missing."""
+    if loc is not None and 0 <= loc.index < len(elements):
+        el = elements[loc.index]
+        if serialize_node(el) == loc.snippet:
+            return el
+    return None
 
 
 def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
-    """The located element; StaleLocatorError if it moved or changed at all."""
-    el = _node_at(doc, loc.path)
-    if el is None or serialize_node(el) != loc.snippet:
-        raise StaleLocatorError(f"locator {loc.path} is stale")
+    """The located element, after one walk of ``doc``; else StaleLocatorError."""
+    el = locate(preorder(doc.root).elements, loc)
+    if el is None:
+        raise StaleLocatorError(f"locator {loc and loc.index} is stale")
     return el
 
 
@@ -398,9 +418,9 @@ def find_by_snippet(doc: DomDocument, snippet: str) -> list:
         parse_fragment_element(snippet, error=InvalidSnippetError)
     )
     found = []
-    for path, el in iter_elements(doc):
+    for i, el in enumerate(preorder(doc.root).elements):
         if normalized_outer_html(el) == target:
-            found.append(NodeLocator(path, serialize_node(el)))
+            found.append(NodeLocator(i, serialize_node(el)))
     return found
 
 

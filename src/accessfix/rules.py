@@ -20,6 +20,7 @@ from .dom import (
     Element,
     NodeLocator,
     Text,
+    preorder,
     serialize_node,
 )
 from .errors import UnknownRuleError
@@ -206,19 +207,19 @@ class _Names:
 
 @dataclass
 class _Index:
-    """One pre-order pass over the document, read by every checker.
+    """The document's ``dom.preorder`` walk and per-element facts, read by
+    every checker.
 
-    Element 0 is the root. Element ``i``'s subtree is
-    ``elements[i + 1:end[i]]``, so a forward loop over that range visits every
-    element after its parent. An explicit role is the first token of
-    ``role``, lowercased, or ""; the full rule takes the first token the user
-    agent recognises.
+    A forward loop over element ``i``'s subtree, ``range(i + 1, end[i])``,
+    visits every element after its parent. An explicit role is the first
+    token of ``role``, lowercased, or ""; the full rule takes the first token
+    the user agent recognises.
     """
 
-    elements: list
-    parent: list  # index of each element's parent, -1 for the root
-    slot: list  # index of each element among its parent's children
-    end: list  # one past each element's last descendant
+    elements: list  # elements, parent, slot, end: as in dom.Preorder
+    parent: list
+    slot: list
+    end: list
     role: list  # explicit role of each element
     has_text: list  # a child text node is non-blank
     text: list  # the subtree holds non-blank text outside script and style
@@ -229,34 +230,21 @@ class _Index:
 
     @classmethod
     def build(cls, doc: DomDocument, thresholds: dict) -> "_Index":
-        elements, parent, slot, role, has_text, ids = [], [], [], [], [], {}
-        stack = [(doc.root, -1, 0)]
-        while stack:
-            el, up, at = stack.pop()
-            here = len(elements)
-            elements.append(el)
-            parent.append(up)
-            slot.append(at)
+        elements, parent, slot, end = preorder(doc.root)
+        role, has_text, ids = [], [], {}
+        for el in elements:
             words = el.attrs.get("role", "").split()
             role.append(words[0].lower() if words else "")
             value = el.attrs.get("id")
             if value and value not in ids:
                 ids[value] = el
-            nonblank = False
-            for k in range(len(el.children) - 1, -1, -1):
-                child = el.children[k]
-                if isinstance(child, Element):
-                    stack.append((child, here, k))
-                elif not nonblank and isinstance(child, Text):
-                    nonblank = bool(child.data.strip())
-            has_text.append(nonblank)
-        end = list(range(1, len(elements) + 1))
+            has_text.append(any(isinstance(child, Text) and child.data.strip()
+                                for child in el.children))
         shown = [el.tag not in ("script", "style") for el in elements]
         text = [t and s for t, s in zip(has_text, shown)]
         img = [False] * len(elements)
         for i in range(len(elements) - 1, 0, -1):
             up, el = parent[i], elements[i]
-            end[up] = max(end[up], end[i])
             if text[i] and shown[up]:
                 text[up] = True
             if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
@@ -282,13 +270,6 @@ class _Index:
         return _Names({_accessible_name(el, self.ids)
                        for el, role in zip(self.elements, self.landmark)
                        if role is not None})
-
-    def path(self, i: int) -> tuple:
-        steps = []
-        while i > 0:
-            steps.append(self.slot[i])
-            i = self.parent[i]
-        return tuple(reversed(steps))
 
     def ancestors(self, i: int):
         i = self.parent[i]
@@ -793,7 +774,7 @@ def audit(
     for rule_index, rule_id in enumerate(ruleset):
         for finding in RULE_CATALOG[rule_id](ix):
             collected.append((finding.index, rule_index, rule_id, finding))
-    # Pre-order index order is document (path) order.
+    # Pre-order index order is document order.
     collected.sort(key=lambda item: (item[0], item[1]))
 
     violations = []
@@ -812,7 +793,7 @@ def audit(
             description=RULE_DESCRIPTIONS[rule_id],
             help=finding.help or RULE_HELP[rule_id],
             html_snippet=snippet,
-            locator=NodeLocator(ix.path(index), snippet),
+            locator=NodeLocator(index, snippet),
             web_url=web_url,
             data=finding.data,
         ))

@@ -11,6 +11,22 @@ FIXTURES = resources.files("accessfix") / "fixtures"
 
 
 @pytest.fixture(scope="session")
+def path_of():
+    """``path_of(pre, i)``: the child indices from the root to element ``i``
+    of a pre-order walk (``dom.preorder`` or ``rules._Index``), for oracles
+    that reason about paths."""
+
+    def path_of(pre, i) -> tuple:
+        steps = []
+        while i > 0:
+            steps.append(pre.slot[i])
+            i = pre.parent[i]
+        return tuple(reversed(steps))
+
+    return path_of
+
+
+@pytest.fixture(scope="session")
 def corpus_dir():
     return FIXTURES / "corpus"
 

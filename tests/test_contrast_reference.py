@@ -349,7 +349,7 @@ def load_gen():
 def test_each_style_value_is_parsed_once_per_audit(monkeypatch):
     page = load_gen().wide_page("w.html", 30)
     doc = dom.parse_html(page.html)
-    styles = [el.attrs["style"] for _, el in dom.iter_elements(doc)
+    styles = [el.attrs["style"] for el in dom.preorder(doc.root).elements
               if el.attrs.get("style")]
     assert len(styles) == 30 and len(set(styles)) == 1
     calls = count_calls(monkeypatch, rules._parse_style)

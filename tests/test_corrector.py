@@ -10,6 +10,7 @@ from accessfix.corrector import (
     NO_RECIPE,
     PARSE_FAILED,
     PROVIDER_FAILED,
+    _independent,
     apply_fix,
     correct_document,
 )
@@ -176,19 +177,32 @@ def test_in_process_providers_start_no_thread(corpus_paths, monkeypatch):
             assert {r.outcome for r in records} == {APPLIED}, entry.source_id
 
 
-def dependent_targets(violations) -> int:
-    """How many violations another one's fix can reach first: a later one
-    on the same element, or one on an element inside it."""
-    paths = [v.locator.path for v in violations]
-    return sum(
-        any(q[:len(p)] == p and (q != p or j > i) for j, q in enumerate(paths)
-            if j != i)
-        for i, p in enumerate(paths)
-    )
+def dependent_targets(paths) -> set:
+    """Positions of the violations, given their elements' paths, that another
+    one's fix can reach first: a later one on the same element, or one on an
+    element inside it."""
+    return {
+        i for i, p in enumerate(paths)
+        if any(q[:len(p)] == p and (q != p or j > i)
+               for j, q in enumerate(paths) if j != i)
+    }
+
+
+def test_independent_targets_are_those_outside_every_other_fix(
+        corpus_paths, composed_pages, path_of):
+    pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
+    for name, html in pages + composed_pages:
+        doc = dom.parse_html(html)
+        violations = rules.audit(doc, web_url=name)
+        pre = dom.preorder(doc.root)
+        targets = [(pre.elements[v.locator.index], v) for v in violations]
+        paths = [path_of(pre, v.locator.index) for v in violations]
+        assert _independent(targets, pre.end) == \
+            set(range(len(violations))) - dependent_targets(paths), name
 
 
 def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
-        corpus_paths, perfbench_pages, monkeypatch):
+        corpus_paths, perfbench_pages, monkeypatch, path_of):
     """``correct_document`` resolves each distinct locator once, and
     serializes again, at its turn, only a target that another fix can
     reach; every other prompt shows the audited snippet."""
@@ -208,8 +222,11 @@ def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
     for name, html in pages:
         doc = dom.parse_html(html)
         violations = rules.audit(doc, web_url=name)
+        pre = dom.preorder(doc.root)
+        paths = [path_of(pre, v.locator.index) for v in violations]
         calls.clear()
         _, records = correct_document(doc, violations, replay)
         assert {r.outcome for r in records} == {APPLIED}, name
         located = {v.locator for v in violations}
-        assert len(calls) == len(located) + dependent_targets(violations), name
+        assert len(calls) == len(located) + len(dependent_targets(paths)), \
+            name

@@ -28,18 +28,22 @@ DEEP_PAGE = (
 )
 
 
-def test_deep_page_audits_serializes_and_fixes():
+def test_deep_page_audits_serializes_and_fixes(path_of):
     doc = dom.parse_html(DEEP_PAGE)
     violations = rules.audit(doc, web_url="deep.html")
     assert Counter(v.rule_id for v in violations) == {
         "color-contrast": 1, "image-alt": 1, "link-name": 1,
     }
-    assert all(len(v.locator.path) > DEPTH for v in violations)
+    pre = dom.preorder(doc.root)
+    assert all(len(path_of(pre, v.locator.index)) > DEPTH for v in violations)
 
     text = doc.serialize()
     assert dom.parse_html(text).serialize() == text
     assert dom.normalized_outer_html(doc.root).startswith('<html lang="en">')
-    assert max(len(path) for path, _ in dom.iter_elements(doc)) > DEPTH
+    depth = [0] * len(pre.elements)
+    for i in range(1, len(pre.elements)):
+        depth[i] = depth[pre.parent[i]] + 1
+    assert max(depth) > DEPTH
 
     entries = [harness.CorpusEntry.from_text("deep.html", DEEP_PAGE)]
     result, _, records, failures = harness.run_benchmark(

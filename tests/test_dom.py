@@ -97,7 +97,7 @@ def test_find_by_snippet_multiple_matches_in_document_order():
     doc = dom.parse_html('<a href="#"></a><p>x</p><a href="#"></a>')
     found = dom.find_by_snippet(doc, '<a href="#"></a>')
     assert len(found) == 2
-    assert found[0].path < found[1].path
+    assert found[0].index < found[1].index
 
 
 def test_find_by_snippet_agrees_with_brute_force(corpus_dir, corpus_manifest):
@@ -106,10 +106,10 @@ def test_find_by_snippet_agrees_with_brute_force(corpus_dir, corpus_manifest):
     snippet = '<a href="/home">Home</a>'
     target = dom.normalized_outer_html(dom.parse_fragment_element(snippet))
     expected = [
-        path for path, el in dom.iter_elements(doc)
+        i for i, el in enumerate(dom.preorder(doc.root).elements)
         if dom.normalized_outer_html(el) == target
     ]
-    assert [loc.path for loc in dom.find_by_snippet(doc, snippet)] == expected
+    assert [loc.index for loc in dom.find_by_snippet(doc, snippet)] == expected
 
 
 def test_find_by_snippet_rejects_multi_element_snippet():
@@ -156,9 +156,20 @@ def test_stale_locator_detected_after_mutation():
         dom.replace_node(doc, loc, dom.parse_fragment_element("<p>again</p>"))
 
 
+def test_locator_survives_text_before_its_element_but_not_a_change_to_it():
+    doc = dom.parse_html('<p>a</p><img src="x.png">')
+    loc = dom.find_by_snippet(doc, '<img src="x.png">')[0]
+    body = doc.root.children[1]
+    body.children.insert(0, dom.Text("new text"))
+    assert dom.resolve(doc, loc) is body.children[2]
+    body.children[2].attrs["alt"] = "x"
+    with pytest.raises(StaleLocatorError):
+        dom.resolve(doc, loc)
+
+
 def test_replace_root_element():
     doc = dom.parse_html("<p>hi</p>")
-    loc = dom.make_locator(doc, ())
+    loc = dom.make_locator(doc, 0)
     dom.replace_node(doc, loc, dom.parse_fragment_element(
         '<html lang="en"><head></head><body><p>hi</p></body></html>'
     ))

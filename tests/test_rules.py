@@ -40,7 +40,7 @@ def test_missing_lang_flags_root():
     violations = rules.audit(dom.parse_html("<html><body><main>x</main></body></html>"))
     lang = [v for v in violations if v.rule_id == "html-has-lang"]
     assert len(lang) == 1
-    assert lang[0].locator.path == ()
+    assert lang[0].locator.index == 0  # the root
 
 
 def test_heading_skip_flags_the_skipping_heading():
@@ -175,12 +175,12 @@ def test_audit_is_deterministic(corpus_dir, corpus_manifest):
     assert first == second
 
 
-def test_violations_in_document_order(corpus_dir, corpus_manifest):
+def test_violations_in_document_order(corpus_dir, corpus_manifest, path_of):
     for name in sorted(corpus_manifest)[:5]:
-        violations = rules.audit(
-            dom.parse_html((corpus_dir / name).read_text("utf-8")), web_url=name
-        )
-        paths = [v.locator.path for v in violations]
+        doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
+        violations = rules.audit(doc, web_url=name)
+        pre = dom.preorder(doc.root)
+        paths = [path_of(pre, v.locator.index) for v in violations]
         assert paths == sorted(paths)
 
 
@@ -308,24 +308,27 @@ RULES_AUDIT_SHA256 = (
 )
 
 
-def audit_digest(folder, manifest):
+def audit_digest(folder, manifest, path_of):
     digest = hashlib.sha256()
     for name in sorted(manifest):
         digest.update(name.encode("utf-8"))
         doc = dom.parse_html((folder / name).read_text("utf-8"))
+        pre = dom.preorder(doc.root)
         for v in rules.audit(doc, web_url=name):
             assert v.locator.snippet is v.html_snippet
             digest.update(repr((
-                v.rule_id, v.impact, v.help, v.html_snippet, v.locator.path,
-                sorted(v.data.items()),
+                v.rule_id, v.impact, v.help, v.html_snippet,
+                path_of(pre, v.locator.index), sorted(v.data.items()),
             )).encode("utf-8"))
     return digest.hexdigest()
 
 
 def test_audit_output_pinned(corpus_dir, corpus_manifest, rules_dir,
-                             rules_manifest):
-    assert audit_digest(corpus_dir, corpus_manifest) == CORPUS_AUDIT_SHA256
-    assert audit_digest(rules_dir, rules_manifest) == RULES_AUDIT_SHA256
+                             rules_manifest, path_of):
+    assert audit_digest(corpus_dir, corpus_manifest, path_of) == \
+        CORPUS_AUDIT_SHA256
+    assert audit_digest(rules_dir, rules_manifest, path_of) == \
+        RULES_AUDIT_SHA256
 
 
 def test_help_names_every_fix_parameter(corpus_dir, corpus_manifest,
@@ -374,7 +377,7 @@ def test_audit_serializes_each_flagged_element_once(
         calls.clear()
         violations = rules.audit(doc)
         assert violations
-        assert len(calls) == len({v.locator.path for v in violations}), name
+        assert len(calls) == len({v.locator.index for v in violations}), name
     assert len(calls) < len(violations)
 
 
@@ -540,14 +543,32 @@ def reference_walk(el, path=()):
 
 @settings(max_examples=200, deadline=None)
 @given(tree_events)
-def test_index_matches_recursive_reference_walk(events):
+def test_preorder_matches_recursive_reference_walk(events):
+    doc = build_tree(events)
+    pre = dom.preorder(doc.root)
+    expected = list(reference_walk(doc.root))
+    at = {path: i for i, (path, _) in enumerate(expected)}
+    assert [id(el) for el in pre.elements] == [id(el) for _, el in expected]
+    assert pre.parent == [at[path[:-1]] if path else -1
+                          for path, _ in expected]
+    assert pre.slot == [path[-1] if path else 0 for path, _ in expected]
+    assert pre.end == [
+        i + 1 + sum(len(sub) > len(path) and sub[:len(path)] == path
+                    for sub, _ in expected)
+        for i, (path, _) in enumerate(expected)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_events)
+def test_index_matches_recursive_reference_walk(path_of, events):
     doc = build_tree(events)
     ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
     expected = list(reference_walk(doc.root))
     assert [id(el) for el in ix.elements] == [id(el) for _, el in expected]
     first = {}
     for i, (path, el) in enumerate(expected):
-        assert ix.path(i) == path
+        assert path_of(ix, i) == path
         subtree = [
             id(sub) for sub_path, sub in expected
             if len(sub_path) > len(path) and sub_path[:len(path)] == path
