@@ -192,7 +192,7 @@ def _cmd_report(args) -> int:
     for row in rows:
         first_rows.setdefault(row.web_url, row)
     entries = [
-        harness.CorpusEntry.from_text(url, first.dom_corrected or first.dom)
+        harness.CorpusEntry(url, first.dom_corrected or first.dom)
         for url, first in sorted(first_rows.items())
     ]
     initial_scores, final_scores, after, failed = [], [], [], set()

@@ -33,10 +33,6 @@ class CorpusEntry:
     html_text: str
     error: str = ""
 
-    @classmethod
-    def from_text(cls, source_id, text):
-        return cls(source_id, text)
-
 
 def _default_fetch(url, timeout, user_agent):
     import urllib.request  # slow (http.client, ssl): import on first use
@@ -62,7 +58,7 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
                 cache_path = os.path.join(cache_dir, key + ".html")
             if cache_path and os.path.exists(cache_path) and not refresh:
                 with open(cache_path, encoding="utf-8") as handle:
-                    entries.append(CorpusEntry.from_text(source, handle.read()))
+                    entries.append(CorpusEntry(source, handle.read()))
                 continue
             try:
                 text = fetch(source, FETCH_TIMEOUT_S, USER_AGENT)
@@ -72,7 +68,7 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
             if cache_path:
                 with open(cache_path, "w", encoding="utf-8") as handle:
                     handle.write(text)
-            entries.append(CorpusEntry.from_text(source, text))
+            entries.append(CorpusEntry(source, text))
         else:
             try:
                 with open(source, encoding="utf-8") as handle:
@@ -80,7 +76,7 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
             except OSError as exc:
                 entries.append(CorpusEntry(source, "", error=str(exc)))
                 continue
-            entries.append(CorpusEntry.from_text(source, text))
+            entries.append(CorpusEntry(source, text))
     return entries
 
 

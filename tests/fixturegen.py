@@ -3,8 +3,9 @@ negative fixtures, each with a manifest of seeded violations.
 
 The benchmark corpus is generated deterministically and targets the same
 aggregate shape used by the scoring examples: 171 seeded violations with a
-total severity of 614 over 25 pages. Run ``python -m accessfix.corpus OUTDIR``
-to (re)write the files.
+total severity of 614 over 25 pages. Run ``python3 tests/fixturegen.py
+OUTDIR`` to (re)write the files; the package bundles them in
+``src/accessfix/fixtures``.
 """
 
 from __future__ import annotations

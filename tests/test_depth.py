@@ -45,7 +45,7 @@ def test_deep_page_audits_serializes_and_fixes(path_of):
         depth[i] = depth[pre.parent[i]] + 1
     assert max(depth) > DEPTH
 
-    entries = [harness.CorpusEntry.from_text("deep.html", DEEP_PAGE)]
+    entries = [harness.CorpusEntry("deep.html", DEEP_PAGE)]
     result, _, records, failures = harness.run_benchmark(
         entries, HeuristicProvider()
     )
@@ -66,8 +66,7 @@ DEEP_PAGE_WITHOUT_MAIN = (
 
 
 def test_deep_page_without_main_fixes_every_violation():
-    entries = [harness.CorpusEntry.from_text("deep.html",
-                                             DEEP_PAGE_WITHOUT_MAIN)]
+    entries = [harness.CorpusEntry("deep.html", DEEP_PAGE_WITHOUT_MAIN)]
     result, rows, records, failures = harness.run_benchmark(
         entries, HeuristicProvider()
     )

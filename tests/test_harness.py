@@ -5,7 +5,6 @@ from importlib import resources
 import pytest
 
 from accessfix import cli
-from accessfix.corpus import write_all
 from accessfix.dom import parse_fragment_element
 from accessfix.errors import SchemaError, UnknownRuleError
 from accessfix.harness import (
@@ -21,6 +20,7 @@ from accessfix.harness import (
 )
 from accessfix.providers import HeuristicProvider, ReplayProvider
 from accessfix.scoring import fmt3
+from fixturegen import write_all
 
 
 def load_entries(paths):
@@ -208,7 +208,7 @@ def test_link_name_fix_adds_no_region_violation():
     # Text added to the link would sit outside every landmark.
     page = '<html lang="en"><body><div>intro</div><a href="/x"></a></body></html>'
     result, _, records, failures = run_benchmark(
-        [CorpusEntry.from_text("link.html", page)], HeuristicProvider()
+        [CorpusEntry("link.html", page)], HeuristicProvider()
     )
     assert failures == []
     assert {r.outcome for r in records} == {"applied"}
@@ -226,7 +226,7 @@ def test_replay_transcript_skips_an_unreadable_source(corpus_paths, tmp_path):
 def test_replay_transcript_reproduces_heuristic_run(corpus_paths,
                                                    composed_pages):
     entries = load_entries(corpus_paths) + [
-        CorpusEntry.from_text(name, html)
+        CorpusEntry(name, html)
         for name, html in composed_pages + [BACKTICK_PAGE]
     ]
     transcript = build_replay_transcript(entries)
@@ -244,7 +244,7 @@ def test_replay_gives_identical_landmarks_distinct_labels(composed_pages):
     """A replayed transcript has one response per prompt; the prompts of
     identical landmarks name the labels the audit chose, so replay ends each
     page at 0 as the heuristic oracle does."""
-    entries = [CorpusEntry.from_text(name, html)
+    entries = [CorpusEntry(name, html)
                for name, html in composed_pages if name in PROMPT_TWINS]
     assert len(entries) == len(PROMPT_TWINS)
     replay = ReplayProvider(build_replay_transcript(entries))

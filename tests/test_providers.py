@@ -200,7 +200,7 @@ def test_landmark_one_main_fix_on_a_landmark_only_page_ends_at_score_0():
     html = ('<html lang="en"><body><header>h</header><nav>n</nav>'
             "<footer>f</footer></body></html>")
     result, rows, records, failures = harness.run_benchmark(
-        [harness.CorpusEntry.from_text("landmarks.html", html)],
+        [harness.CorpusEntry("landmarks.html", html)],
         HeuristicProvider())
     assert failures == []
     assert [row.rule_id for row in rows] == ["landmark-one-main"]
@@ -523,7 +523,7 @@ def test_overlapped_requests_keep_the_cap_and_the_results(corpus_paths,
                                                           composed_pages):
     # Two violations on one element, and violations on nested elements.
     entries = ingest(corpus_paths) + [
-        CorpusEntry.from_text(name, html) for name, html in composed_pages
+        CorpusEntry(name, html) for name, html in composed_pages
         if name in ("one-element.html", "nested.html")]
     transcript = build_replay_transcript(entries)
 
@@ -550,7 +550,7 @@ def test_overlapped_requests_keep_the_cap_and_the_results(corpus_paths,
 
 def test_overlapped_request_failures_stay_per_fix_or_per_page():
     seed = '<img src="a.png"><img src="b.png"><img src="c.png">'
-    entry = CorpusEntry.from_text("imgs.html", PAGE.format(seed=seed))
+    entry = CorpusEntry("imgs.html", PAGE.format(seed=seed))
     transcript = build_replay_transcript([entry])
     refused = request_hash(build_prompt(
         violation_for(PAGE.format(seed=seed), "image-alt"), "react"

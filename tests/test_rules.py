@@ -141,7 +141,7 @@ def test_aria_required_attr_names_what_is_missing():
 def test_many_copies_of_one_id_fix_in_linear_time():
     page = ('<html lang="en"><body><main>' + '<p id="x">t</p>' * 8000
             + "</main></body></html>")
-    entries = [harness.CorpusEntry.from_text("ids.html", page)]
+    entries = [harness.CorpusEntry("ids.html", page)]
     start = time.perf_counter()
     (run,) = harness.run_pages(entries, HeuristicProvider())
     elapsed = time.perf_counter() - start
