@@ -464,13 +464,15 @@ def check_landmark_one_main(ix):
         )]
     findings = []
     for i in ix.mains[1:]:
-        label = ix.new_label("section-")
-        findings.append(_Finding(
-            i, ix.elements[i],
-            f"Convert this extra main landmark into a section labeled "
-            f'"{label}" unless it has a label.',
-            {"label": label},
-        ))
+        if ix.elements[i].attrs.get("aria-label", "").strip():
+            hint, data = ("Convert this extra main landmark into a section "
+                          "that keeps its label."), {}
+        else:
+            label = ix.new_label("section-")
+            hint = ("Convert this extra main landmark into a section labeled "
+                    f'"{label}" unless it has a label.')
+            data = {"label": label}
+        findings.append(_Finding(i, ix.elements[i], hint, data))
     return findings
 
 

@@ -90,8 +90,10 @@ def test_duplicate_id_suggests_unique_rename():
 
 
 def data_of(html, rule_id, key):
+    """``key`` of each ``rule_id`` violation on the page that has one."""
     violations = rules.audit(dom.parse_html(html))
-    return [v.data[key] for v in violations if v.rule_id == rule_id]
+    return [v.data[key] for v in violations
+            if v.rule_id == rule_id and key in v.data]
 
 
 LINKED_NAV = '<nav{}><a href="/">H</a></nav>'
@@ -114,8 +116,24 @@ def test_section_labels_skip_the_names_of_landmarks():
             '<p>one</p><nav>n</nav><p>two</p>'
             '<main>c</main><main aria-label="section-2">d</main></body></html>')
     assert data_of(page, "region", "label") == ["region-3", "region-4"]
-    assert data_of(page, "landmark-one-main", "label") == [
-        "section-3", "section-4"]
+    assert data_of(page, "landmark-one-main", "label") == ["section-3"]
+
+
+def test_a_labelled_extra_main_gets_no_new_label():
+    doc = dom.parse_html('<html lang="en"><body><main>a</main>'
+                         '<main aria-label="Extra">b</main><main>c</main>'
+                         "</body></html>")
+    extra = [v for v in rules.audit(doc) if v.rule_id == "landmark-one-main"]
+    assert [(v.help, v.data) for v in extra] == [
+        ("Convert this extra main landmark into a section that keeps its "
+         "label.", {}),
+        ('Convert this extra main landmark into a section labeled '
+         '"section-2" unless it has a label.', {"label": "section-2"}),
+    ]
+    _, records = correct_document(doc, extra, HeuristicProvider())
+    assert [r.outcome for r in records] == [APPLIED, APPLIED]
+    assert '<section aria-label="Extra">b</section>' in doc.serialize()
+    assert '<section aria-label="section-2">c</section>' in doc.serialize()
 
 
 def test_only_the_first_region_run_of_a_page_without_main_gets_main():
@@ -301,7 +319,7 @@ def test_audit_never_raises_on_any_inline_style(style):
 # Any change to a field or to the order changes them; update them only for a
 # deliberate change of audit output.
 CORPUS_AUDIT_SHA256 = (
-    "8136791df660776c71297c8a484a030fa81ea4ec1cabfcc1e55f050e7a8e9cf9"
+    "664835c73abe6b81cee211834fc2b19f96ce532f10f5cfb5a8d22355c59841d3"
 )
 RULES_AUDIT_SHA256 = (
     "1325d97af12928f7dae1ed371045c76bad610fcb937d84f3b694ec4319b3bed6"
