@@ -405,7 +405,7 @@ def locate(elements: list, loc: Optional[NodeLocator]) -> Optional[Element]:
 
 
 def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
-    """The located element, after one walk of ``doc``; else StaleLocatorError."""
+    """``locate`` after one walk of ``doc``; StaleLocatorError if stale."""
     el = locate(preorder(doc.root).elements, loc)
     if el is None:
         raise StaleLocatorError(f"locator {loc and loc.index} is stale")
