@@ -3,14 +3,8 @@ from a pluggable fix provider, substitute them into the DOM, and score the
 severity improvement."""
 
 from .colors import RgbColor, contrast_ratio, parse_color, relative_luminance
-from .corrector import CorrectionRecord, apply_fix, correct_document
-from .dom import (
-    DomDocument,
-    NodeLocator,
-    find_by_snippet,
-    parse_html,
-    replace_node,
-)
+from .corrector import CorrectionRecord, correct_document
+from .dom import DomDocument, NodeLocator, parse_html
 from .prompts import FixProposal, PromptBundle, build_prompt, parse_fix
 from .providers import (
     HeuristicProvider,

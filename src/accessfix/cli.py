@@ -104,10 +104,6 @@ def _provider_from_args(args, config):
     return make_provider(cfg)
 
 
-def _fmt_for(path: str) -> str:
-    return "json" if path.endswith(".json") else "csv"
-
-
 def _cmd_scan(args) -> int:
     _, entries, settings = _setup(args)
     rows, failed = [], False
@@ -120,7 +116,7 @@ def _cmd_scan(args) -> int:
         print(f"{run.source_id}: {run.initial.num_violations} violations, "
               f"score {run.initial.score}")
     if args.out:
-        harness.export_rows(rows, _fmt_for(args.out), args.out)
+        harness.export_rows(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
     return 2 if failed else 0
 
@@ -179,7 +175,7 @@ def _cmd_bench(args) -> int:
     )
     print(harness.render_report(result, args.report))
     if args.rows:
-        harness.export_rows(rows, _fmt_for(args.rows), args.rows)
+        harness.export_rows(rows, args.rows)
     for source, error in failures:
         print(f"error: {source}: {error}", file=sys.stderr)
     return 2 if failures else 0
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except AccessfixError as exc:
+    except (AccessfixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,44 +54,45 @@ def load_config(path=None) -> AppConfig:
     if path is None:
         return config
     parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read config file: {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file: {path}")
+        # items() interpolates "%(name)s" references, so it can fail too.
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    if parser.has_section("impacts"):
-        for rule, impact in parser.items("impacts"):
-            if rule not in RULE_CATALOG:
-                raise ConfigError(f"[impacts] unknown rule id: {rule}")
-            if impact not in IMPACT_LEVELS:
-                raise ConfigError(f"[impacts] unknown impact: {impact}")
-            config.impacts[rule] = impact
+    for rule, impact in sections.get("impacts", ()):
+        if rule not in RULE_CATALOG:
+            raise ConfigError(f"[impacts] unknown rule id: {rule}")
+        if impact not in IMPACT_LEVELS:
+            raise ConfigError(f"[impacts] unknown impact: {impact}")
+        config.impacts[rule] = impact
 
-    if parser.has_section("weights"):
-        for impact, value in parser.items("weights"):
-            if impact not in IMPACT_LEVELS:
-                raise ConfigError(f"[weights] unknown impact: {impact}")
-            try:
-                config.weights[impact] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"[weights] {impact} must be an integer") from exc
+    for impact, value in sections.get("weights", ()):
+        if impact not in IMPACT_LEVELS:
+            raise ConfigError(f"[weights] unknown impact: {impact}")
+        try:
+            config.weights[impact] = int(value)
+        except ValueError as exc:
+            raise ConfigError(f"[weights] {impact} must be an integer") from exc
 
-    if parser.has_section("thresholds"):
-        for key, value in parser.items("thresholds"):
-            if key not in DEFAULT_THRESHOLDS:
-                raise ConfigError(f"[thresholds] unknown key: {key}")
-            try:
-                config.thresholds[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"[thresholds] {key} must be a number") from exc
+    for key, value in sections.get("thresholds", ()):
+        if key not in DEFAULT_THRESHOLDS:
+            raise ConfigError(f"[thresholds] unknown key: {key}")
+        try:
+            config.thresholds[key] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"[thresholds] {key} must be a number") from exc
 
-    if parser.has_section("provider"):
-        for key, value in parser.items("provider"):
-            name = _PROVIDER_FIELDS.get(key)
-            if name is None:
-                raise ConfigError(f"[provider] unknown key: {key}")
-            try:
-                parsed = type(getattr(ProviderConfig, name))(value)
-            except ValueError as exc:
-                raise ConfigError(f"[provider] bad value for {key}") from exc
-            setattr(config.provider, name, parsed)
+    for key, value in sections.get("provider", ()):
+        name = _PROVIDER_FIELDS.get(key)
+        if name is None:
+            raise ConfigError(f"[provider] unknown key: {key}")
+        try:
+            parsed = type(getattr(ProviderConfig, name))(value)
+        except ValueError as exc:
+            raise ConfigError(f"[provider] bad value for {key}") from exc
+        setattr(config.provider, name, parsed)
 
     return config

@@ -17,12 +17,8 @@ from dataclasses import dataclass, field
 from html import unescape
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    EncodingError,
-    InvalidFragmentError,
-    InvalidSnippetError,
-    StaleLocatorError,
-)
+from .errors import (InvalidFragmentError, InvalidSnippetError,
+                     StaleLocatorError)
 
 VOID_ELEMENTS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -217,11 +213,6 @@ def _tokenize(text: str) -> Element:
     return top
 
 
-def parse_fragment(text: str) -> list:
-    """Parse HTML text into a list of top-level nodes without normalization."""
-    return _tokenize(text).children
-
-
 def parse_fragment_element(text: str, error=InvalidFragmentError) -> Element:
     """Parse text that must contain exactly one top-level element.
 
@@ -229,7 +220,7 @@ def parse_fragment_element(text: str, error=InvalidFragmentError) -> Element:
     ignored; any other top-level content raises ``error``.
     """
     elements = []
-    for node in parse_fragment(text):
+    for node in _tokenize(text).children:
         if isinstance(node, Element):
             elements.append(node)
         elif isinstance(node, Text) and node.data.strip():
@@ -283,13 +274,8 @@ class DomDocument:
         return serialize_node(self.root)
 
 
-def parse_html(text) -> DomDocument:
+def parse_html(text: str) -> DomDocument:
     """Parse (possibly malformed) HTML text into a normalized document."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(str(exc)) from exc
     return DomDocument(_normalize_document(_tokenize(text)))
 
 

@@ -5,10 +5,6 @@ class AccessfixError(Exception):
     """Base class for all package errors."""
 
 
-class EncodingError(AccessfixError):
-    """Input bytes were not valid UTF-8."""
-
-
 class InvalidSnippetError(AccessfixError):
     """A snippet did not parse to exactly one element."""
 

@@ -45,7 +45,8 @@ def _default_fetch(url, timeout, user_agent):
 def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
     """Read local paths and fetch URLs (cached by source) into corpus entries.
 
-    Unreachable sources yield entries with ``error`` set; the run continues.
+    Page text is decoded here, as UTF-8. Unreachable sources and local files
+    that do not decode yield entries with ``error`` set; the run continues.
     """
     fetch = fetch or _default_fetch
     entries = []
@@ -73,7 +74,7 @@ def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
             try:
                 with open(source, encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 entries.append(CorpusEntry(source, "", error=str(exc)))
                 continue
             entries.append(CorpusEntry(source, text))
@@ -219,35 +220,35 @@ def run_benchmark(entries, provider, ruleset=None, strategy: str = "react",
     return result, rows, records, failures
 
 
-def export_rows(rows, fmt: str, path) -> None:
-    """Write dataset rows as CSV or JSON."""
-    if fmt == "csv":
+def _is_json(path) -> bool:
+    """A rows file is JSON when its name ends in ``.json``, else CSV."""
+    return str(path).endswith(".json")
+
+
+def export_rows(rows, path) -> None:
+    """Write dataset rows as CSV or JSON, as the path's extension says."""
+    if not _is_json(path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=ROW_COLUMNS)
             writer.writeheader()
             for row in rows:
                 writer.writerow(row.to_record())
-    elif fmt == "json":
+    else:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump([row.to_record() for row in rows], handle, indent=2)
             handle.write("\n")
-    else:
-        raise SchemaError(f"unknown export format: {fmt}")
 
 
-def import_rows(path, fmt=None) -> list:
-    """Read dataset rows back, validating the schema row by row."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise SchemaError(f"unknown import format: {fmt}")
+def import_rows(path) -> list:
+    """Read dataset rows back, validating the schema row by row; the format
+    is the path's, as for ``export_rows``."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read rows file {path}: {exc}") from exc
     rows = []
-    if fmt == "csv":
+    if not _is_json(path):
         # A field is no longer than the file it is in.
         csv.field_size_limit(max(csv.field_size_limit(), len(text)))
         reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -198,11 +198,6 @@ class ReplayProvider:
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
 
-    @classmethod
-    def from_config(cls, cfg: ProviderConfig) -> "ReplayProvider":
-        cfg.validate()
-        return cls(Transcript.load(cfg.transcript_path))
-
     def propose(self, bundle: PromptBundle, violation=None) -> FixProposal:
         raw = self.transcript.lookup(request_hash(bundle.messages()))
         return parse_fix(raw, provider_id=self.provider_id)
@@ -224,7 +219,7 @@ def make_provider(cfg: ProviderConfig, post_json=None):
     if cfg.kind == "heuristic":
         return HeuristicProvider()
     if cfg.kind == "replay":
-        return ReplayProvider.from_config(cfg)
+        return ReplayProvider(Transcript.load(cfg.transcript_path))
     return RemoteProvider(cfg, post_json=post_json)
 
 

@@ -134,8 +134,7 @@ class Violation:
 
 @dataclass
 class _Finding:
-    index: int  # pre-order index of ``element`` in the document index
-    element: Element
+    index: int  # pre-order index of the flagged element
     help: Optional[str] = None
     data: dict = field(default_factory=dict)
 
@@ -271,12 +270,6 @@ class _Index:
                        for el, role in zip(self.elements, self.landmark)
                        if role is not None})
 
-    def ancestors(self, i: int):
-        i = self.parent[i]
-        while i >= 0:
-            yield i
-            i = self.parent[i]
-
     def rendered_body(self):
         """Indices of the elements of the root's first body child, skipping
         script and style subtrees, in document order."""
@@ -307,7 +300,7 @@ def check_image_alt(ix):
             continue
         if alt == "" and ix.role[i] in ("presentation", "none"):
             continue
-        findings.append(_Finding(i, el))
+        findings.append(_Finding(i))
     return findings
 
 
@@ -318,7 +311,7 @@ def check_link_name(ix):
             continue
         if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
             continue
-        findings.append(_Finding(i, el))
+        findings.append(_Finding(i))
     return findings
 
 
@@ -329,7 +322,10 @@ def check_label(ix):
         if el.tag == "label" and el.attrs.get("for"):
             label_for.add(el.attrs.get("for"))
     findings = []
+    inside = 0  # end of the subtree of the outermost <label> seen so far
     for i, el in enumerate(ix.elements):
+        if el.tag == "label" and i >= inside:
+            inside = ix.end[i]
         if el.tag == "input":
             input_type = (el.attrs.get("type") or "text").lower()
             if input_type in _UNLABELED_INPUT_TYPES_EXEMPT:
@@ -340,9 +336,9 @@ def check_label(ix):
             continue
         if el.attrs.get("id") and el.attrs.get("id") in label_for:
             continue
-        if any(ix.elements[a].tag == "label" for a in ix.ancestors(i)):
+        if i < inside:
             continue
-        findings.append(_Finding(i, el))
+        findings.append(_Finding(i))
     return findings
 
 
@@ -351,7 +347,7 @@ def check_html_has_lang(ix):
     lang = root.attrs.get("lang")
     if lang and lang.strip():
         return []
-    return [_Finding(0, root)]
+    return [_Finding(0)]
 
 
 def check_duplicate_id(ix):
@@ -362,8 +358,7 @@ def check_duplicate_id(ix):
             continue
         candidate = ix.new_id(f"{value}-")
         findings.append(_Finding(
-            i, el,
-            f'Multiple elements share the id "{value}"; '
+            i, f'Multiple elements share the id "{value}"; '
             f'rename this one to "{candidate}".',
             {"rename_to": candidate},
         ))
@@ -390,8 +385,7 @@ def check_heading_order(ix):
             continue
         if previous is not None and level > previous + 1:
             findings.append(_Finding(
-                i, el,
-                f"Heading levels should increase by one; "
+                i, f"Heading levels should increase by one; "
                 f"the previous heading level was h{previous}.",
                 {"previous_level": previous},
             ))
@@ -406,7 +400,7 @@ def check_empty_heading(ix):
             continue
         if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
             continue
-        findings.append(_Finding(i, el))
+        findings.append(_Finding(i))
     return findings
 
 
@@ -453,15 +447,13 @@ def check_region(ix):
                 hint = ("Wrap this content in a section landmark labeled "
                         f'"{label}".')
                 data = {"wrap_in": "section", "label": label}
-            findings.append(_Finding(at, ix.elements[at], hint, data))
+            findings.append(_Finding(at, hint, data))
     return findings
 
 
 def check_landmark_one_main(ix):
     if not ix.mains:
-        return [_Finding(
-            0, ix.elements[0], "Add a main landmark around the page content."
-        )]
+        return [_Finding(0, "Add a main landmark around the page content.")]
     findings = []
     for i in ix.mains[1:]:
         if ix.elements[i].attrs.get("aria-label", "").strip():
@@ -472,7 +464,7 @@ def check_landmark_one_main(ix):
             hint = ("Convert this extra main landmark into a section labeled "
                     f'"{label}" unless it has a label.')
             data = {"label": label}
-        findings.append(_Finding(i, ix.elements[i], hint, data))
+        findings.append(_Finding(i, hint, data))
     return findings
 
 
@@ -487,7 +479,7 @@ def check_landmark_unique(ix):
         if (role, name) in seen:
             label = ix.new_label(f"{name or el.tag} ")
             findings.append(_Finding(
-                i, el, f'Add the distinguishing aria-label "{label}" to this '
+                i, f'Add the distinguishing aria-label "{label}" to this '
                 "landmark.", {"label": label}))
         else:
             seen.add((role, name))
@@ -497,11 +489,15 @@ def check_landmark_unique(ix):
 def check_landmark_no_duplicate_content(ix):
     """Simplified: header/footer map to banner/contentinfo regardless of depth."""
     findings = []
-    for i, el in enumerate(ix.elements):
-        if ix.landmark[i] not in ("banner", "contentinfo"):
+    inside = 0  # end of the subtree of the outermost landmark seen so far
+    for i, role in enumerate(ix.landmark):
+        if role is None:
             continue
-        if any(ix.landmark[a] is not None for a in ix.ancestors(i)):
-            findings.append(_Finding(i, el))
+        if i < inside:
+            if role in ("banner", "contentinfo"):
+                findings.append(_Finding(i))
+        else:
+            inside = ix.end[i]
     return findings
 
 
@@ -522,14 +518,12 @@ def check_skip_link(ix):
     existing = next(iter(ix.ids), None)
     if existing:
         return [_Finding(
-            i, el,
-            f"The skip link target does not exist; point it at an existing id "
-            f'such as "{existing}".',
+            i, f"The skip link target does not exist; point it at an existing "
+            f'id such as "{existing}".',
             {"target": existing},
         )]
     return [_Finding(
-        i, el,
-        "The skip link target does not exist; add the target anchor id.",
+        i, "The skip link target does not exist; add the target anchor id.",
     )]
 
 
@@ -543,8 +537,7 @@ def check_aria_required_attr(ix):
         missing = [a for a in required if not el.attrs.get(a, "").strip()]
         if missing:
             findings.append(_Finding(
-                i, el,
-                f'The role "{role}" requires the attributes: '
+                i, f'The role "{role}" requires the attributes: '
                 + ", ".join(missing) + ".",
                 {"missing": tuple(missing)},
             ))
@@ -574,7 +567,7 @@ def check_meta_viewport(ix):
             except ValueError:
                 pass
         if bad:
-            findings.append(_Finding(i, el))
+            findings.append(_Finding(i))
     return findings
 
 
@@ -716,7 +709,7 @@ def check_color_contrast(ix):
         if verdict is not None:
             help_text, fg, bg, required = verdict
             findings.append(_Finding(
-                i, el, help_text, {"fg": fg, "bg": bg, "required": required}))
+                i, help_text, {"fg": fg, "bg": bg, "required": required}))
     return findings
 
 
@@ -787,7 +780,7 @@ def audit(
             continue
         seen.add((index, rule_id))
         if index not in snippets:
-            snippets[index] = serialize_node(finding.element)
+            snippets[index] = serialize_node(ix.elements[index])
         snippet = snippets[index]
         violations.append(Violation(
             rule_id=rule_id,

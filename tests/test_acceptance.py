@@ -179,5 +179,5 @@ def test_criterion_8_dataset_round_trip(corpus_paths, tmp_path):
     with Budget("criterion-8 dataset round trip", 2.0):
         for fmt in ("csv", "json"):
             path = tmp_path / f"rows.{fmt}"
-            export_rows(rows, fmt, path)
+            export_rows(rows, path)
             assert import_rows(path) == rows

@@ -118,8 +118,14 @@ def test_report_reads_csv_rows_of_a_page_over_the_csv_limit(tmp_path, capsys):
 
 def test_unreadable_source_exit_code_2(tmp_path, capsys):
     good = write_page(tmp_path)
-    assert main(["scan", str(tmp_path / "missing.html"), good]) == 2
-    assert "error:" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.html"
+    latin1.write_bytes(PAGE.replace("Title", "Caf\u00e9").encode("latin-1"))
+    assert main(["scan", str(tmp_path / "missing.html"), str(latin1),
+                 good]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {tmp_path / 'missing.html'}: " in captured.err
+    assert f"error: {latin1}: 'utf-8' codec can't decode" in captured.err
+    assert f"{good}: 1 violations" in captured.out
 
 
 @pytest.mark.parametrize("command", [
@@ -136,12 +142,39 @@ def test_unknown_rule_exit_code_1(tmp_path, capsys, monkeypatch, command):
     assert captured.err == "error: unknown rule id: no-such-rule\n"
 
 
+BAD_CONFIGS = {
+    "non-integer-weight": b"[weights]\ncritical = banana\n",
+    "no-section-header": b"critical = 5\n",
+    "duplicate-section": b"[weights]\nminor = 2\n[weights]\nminor = 3\n",
+    "duplicate-key": b"[weights]\nminor = 2\nminor = 3\n",
+    "non-utf-8": b"[weights]\n# caf\xe9\nminor = 2\n",
+    "bad-interpolation": b"[provider]\nmodel = 100%\n",
+}
+
+
 def test_bad_config_exit_code_1(tmp_path, capsys):
     page = write_page(tmp_path)
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[weights]\ncritical = banana\n", encoding="utf-8")
-    assert main(["scan", page, "--config", str(cfg)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for case, data in BAD_CONFIGS.items():
+        cfg.write_bytes(data)
+        assert main(["scan", page, "--config", str(cfg)]) == 1, case
+        captured = capsys.readouterr()
+        assert captured.out == "", case
+        assert captured.err.startswith("error:"), case
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--out", "{missing}/rows.csv"],
+    ["bench", "--provider", "heuristic", "--rows", "{missing}/rows.json"],
+    ["fix", "--provider", "heuristic", "--out-dir", "{page}"],
+], ids=["scan-out", "bench-rows", "fix-out-dir-is-a-file"])
+def test_unwritable_output_exit_code_1(tmp_path, capsys, command):
+    page = write_page(tmp_path)
+    argv = [arg.format(missing=tmp_path / "missing", page=page)
+            for arg in command]
+    assert main(argv + [page]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-1] in err
 
 
 # Settings that were ignored, or that left the provider sending nothing.

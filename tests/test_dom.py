@@ -2,7 +2,6 @@ import pytest
 
 from accessfix import dom
 from accessfix.errors import (
-    EncodingError,
     InvalidFragmentError,
     InvalidSnippetError,
     StaleLocatorError,
@@ -63,11 +62,6 @@ def test_void_elements_have_no_close_tag():
     doc = dom.parse_html("<br><hr><input>")
     out = doc.serialize()
     assert "</br>" not in out and "</hr>" not in out and "</input>" not in out
-
-
-def test_invalid_utf8_bytes_raise_encoding_error():
-    with pytest.raises(EncodingError):
-        dom.parse_html(b"\xff\xfe<p>hi</p>")
 
 
 def test_script_content_preserved_verbatim():

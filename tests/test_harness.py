@@ -10,6 +10,7 @@ from accessfix.errors import SchemaError, UnknownRuleError
 from accessfix.harness import (
     CorpusEntry,
     DatasetRow,
+    ROW_COLUMNS,
     build_replay_transcript,
     export_rows,
     import_rows,
@@ -81,10 +82,13 @@ def test_ingest_local_files_deterministic(tmp_path):
 def test_ingest_missing_file_is_isolated(tmp_path):
     good = tmp_path / "good.html"
     good.write_text("<p>ok</p>", encoding="utf-8")
-    entries = ingest([str(tmp_path / "gone.html"), str(good)])
-    assert len(entries) == 2
+    latin1 = tmp_path / "latin1.html"
+    latin1.write_bytes("<p>caf\u00e9</p>".encode("latin-1"))
+    entries = ingest([str(tmp_path / "gone.html"), str(latin1), str(good)])
+    assert len(entries) == 3
     assert entries[0].error
-    assert not entries[1].error
+    assert "utf-8" in entries[1].error and entries[1].html_text == ""
+    assert not entries[2].error
 
 
 def test_ingest_url_cache_avoids_refetch(tmp_path):
@@ -114,11 +118,16 @@ def test_ingest_fetch_error_is_isolated(tmp_path):
     assert entries[0].error
 
 
-@pytest.mark.parametrize("fmt,name", [("csv", "rows.csv"), ("json", "rows.json")])
+# The extension is the format: ".json" is JSON, any other is CSV.
+@pytest.mark.parametrize("fmt,name", [
+    ("csv", "rows.csv"), ("json", "rows.json"), ("csv", "rows.txt"),
+])
 def test_export_import_round_trip(tmp_path, fmt, name):
     rows = sample_rows()
     path = tmp_path / name
-    export_rows(rows, fmt, path)
+    export_rows(rows, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("[" if fmt == "json" else ",".join(ROW_COLUMNS))
     assert import_rows(path) == rows
 
 
@@ -163,7 +172,7 @@ def test_export_import_round_trip_field_over_the_csv_limit(tmp_path):
     rows = sample_rows()
     rows[0].dom = "<html><body>" + "x" * 140_000 + "</body></html>"
     path = tmp_path / "rows.csv"
-    export_rows(rows, "csv", path)
+    export_rows(rows, path)
     assert import_rows(path) == rows
 
 

@@ -506,13 +506,25 @@ def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
     assert calls == []
 
 
+# Pages of n flagged elements, nested up to n deep, inside <main>.
+DEEP = {
+    "link": lambda n: nested_page(NESTED["link"], n),
+    "heading": lambda n: nested_page(NESTED["heading"], n),
+    "role-heading": lambda n: nested_page(NESTED["role-heading"], n),
+    "input": lambda n: nested_page("<div><input>", n),
+    "header": lambda n: nested_page("<div>" * n + "<header>h</header>" * n, 1),
+}
+
+
 @pytest.mark.parametrize("rule_id, shape", [
     ("link-name", "link"),
     ("empty-heading", "heading"),
     ("empty-heading", "role-heading"),
+    ("label", "input"),
+    ("landmark-no-duplicate-content", "header"),
 ])
 def test_nested_name_checks_run_in_linear_time(rule_id, shape):
-    doc = dom.parse_html(nested_page(NESTED[shape], 8000))
+    doc = dom.parse_html(DEEP[shape](8000))
     ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
     start = time.perf_counter()
     findings = rules.RULE_CATALOG[rule_id](ix)
@@ -520,8 +532,8 @@ def test_nested_name_checks_run_in_linear_time(rule_id, shape):
     assert len(findings) == 8000
 
 
-TREE_TAGS = ("div", "span", "p", "a", "label", "main", "section", "script",
-             "style")
+TREE_TAGS = ("div", "span", "p", "a", "label", "input", "main", "header",
+             "section", "script", "style")
 MAX_DEPTH = 30
 
 tree_events = st.lists(st.one_of(
@@ -596,3 +608,69 @@ def test_index_matches_recursive_reference_walk(path_of, events):
             first[el.attrs["id"]] = el
     assert {k: id(v) for k, v in ix.ids.items()} == \
         {k: id(v) for k, v in first.items()}
+
+
+# The ancestor walks that subtree ranges replaced, kept as their reference.
+def reference_ancestors(ix, i):
+    i = ix.parent[i]
+    while i >= 0:
+        yield i
+        i = ix.parent[i]
+
+
+def reference_label(ix):
+    label_for = {el.attrs["for"] for el in ix.elements
+                 if el.tag == "label" and el.attrs.get("for")}
+    return [
+        i for i, el in enumerate(ix.elements)
+        if (el.tag in ("select", "textarea")
+            or el.tag == "input" and (el.attrs.get("type") or "text").lower()
+            not in rules._UNLABELED_INPUT_TYPES_EXEMPT)
+        and not rules._accessible_name(el, ix.ids)
+        and not (el.attrs.get("id") and el.attrs["id"] in label_for)
+        and not any(ix.elements[a].tag == "label"
+                    for a in reference_ancestors(ix, i))
+    ]
+
+
+def reference_landmark_no_duplicate_content(ix):
+    return [
+        i for i, role in enumerate(ix.landmark)
+        if role in ("banner", "contentinfo")
+        and any(ix.landmark[a] is not None for a in reference_ancestors(ix, i))
+    ]
+
+
+def assert_enclosure_checks(doc):
+    """Check the two enclosure checks of ``doc`` against the ancestor walks;
+    return the numbers of findings checked."""
+    ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
+    label = [f.index for f in rules.check_label(ix)]
+    assert label == reference_label(ix)
+    nested = [f.index for f in rules.check_landmark_no_duplicate_content(ix)]
+    assert nested == reference_landmark_no_duplicate_content(ix)
+    return Counter(label=len(label), nested=len(nested))
+
+
+def test_enclosure_checks_match_the_ancestor_walk(
+        corpus_dir, corpus_manifest, rules_dir, rules_manifest,
+        composed_pages):
+    pages = [(corpus_dir / name).read_text("utf-8")
+             for name in sorted(corpus_manifest)]
+    pages += [(rules_dir / name).read_text("utf-8")
+              for name in sorted(rules_manifest)]
+    pages += [html for _, html in composed_pages]
+    pages += [DEEP["input"](40), DEEP["header"](40),
+              "<main><label><div><label><input></label><input></div></label>"
+              "<input><label for=a></label><input id=a><select></select>",
+              '<html role="main"><body><header>h</header><nav><footer>f'
+              "</footer></nav><header><header>h</header></header>"]
+    findings = sum((assert_enclosure_checks(dom.parse_html(html))
+                    for html in pages), Counter())
+    assert findings["label"] > 60 and findings["nested"] > 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_events)
+def test_enclosure_checks_match_the_ancestor_walk_on_any_tree(events):
+    assert_enclosure_checks(build_tree(events))
