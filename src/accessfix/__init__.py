@@ -4,7 +4,7 @@ severity improvement."""
 
 from .colors import RgbColor, contrast_ratio, parse_color, relative_luminance
 from .corrector import CorrectionRecord, correct_document
-from .dom import DomDocument, NodeLocator, parse_html
+from .dom import DomDocument, parse_html
 from .prompts import FixProposal, PromptBundle, build_prompt, parse_fix
 from .providers import (
     HeuristicProvider,

@@ -11,7 +11,6 @@ from .dom import (
     Element,
     locate,
     preorder,
-    resolve,
     rewrite,
     serialize_node,
 )
@@ -21,7 +20,6 @@ from .errors import (
     NoRecipeError,
     ProviderUnavailableError,
     ReplayMissError,
-    StaleLocatorError,
     UnparseableResponseError,
 )
 from .prompts import FixProposal, build_prompt
@@ -55,13 +53,13 @@ def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
 def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecord:
     """Rewrite the violating element in place with the corrected fragment.
 
-    The violation's locator must still be fresh. Failures leave the document
-    untouched. The element takes over the lists of ``p.element``, which the
-    proposal then drops, so applying it again parses afresh.
+    The element at the violation's index must still serialize to its
+    snippet. Failures leave the document untouched. The element takes over
+    the lists of ``p.element``, which the proposal then drops, so applying
+    it again parses afresh.
     """
-    try:
-        el = resolve(doc, v.locator)
-    except StaleLocatorError:
+    el = locate(preorder(doc.root).elements, v.index, v.html_snippet)
+    if el is None:
         return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
     return _apply(el, v, p)
 
@@ -83,11 +81,11 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
 def _independent(targets, end: list) -> set:
     """Indices of the located targets that no other target's fix can reach.
 
-    In ``(locator.index, i)`` order an element's subtree follows it, so a
+    In ``(index, i)`` order an element's subtree follows it, so a
     target is independent when the next one lies at or past its pre-order
     ``end``. A second violation on the same element lies inside it.
     """
-    located = sorted((v.locator.index, i)
+    located = sorted((v.index, i)
                      for i, (el, v) in enumerate(targets) if el is not None)
     following = [at for at, _ in located[1:]] + [len(end)]
     return {i for (at, i), after in zip(located, following)
@@ -103,13 +101,13 @@ def correct_document(
     """Run prompt -> propose -> apply for each violation, from the last in
     document order (the order ``rules.audit`` returns) to the first.
 
-    Each distinct locator is resolved once, after one walk of the document
-    and before any fix, and a fix rewrites its element in place, so no fix
-    moves a target still waiting for its own. Failures are recorded and
-    skipped: one record per violation, in input order.
+    Each distinct (index, snippet) is located once, after one walk of the
+    document and before any fix, and a fix rewrites its element in place,
+    so no fix moves a target still waiting for its own. Failures are
+    recorded and skipped: one record per violation, in input order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
-    with its locator's snippet, which resolving checked; any other with its
+    with its audited snippet, which locating checked; any other with its
     element serialized at its turn, so a fix that landed inside it shows. A
     provider whose ``max_in_flight`` is above 1 (``RemoteProvider``) is
     asked for every independent target up front, on a pool of that many
@@ -117,17 +115,15 @@ def correct_document(
     of a provider asked one violation at a time.
     """
     elements, _, _, end = preorder(doc.root)
-    found = {loc: locate(elements, loc)
-             for loc in {v.locator for v in violations}}
-    targets = [(found[v.locator], v) for v in violations]
+    found = {key: locate(elements, *key)
+             for key in {(v.index, v.html_snippet) for v in violations}}
+    targets = [(found[v.index, v.html_snippet], v) for v in violations]
     independent = _independent(targets, end)
 
     def ask(i: int) -> FixProposal:
         el, v = targets[i]
-        current = (v.locator.snippet if i in independent
-                   else serialize_node(el))
-        if current != v.html_snippet:
-            v = replace(v, html_snippet=current)
+        if i not in independent:
+            v = replace(v, html_snippet=serialize_node(el))
         return provider.propose(build_prompt(v, strategy), v)
 
     early = {}

@@ -373,26 +373,19 @@ class NodeLocator:
     snippet: str  # serialize_node of the element when it was located
 
 
-def make_locator(doc: DomDocument, index: int) -> NodeLocator:
-    elements = preorder(doc.root).elements
-    if not 0 <= index < len(elements):
-        raise StaleLocatorError(f"no element at index {index}")
-    return NodeLocator(index, serialize_node(elements[index]))
-
-
-def locate(elements: list, loc: Optional[NodeLocator]) -> Optional[Element]:
-    """Element ``loc.index`` of a document's pre-order ``elements`` if it
-    serializes to exactly ``loc.snippet``; None if stale or missing."""
-    if loc is not None and 0 <= loc.index < len(elements):
-        el = elements[loc.index]
-        if serialize_node(el) == loc.snippet:
+def locate(elements: list, index: int, snippet: str) -> Optional[Element]:
+    """Element ``index`` of a document's pre-order ``elements`` if it
+    serializes to exactly ``snippet``; None if stale or missing."""
+    if 0 <= index < len(elements):
+        el = elements[index]
+        if serialize_node(el) == snippet:
             return el
     return None
 
 
 def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
     """``locate`` after one walk of ``doc``; StaleLocatorError if stale."""
-    el = locate(preorder(doc.root).elements, loc)
+    el = loc and locate(preorder(doc.root).elements, loc.index, loc.snippet)
     if el is None:
         raise StaleLocatorError(f"locator {loc and loc.index} is stale")
     return el

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import corrector, dom, rules, scoring
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .providers import HeuristicProvider, Transcript, request_hash
 from .scoring import AuditReport, BenchmarkResult, fmt2, fmt3
 
@@ -34,50 +34,52 @@ class CorpusEntry:
     error: str = ""
 
 
-def _default_fetch(url, timeout, user_agent):
+def _default_fetch(url, timeout, user_agent) -> bytes:
     import urllib.request  # slow (http.client, ssl): import on first use
 
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        return response.read().decode("utf-8", errors="replace")
+        return response.read()
+
+
+def _read(source, cache_dir, fetch, refresh) -> bytes:
+    """A local file's bytes, or a URL's from the cache or else ``fetch``,
+    which the cache then keeps unchanged."""
+    if not source.startswith(("http://", "https://")):
+        with open(source, "rb") as handle:
+            return handle.read()
+    cache_path = None
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+        key = hashlib.sha256(source.encode("utf-8")).hexdigest()[:24]
+        cache_path = os.path.join(cache_dir, key + ".html")
+        if os.path.exists(cache_path) and not refresh:
+            with open(cache_path, "rb") as handle:
+                return handle.read()
+    data = fetch(source, FETCH_TIMEOUT_S, USER_AGENT)
+    if cache_path:
+        with open(cache_path, "wb") as handle:
+            handle.write(data)
+    return data
 
 
 def ingest(sources, cache_dir=None, fetch=None, refresh=False) -> list:
     """Read local paths and fetch URLs (cached by source) into corpus entries.
 
-    Page text is decoded here, as UTF-8. Unreachable sources and local files
-    that do not decode yield entries with ``error`` set; the run continues.
+    Every source's bytes are decoded here, as UTF-8, with "\\r\\n" and "\\r"
+    read as "\\n". A source that cannot be read, fetched or decoded yields an
+    entry with ``error`` set; the run continues.
     """
     fetch = fetch or _default_fetch
     entries = []
     for source in sources:
-        if source.startswith(("http://", "https://")):
-            cache_path = None
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-                key = hashlib.sha256(source.encode("utf-8")).hexdigest()[:24]
-                cache_path = os.path.join(cache_dir, key + ".html")
-            if cache_path and os.path.exists(cache_path) and not refresh:
-                with open(cache_path, encoding="utf-8") as handle:
-                    entries.append(CorpusEntry(source, handle.read()))
-                continue
-            try:
-                text = fetch(source, FETCH_TIMEOUT_S, USER_AGENT)
-            except Exception as exc:  # noqa: BLE001 - isolation per source
-                entries.append(CorpusEntry(source, "", error=str(exc)))
-                continue
-            if cache_path:
-                with open(cache_path, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            entries.append(CorpusEntry(source, text))
-        else:
-            try:
-                with open(source, encoding="utf-8") as handle:
-                    text = handle.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                entries.append(CorpusEntry(source, "", error=str(exc)))
-                continue
-            entries.append(CorpusEntry(source, text))
+        try:
+            text = _read(source, cache_dir, fetch, refresh).decode("utf-8")
+        except Exception as exc:  # noqa: BLE001 - isolation per source
+            entries.append(CorpusEntry(source, "", error=str(exc)))
+            continue
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        entries.append(CorpusEntry(source, text))
     return entries
 
 
@@ -150,14 +152,17 @@ class PageRun:
 def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
               impacts=None, thresholds=None, weights=None, workers: int = 1):
     """Yield a PageRun per entry, in entry order, as each is done; without a
-    provider a page is only audited and scored. A bad ruleset raises before
-    the first page; a page that fails yields a PageRun with ``error`` set."""
+    provider a page is only audited and scored. A bad ruleset or a worker
+    count below 1 raises before the first page; a page that fails yields a
+    PageRun with ``error`` set."""
     ruleset = rules.check_ruleset(ruleset)
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
 
     def audit(doc, source_id):
         violations = rules.audit(doc, ruleset, web_url=source_id,
                                  impacts=impacts, thresholds=thresholds)
-        return AuditReport.from_violations(source_id, violations, weights)
+        return AuditReport.from_violations(violations, weights)
 
     def run_page(entry):
         page = PageRun(entry.source_id, entry.error)

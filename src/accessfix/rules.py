@@ -18,7 +18,6 @@ from .colors import RgbColor, composite_over, contrast_ratio, parse_color
 from .dom import (
     DomDocument,
     Element,
-    NodeLocator,
     Text,
     preorder,
     serialize_node,
@@ -126,8 +125,8 @@ class Violation:
     impact: str
     description: str
     help: str
-    html_snippet: str
-    locator: NodeLocator
+    html_snippet: str  # serialize_node of the element when audited
+    index: int  # pre-order position of the element in the document
     web_url: str
     data: dict = field(default_factory=dict)  # fix parameters, per rule
 
@@ -781,14 +780,13 @@ def audit(
         seen.add((index, rule_id))
         if index not in snippets:
             snippets[index] = serialize_node(ix.elements[index])
-        snippet = snippets[index]
         violations.append(Violation(
             rule_id=rule_id,
             impact=impact_map[rule_id],
             description=RULE_DESCRIPTIONS[rule_id],
             help=finding.help or RULE_HELP[rule_id],
-            html_snippet=snippet,
-            locator=NodeLocator(index, snippet),
+            html_snippet=snippets[index],
+            index=index,
             web_url=web_url,
             data=finding.data,
         ))

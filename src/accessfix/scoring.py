@@ -18,35 +18,23 @@ def url_score(violations, weights=None) -> int:
 
 @dataclass
 class AuditReport:
-    web_url: str
     violations: list
-    num_violations: int
     score: int
 
+    @property
+    def num_violations(self) -> int:
+        return len(self.violations)
+
     @classmethod
-    def from_violations(cls, web_url, violations, weights=None):
-        return cls(
-            web_url=web_url,
-            violations=list(violations),
-            num_violations=len(violations),
-            score=url_score(violations, weights),
-        )
+    def from_violations(cls, violations, weights=None):
+        return cls(list(violations), url_score(violations, weights))
 
 
-def dataset_average(reports, m=None) -> Fraction:
-    """Average score per URL, exact.
-
-    Accepts either an iterable of per-URL reports or a pre-summed total
-    together with the URL count ``m``.
-    """
-    if m is not None:
-        if m <= 0:
-            raise EmptyDatasetError("dataset_average over zero URLs")
-        return Fraction(reports, m)
-    reports = list(reports)
-    if not reports:
-        raise EmptyDatasetError("dataset_average over zero reports")
-    return Fraction(sum(r.score for r in reports), len(reports))
+def dataset_average(total, m) -> Fraction:
+    """Average score per URL, exact: a summed ``total`` over ``m`` URLs."""
+    if m <= 0:
+        raise EmptyDatasetError("dataset_average over zero URLs")
+    return Fraction(total, m)
 
 
 def improvement_percent(r_initial, r_final) -> Fraction:
@@ -121,8 +109,8 @@ def aggregate(initial_scores, final_scores, before, after,
     initial_scores, final_scores = list(initial_scores), list(final_scores)
     m = len(initial_scores)
     total_initial, total_final = sum(initial_scores), sum(final_scores)
-    r_initial = Fraction(total_initial, m) if m else Fraction(0)
-    r_final = Fraction(total_final, m) if m else Fraction(0)
+    r_initial = dataset_average(total_initial, m) if m else Fraction(0)
+    r_final = dataset_average(total_final, m) if m else Fraction(0)
     return BenchmarkResult(
         m=m,
         total_initial=total_initial,

@@ -1,11 +1,16 @@
 """The layer tracer of ``perfbench/run.py --trace 1`` patches accessfix
 functions and methods by name; each must exist, or a traced run breaks."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "perfbench" / "run.py"
+# Kept in ``dom`` only because the tracer names them; nothing else uses them.
+TRACER_ONLY = {"NodeLocator", "resolve", "replace_node", "find_by_snippet",
+               "normalized_outer_html"}
 
 
 def test_every_trace_target_exists(monkeypatch):
@@ -23,3 +28,18 @@ def test_every_trace_target_exists(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_only_dom_uses_the_helpers_kept_for_the_tracer():
+    """Retiring their trace targets can delete these helpers with no
+    caller to chase: no module but ``dom`` names them."""
+    used = {}
+    for path in sorted((ROOT / "src" / "accessfix").glob("*.py")):
+        if path.name == "dom.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name in TRACER_ONLY:
+                used.setdefault(path.name, set()).add(name)
+    assert used == {}

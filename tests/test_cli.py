@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from accessfix import cli, dom, rules
+from accessfix import cli, dom, harness, rules
 from accessfix.cli import main
 from accessfix.config import load_config
 from accessfix.errors import ConfigError
@@ -128,6 +128,22 @@ def test_unreadable_source_exit_code_2(tmp_path, capsys):
     assert f"{good}: 1 violations" in captured.out
 
 
+def test_url_that_does_not_decode_exit_code_2(tmp_path, capsys,
+                                              monkeypatch):
+    url = "https://example.test/latin1"
+    cache = str(tmp_path / "cache")
+    page = PAGE.replace("Title", "Caf\u00e9").encode("latin-1")
+    # Fetched, then read back from the cache with no fetch to fall back on.
+    for fetch in (lambda *args: page, None):
+        monkeypatch.setattr(harness, "_default_fetch", fetch)
+        assert main(["scan", url, "--cache-dir", cache]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {url}: 'utf-8' codec can't decode")
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["scan"],
     ["fix", "--provider", "heuristic"],
@@ -185,7 +201,10 @@ def test_unwritable_output_exit_code_1(tmp_path, capsys, command):
      "max_retries must be >= 0"),
     (["bench", "--provider", "heuristic"], "[provider]\nmax_in_flight = 0\n",
      "max_in_flight must be >= 1"),
-], ids=["threshold-typo", "negative-retries", "no-requests-in-flight"])
+    (["bench", "--provider", "heuristic", "--workers", "0"], "",
+     "workers must be >= 1"),
+], ids=["threshold-typo", "negative-retries", "no-requests-in-flight",
+        "no-workers"])
 def test_unusable_config_exit_code_1(tmp_path, capsys, command, text, message):
     page = write_page(tmp_path)
     cfg = tmp_path / "bad.ini"

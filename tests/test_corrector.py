@@ -1,4 +1,5 @@
 import concurrent.futures
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from accessfix.providers import (
     ReplayProvider,
     heuristic_fix,
 )
-from accessfix.rules import Violation
 
 PAGE = (
     '<html lang="en"><body>'
@@ -78,10 +78,7 @@ def test_apply_fix_no_match_leaves_document_unchanged():
     doc = dom.parse_html(PAGE)
     v = get_violation(doc, "image-alt")
     before = doc.serialize()
-    stranger = Violation(
-        v.rule_id, v.impact, v.description, v.help,
-        '<img src="not-here.png">', None, v.web_url,
-    )
+    stranger = replace(v, html_snippet='<img src="not-here.png">')
     record = apply_fix(doc, stranger, proposal('<img alt="a">'))
     assert record.outcome == MATCH_FAILED
     assert doc.serialize() == before
@@ -195,15 +192,15 @@ def test_independent_targets_are_those_outside_every_other_fix(
         doc = dom.parse_html(html)
         violations = rules.audit(doc, web_url=name)
         pre = dom.preorder(doc.root)
-        targets = [(pre.elements[v.locator.index], v) for v in violations]
-        paths = [path_of(pre, v.locator.index) for v in violations]
+        targets = [(pre.elements[v.index], v) for v in violations]
+        paths = [path_of(pre, v.index) for v in violations]
         assert _independent(targets, pre.end) == \
             set(range(len(violations))) - dependent_targets(paths), name
 
 
 def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
         corpus_paths, perfbench_pages, monkeypatch, path_of):
-    """``correct_document`` resolves each distinct locator once, and
+    """``correct_document`` locates each distinct target once, and
     serializes again, at its turn, only a target that another fix can
     reach; every other prompt shows the audited snippet."""
     pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
@@ -223,10 +220,10 @@ def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
         doc = dom.parse_html(html)
         violations = rules.audit(doc, web_url=name)
         pre = dom.preorder(doc.root)
-        paths = [path_of(pre, v.locator.index) for v in violations]
+        paths = [path_of(pre, v.index) for v in violations]
         calls.clear()
         _, records = correct_document(doc, violations, replay)
         assert {r.outcome for r in records} == {APPLIED}, name
-        located = {v.locator for v in violations}
+        located = {(v.index, v.html_snippet) for v in violations}
         assert len(calls) == len(located) + len(dependent_targets(paths)), \
             name

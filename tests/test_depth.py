@@ -35,7 +35,7 @@ def test_deep_page_audits_serializes_and_fixes(path_of):
         "color-contrast": 1, "image-alt": 1, "link-name": 1,
     }
     pre = dom.preorder(doc.root)
-    assert all(len(path_of(pre, v.locator.index)) > DEPTH for v in violations)
+    assert all(len(path_of(pre, v.index)) > DEPTH for v in violations)
 
     text = doc.serialize()
     assert dom.parse_html(text).serialize() == text

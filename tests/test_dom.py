@@ -163,7 +163,7 @@ def test_locator_survives_text_before_its_element_but_not_a_change_to_it():
 
 def test_replace_root_element():
     doc = dom.parse_html("<p>hi</p>")
-    loc = dom.make_locator(doc, 0)
+    loc = dom.NodeLocator(0, doc.serialize())
     dom.replace_node(doc, loc, dom.parse_fragment_element(
         '<html lang="en"><head></head><body><p>hi</p></body></html>'
     ))

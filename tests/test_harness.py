@@ -96,7 +96,7 @@ def test_ingest_url_cache_avoids_refetch(tmp_path):
 
     def fake_fetch(url, timeout, user_agent):
         calls.append(url)
-        return "<html><body><p>remote</p></body></html>"
+        return b"<html><body><p>remote</p></body></html>"
 
     url = "https://example.test/page"
     first = ingest([url], cache_dir=str(tmp_path), fetch=fake_fetch)
@@ -107,6 +107,45 @@ def test_ingest_url_cache_avoids_refetch(tmp_path):
                    refresh=True)
     assert calls == [url, url]
     assert third[0].html_text == first[0].html_text
+
+
+LATIN1_PAGE = "<p>caf\u00e9</p>".encode("latin-1")
+
+
+def no_fetch(url, timeout, user_agent):
+    raise AssertionError(f"fetched {url}, which is cached")
+
+
+def test_ingest_fetched_page_that_does_not_decode_is_isolated():
+    entries = ingest(["https://example.test/latin1"],
+                     fetch=lambda *args: LATIN1_PAGE)
+    assert "'utf-8' codec can't decode" in entries[0].error
+    assert entries[0].html_text == ""
+
+
+def test_ingest_cached_page_that_does_not_decode_is_isolated(tmp_path):
+    url = "https://example.test/page"
+    ingest([url], cache_dir=str(tmp_path), fetch=lambda *args: b"<p>ok</p>")
+    (cached,) = tmp_path.iterdir()
+    cached.write_bytes(LATIN1_PAGE)
+    entries = ingest([url], cache_dir=str(tmp_path), fetch=no_fetch)
+    assert "'utf-8' codec can't decode" in entries[0].error
+    assert entries[0].html_text == ""
+
+
+def test_fetched_cached_and_local_pages_decode_alike(tmp_path):
+    data = "<p>caf\u00e9</p>\r\n<p>x</p>\r".encode("utf-8")
+    local = tmp_path / "page.html"
+    local.write_bytes(data)
+    cache = tmp_path / "cache"
+    url = "https://example.test/page"
+    fetched = ingest([url], cache_dir=str(cache), fetch=lambda *args: data)
+    (cached_file,) = cache.iterdir()
+    assert cached_file.read_bytes() == data
+    cached = ingest([url], cache_dir=str(cache), fetch=no_fetch)
+    texts = {entries[0].html_text
+             for entries in (fetched, cached, ingest([str(local)]))}
+    assert texts == {"<p>caf\u00e9</p>\n<p>x</p>\n"}
 
 
 def test_ingest_fetch_error_is_isolated(tmp_path):

@@ -40,7 +40,7 @@ def test_missing_lang_flags_root():
     violations = rules.audit(dom.parse_html("<html><body><main>x</main></body></html>"))
     lang = [v for v in violations if v.rule_id == "html-has-lang"]
     assert len(lang) == 1
-    assert lang[0].locator.index == 0  # the root
+    assert lang[0].index == 0  # the root
 
 
 def test_heading_skip_flags_the_skipping_heading():
@@ -198,7 +198,7 @@ def test_violations_in_document_order(corpus_dir, corpus_manifest, path_of):
         doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
         violations = rules.audit(doc, web_url=name)
         pre = dom.preorder(doc.root)
-        paths = [path_of(pre, v.locator.index) for v in violations]
+        paths = [path_of(pre, v.index) for v in violations]
         assert paths == sorted(paths)
 
 
@@ -333,10 +333,9 @@ def audit_digest(folder, manifest, path_of):
         doc = dom.parse_html((folder / name).read_text("utf-8"))
         pre = dom.preorder(doc.root)
         for v in rules.audit(doc, web_url=name):
-            assert v.locator.snippet is v.html_snippet
             digest.update(repr((
                 v.rule_id, v.impact, v.help, v.html_snippet,
-                path_of(pre, v.locator.index), sorted(v.data.items()),
+                path_of(pre, v.index), sorted(v.data.items()),
             )).encode("utf-8"))
     return digest.hexdigest()
 
@@ -395,7 +394,7 @@ def test_audit_serializes_each_flagged_element_once(
         calls.clear()
         violations = rules.audit(doc)
         assert violations
-        assert len(calls) == len({v.locator.index for v in violations}), name
+        assert len(calls) == len({v.index for v in violations}), name
     assert len(calls) < len(violations)
 
 
@@ -533,16 +532,21 @@ def test_nested_name_checks_run_in_linear_time(rule_id, shape):
 
 
 TREE_TAGS = ("div", "span", "p", "a", "label", "input", "main", "header",
-             "section", "script", "style")
+             "footer", "nav", "section", "script", "style")
+# Half of the opened elements come from here, and a tree has at least 20
+# events, so that the enclosure checks (unlabelled inputs, nested banners
+# and contentinfos) flag something in most trees: at hypothesis seed 1, in
+# 152 and 150 of 200.
+ENCLOSURE_TAGS = ("input", "main", "header", "footer")
 MAX_DEPTH = 30
 
 tree_events = st.lists(st.one_of(
-    st.tuples(st.just("open"), st.sampled_from(TREE_TAGS),
-              st.sampled_from(["", "a", "b", "c"])),
+    st.tuples(st.just("open"),
+              st.sampled_from(TREE_TAGS) | st.sampled_from(ENCLOSURE_TAGS),
+              st.sampled_from(["", "id=a", "id=b", "id=c", "for=a", "for=b"])),
     st.just(("close",)),
-    st.tuples(st.just("text"), st.text(max_size=4)),
-    st.tuples(st.just("comment"), st.text(max_size=4)),
-), max_size=150)
+    st.tuples(st.sampled_from(["text", "comment"]), st.text(max_size=4)),
+), min_size=20, max_size=150)
 
 
 def build_tree(events) -> dom.DomDocument:
@@ -551,7 +555,8 @@ def build_tree(events) -> dom.DomDocument:
     stack = [root]
     for event in events:
         if event[0] == "open" and len(stack) <= MAX_DEPTH:
-            el = dom.Element(event[1], {"id": event[2]} if event[2] else {})
+            el = dom.Element(event[1], dict([event[2].split("=")])
+                             if event[2] else {})
             stack[-1].children.append(el)
             stack.append(el)
         elif event[0] == "close" and len(stack) > 1:

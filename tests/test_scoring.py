@@ -36,29 +36,32 @@ def test_url_score_additive():
     assert url_score(a + b) == url_score(a) + url_score(b)
 
 
-def report(score):
-    return AuditReport("u", [], 0, score)
+def test_audit_report_counts_and_scores_its_violations():
+    vs = [make_violation(impact="critical"), make_violation(impact="minor")]
+    report = AuditReport.from_violations(vs)
+    assert report.violations == vs and report.violations is not vs
+    assert report.num_violations == 2
+    assert report.score == 7
 
 
 def test_dataset_average_single_report():
-    assert dataset_average([report(10)]) == 10
+    assert dataset_average(10, 1) == 10
 
 
 def test_dataset_average_reference_values():
-    assert dataset_average([report(614)] + [report(0)] * 24) * 25 == 614
-    reports = [report(24)] * 11 + [report(25)] * 14
-    assert dataset_average(reports) == Fraction(614, 25)
+    assert dataset_average(614 + 0 * 24, 25) * 25 == 614
+    assert dataset_average(24 * 11 + 25 * 14, 25) == Fraction(614, 25)
     assert float(Fraction(614, 25)) == 24.56
     assert float(Fraction(299, 25)) == 11.96
 
 
 def test_dataset_average_identical_reports():
-    assert dataset_average([report(7)] * 9) == 7
+    assert dataset_average(7 * 9, 9) == 7
 
 
 def test_dataset_average_empty_errors():
     with pytest.raises(EmptyDatasetError):
-        dataset_average([])
+        dataset_average(0, 0)
 
 
 def test_improvement_percent_reference_rows():
@@ -96,11 +99,11 @@ def test_scaling_weights_leaves_improvement_unchanged(k, impacts):
     scaled = {name: w * k for name, w in weights.items()}
     vs = [make_violation(impact=i) for i in impacts]
     assert url_score(vs, scaled) == k * url_score(vs, weights)
-    before = AuditReport.from_violations("u", vs, weights)
-    before_k = AuditReport.from_violations("u", vs, scaled)
+    before = AuditReport.from_violations(vs, weights)
+    before_k = AuditReport.from_violations(vs, scaled)
     half = vs[: len(vs) // 2]
-    after = AuditReport.from_violations("u", half, weights)
-    after_k = AuditReport.from_violations("u", half, scaled)
+    after = AuditReport.from_violations(half, weights)
+    after_k = AuditReport.from_violations(half, scaled)
     if before.score:
         assert improvement_percent(before.score, after.score) == \
             improvement_percent(before_k.score, after_k.score)
