@@ -11,7 +11,6 @@ from .dom import (
     Element,
     locate,
     preorder,
-    rewrite,
     serialize_node,
 )
 from .errors import (
@@ -41,12 +40,13 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def _apply(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
+def _apply(el: Element, v: Violation, p: FixProposal,
+           snippet: str) -> CorrectionRecord:
+    """Apply ``p`` to ``el``, which serializes to ``snippet``."""
     try:
-        replacement = p.take_element()
+        p.apply_to(el, snippet)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
-    rewrite(el, replacement)
     return CorrectionRecord(v, p, APPLIED)
 
 
@@ -55,27 +55,27 @@ def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecor
 
     The element at the violation's index must still serialize to its
     snippet. Failures leave the document untouched. The element takes over
-    the lists of ``p.element``, which the proposal then drops, so applying
-    it again parses afresh.
+    what the proposal offers (see ``FixProposal.apply_to``), which the
+    proposal then drops, so applying it again parses afresh.
     """
     el = locate(preorder(doc.root).elements, v.index, v.html_snippet)
     if el is None:
         return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
-    return _apply(el, v, p)
+    return _apply(el, v, p, v.html_snippet)
 
 
 def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     if el is None:
         return CorrectionRecord(v, None, MATCH_FAILED, _STALE)
     try:
-        proposal = propose()
+        snippet, proposal = propose()
     except NoRecipeError as exc:
         return CorrectionRecord(v, None, NO_RECIPE, str(exc))
     except (ProviderUnavailableError, ReplayMissError) as exc:
         return CorrectionRecord(v, None, PROVIDER_FAILED, str(exc))
     except (IncompleteViolationError, UnparseableResponseError) as exc:
         return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
-    return _apply(el, v, proposal)
+    return _apply(el, v, proposal, snippet)
 
 
 def _independent(targets, end: list) -> set:
@@ -103,7 +103,8 @@ def correct_document(
 
     Each distinct (index, snippet) is located once, after one walk of the
     document and before any fix, and a fix rewrites its element in place,
-    so no fix moves a target still waiting for its own. Failures are
+    so no fix moves a target still waiting for its own. A start-tag answer
+    keeps the element's children (``FixProposal.apply_to``). Failures are
     recorded and skipped: one record per violation, in input order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
@@ -120,11 +121,12 @@ def correct_document(
     targets = [(found[v.index, v.html_snippet], v) for v in violations]
     independent = _independent(targets, end)
 
-    def ask(i: int) -> FixProposal:
+    def ask(i: int) -> tuple:
+        """(the snippet that target ``i`` was prompted with, the proposal)."""
         el, v = targets[i]
         if i not in independent:
             v = replace(v, html_snippet=serialize_node(el))
-        return provider.propose(build_prompt(v, strategy), v)
+        return v.html_snippet, provider.propose(build_prompt(v, strategy), v)
 
     early = {}
     pool = None

@@ -292,6 +292,43 @@ def _escape_attr(data: str) -> str:
     )
 
 
+def start_tag(tag: str, attrs) -> str:
+    """The canonical start tag of ``tag`` with ``attrs``, (name, value)
+    pairs in the order they are written."""
+    if not attrs:
+        return f"<{tag}>"
+    text = "<" + tag
+    for name, value in attrs:
+        text += f' {name}="{_escape_attr(value)}"'
+    return text + ">"
+
+
+def split_element(html: str) -> Optional[tuple]:
+    """Split ``html``, the canonical serialization of one element, into that
+    element without its children and the text of its content.
+
+    Only the start tag is parsed; the content is the text between it and
+    the end tag, none for a void element. None unless ``html`` opens with a
+    canonical start tag and ends with the matching end tag. The content is
+    not checked: it is canonical when ``html`` is a serialization.
+    """
+    m = _TOKEN.match(html)
+    if m is None or m.lastgroup != "start" or m.group("close") is None:
+        return None
+    start, end = m.span("attrs")
+    el = Element(m.group("tag").lower(),
+                 _attrs(html, start, end) if start < end else {})
+    opened = m.end()
+    if html[:opened] != start_tag(el.tag, el.attrs.items()):
+        return None
+    if el.tag in VOID_ELEMENTS:
+        return (el, "") if len(html) == opened else None
+    close = f"</{el.tag}>"
+    if not html.endswith(close, opened):
+        return None
+    return el, html[opened:-len(close)]
+
+
 def serialize_node(node: Node) -> str:
     """Canonical serialization of a node and its subtree."""
     return _serialize(node, normalized=False)
@@ -319,11 +356,9 @@ def _serialize(node: Node, normalized: bool) -> str:
         elif isinstance(node, Doctype):
             parts.append(f"<!{node.data}>")
         else:
-            parts.append(f"<{node.tag}")
             attrs = node.attrs.items()
-            for name, value in sorted(attrs) if normalized else attrs:
-                parts.append(f' {name}="{_escape_attr(value)}"')
-            parts.append(">")
+            parts.append(start_tag(node.tag, sorted(attrs) if normalized
+                                   else attrs))
             if node.tag in VOID_ELEMENTS:
                 continue
             stack.append((f"</{node.tag}>", False))

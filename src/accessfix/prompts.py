@@ -10,13 +10,13 @@ worked example). Template text lives in ``templates/`` as plain files with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from typing import Optional
 
-from .dom import (VOID_ELEMENTS, Element, parse_fragment_element,
-                  serialize_node)
+from .dom import (VOID_ELEMENTS, Element, parse_fragment_element, rewrite,
+                  serialize_node, start_tag)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -56,6 +56,11 @@ class FixProposal:
     thought: Optional[str]
     raw_response: str
     provider_id: str = ""
+    # A start-tag answer's proposed element without children, and the
+    # serialization it was built from, whose content the answer keeps.
+    start: Optional[Element] = field(default=None, repr=False, compare=False)
+    built_from: Optional[str] = field(default=None, repr=False,
+                                      compare=False)
 
     @cached_property
     def element(self) -> Element:
@@ -63,30 +68,65 @@ class FixProposal:
         exactly one element. Parsed on first read only."""
         return parse_fragment_element(self.corrected_html)
 
-    def take_element(self) -> Element:
-        """``element``, handed over: the proposal drops its parse, so taking
-        it again parses afresh. A caller that puts the element into a
-        document owns it; a proposal that kept it would also keep alive
-        every subtree that a later fix replaces."""
-        el = self.element
+    def apply_to(self, el: Element, snippet: str) -> None:
+        """Rewrite ``el``, which serializes to ``snippet``, into the proposed
+        element; ``InvalidFragmentError`` (``el`` untouched) unless the
+        answer is exactly one element.
+
+        A start-tag answer built from ``snippet`` gives ``el`` its tag and
+        attributes and keeps ``el``'s children, which serialize to the
+        content the answer kept, so nothing is parsed. Any other answer, or
+        a start-tag answer applied a second time or to another element, is
+        parsed and its element handed over whole.
+
+        Either way the proposal drops what it handed over, so applying it
+        again parses afresh. The document owns what it took; a proposal
+        that kept it would also keep alive every subtree that a later fix
+        replaces, and would share it with the next document it is applied
+        to.
+        """
+        if self.start is not None and snippet == self.built_from:
+            el.tag, el.attrs = self.start.tag, self.start.attrs
+            self.start = self.built_from = None
+            return
+        replacement = self.element
         del self.element
-        return el
+        rewrite(el, replacement)
 
     @classmethod
-    def answer(cls, el: Element, thought: str,
-               provider_id: str) -> "FixProposal":
+    def _respond(cls, corrected: str, thought: str,
+                 provider_id: str) -> "FixProposal":
         """The proposal of a ``Thought:`` / ``CORRECTED:`` response that
-        offers ``el``, in the form ``parse_fix`` reads back. The fence has
-        one backtick more than the longest run inside the fragment. ``el``
-        must be what parsing its serialization gives back: it fills the
-        ``element`` cache instead of a second parse."""
-        corrected = serialize_node(el)
+        offers ``corrected``, in the form ``parse_fix`` reads back. The
+        fence has one backtick more than the longest run inside it."""
         fence = "`"
         while fence in corrected:
             fence += "`"
         raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
-        proposal = cls(corrected, thought, raw, provider_id)
+        return cls(corrected, thought, raw, provider_id)
+
+    @classmethod
+    def answer(cls, el: Element, thought: str,
+               provider_id: str) -> "FixProposal":
+        """The response that offers ``el``. ``el`` must be what parsing its
+        serialization gives back: it fills the ``element`` cache instead of
+        a second parse."""
+        proposal = cls._respond(serialize_node(el), thought, provider_id)
         proposal.__dict__["element"] = el
+        return proposal
+
+    @classmethod
+    def start_tag_answer(cls, el: Element, content: str, built_from: str,
+                         thought: str, provider_id: str) -> "FixProposal":
+        """The response that gives the element serialized as ``built_from``
+        the tag and attributes of the childless ``el`` and keeps its
+        ``content`` (see ``dom.split_element``) byte for byte: ``el``'s start
+        tag, the content, then ``el``'s end tag, none for a void element
+        (whose content is empty)."""
+        end = "" if el.tag in VOID_ELEMENTS else f"</{el.tag}>"
+        proposal = cls._respond(start_tag(el.tag, el.attrs.items())
+                                + content + end, thought, provider_id)
+        proposal.start, proposal.built_from = el, built_from
         return proposal
 
 

@@ -10,10 +10,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .colors import LINEAR, RgbColor, relative_luminance
-from .dom import (Comment, DomDocument, Element, Text,
-                  parse_fragment_element, rewrite)
+from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Comment, DomDocument,
+                  Element, Text, parse_fragment_element, rewrite,
+                  split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -254,6 +256,10 @@ def _fix_link_name(el, v):
 
 
 def _fix_empty_heading(el, v):
+    if el.tag in VOID_ELEMENTS:
+        # Text in a void element is never serialized: name it instead.
+        el.attrs["aria-label"] = "section heading"
+        return "named the heading with a placeholder aria-label"
     el.children.append(Text("section heading"))
     return "inserted placeholder heading text"
 
@@ -407,10 +413,12 @@ def _fix_meta_viewport(el, v):
     return "removed the zoom restrictions from the viewport meta tag"
 
 
+@lru_cache(maxsize=256)
 def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbColor:
     """Move the foreground toward black or white (whichever can reach a higher
     ratio) until the contrast exceeds threshold + 0.05; hue is preserved by
-    scaling all channels uniformly. Binary search, <= 20 iterations.
+    scaling all channels uniformly. Binary search, <= 20 iterations, run once
+    per (fg, bg, threshold) among the last 256: the result is immutable.
 
     Each step works on the rounded channel integers and reads their
     luminance from ``colors.LINEAR``; the float operations and their order
@@ -445,10 +453,13 @@ def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbCol
 def _fix_color_contrast(el, v):
     fg, bg, required = (_param(v, key) for key in ("fg", "bg", "required"))
     fixed = rescale_for_contrast(fg, bg, required)
+    # Drop the declarations of the color property, which the audit read;
+    # keep every other, color-scheme and the like included.
     decls = [
         chunk.strip()
         for chunk in el.attrs.get("style", "").split(";")
-        if chunk.strip() and not chunk.strip().lower().startswith("color")
+        if chunk.strip()
+        and chunk.partition(":")[0].strip().lower() != "color"
     ]
     decls.insert(0, f"color:{fixed.to_hex()}")
     el.attrs["style"] = "; ".join(decls)
@@ -474,10 +485,41 @@ _RECIPES = {
 }
 
 
+def _edits_content(rule_id: str, tag: str) -> bool:
+    """Whether the recipe for ``rule_id`` on a ``tag`` element reads or
+    edits the element's content; every other recipe reads and edits only
+    its tag and attributes."""
+    return rule_id in ("region", "empty-heading") or (
+        rule_id == "landmark-one-main" and tag == "html")
+
+
+# Tags whose content is not serialized or not parsed as markup.
+_OPAQUE = VOID_ELEMENTS | RAW_TEXT_ELEMENTS
+
+
 def heuristic_fix(v: Violation) -> FixProposal:
-    """Deterministic repair of a violation's snippet, rule by rule."""
+    """Deterministic repair of a violation's snippet, rule by rule.
+
+    ``v.html_snippet`` is a canonical serialization, as the audit gives. A
+    recipe that edits only the start tag runs on the snippet's start tag
+    alone (``dom.split_element``), and the answer keeps the snippet's
+    content byte for byte (``FixProposal.start_tag_answer``). That is what
+    parsing the whole snippet, running the recipe and serializing give,
+    because canonical content parses back to the children it came from,
+    under any tag that is not opaque. A recipe that edits the content, a
+    rename into or out of an opaque tag and a snippet that does not open
+    with a canonical start tag take that parse.
+    """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
+    split = split_element(v.html_snippet)
+    if split is not None and not _edits_content(v.rule_id, split[0].tag):
+        el, content = split
+        tag = el.tag
+        thought = recipe(el, v)
+        if el.tag == tag or not {tag, el.tag} & _OPAQUE:
+            return FixProposal.start_tag_answer(el, content, v.html_snippet,
+                                                thought, "heuristic")
     el = parse_fragment_element(v.html_snippet)
     return FixProposal.answer(el, recipe(el, v), "heuristic")

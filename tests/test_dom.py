@@ -76,6 +76,30 @@ def test_round_trip_idempotence_over_corpus(corpus_dir, corpus_manifest):
         assert dom.parse_html(once).serialize() == once
 
 
+def test_split_element_reads_only_the_start_tag(corpus_dir, corpus_manifest):
+    split = 0
+    for name in corpus_manifest:
+        doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
+        for el in dom.preorder(doc.root).elements:
+            snippet = dom.serialize_node(el)
+            start, content = dom.split_element(snippet)
+            assert start == dom.Element(el.tag, el.attrs)
+            end = "" if el.tag in dom.VOID_ELEMENTS else f"</{el.tag}>"
+            assert dom.start_tag(el.tag, el.attrs.items()) + content + end \
+                == snippet
+            split += 1
+    assert split > 600
+
+
+@pytest.mark.parametrize("html", [
+    "<P>x</P>", "<p >x</p>", '<img src=x.png>', "<p title='a'></p>",
+    '<p id="a" id="b"></p>', "<p>x", "<p>x</div>", "<br>x", "x<p></p>",
+    " <p></p>", "<!-- c --><p></p>", "", "<p",
+])
+def test_split_element_takes_only_a_canonical_start_tag(html):
+    assert dom.split_element(html) is None
+
+
 def test_find_by_snippet_normalizes_case_order_whitespace():
     doc = dom.parse_html('<img src="x.png" alt="logo">')
     found = dom.find_by_snippet(doc, '<IMG ALT="logo"  SRC="x.png" >')

@@ -29,7 +29,7 @@ from accessfix.harness import (
     run_benchmark,
     run_pages,
 )
-from accessfix.prompts import build_prompt, parse_fix
+from accessfix.prompts import FixProposal, build_prompt, parse_fix
 from accessfix.providers import (
     HeuristicProvider,
     ProviderConfig,
@@ -104,6 +104,25 @@ def test_contrast_recipe_meets_threshold_with_margin():
     style = el.attrs.get("style")
     fg = parse_color(style.split(";")[0].split(":")[1])
     assert contrast_ratio(fg, parse_color("#ffffff")) >= 4.55
+
+
+def test_contrast_recipe_keeps_the_other_color_properties():
+    v = violation_for(PAGE.format(
+        seed='<p style="color-scheme: light; color:#777777; '
+             'background-color:#ffffff">text</p>'), "color-contrast")
+    assert heuristic_fix(v).corrected_html == (
+        '<p style="color:#757575; color-scheme: light; '
+        'background-color:#ffffff">text</p>')
+
+
+def test_empty_heading_recipe_names_a_void_heading():
+    # Text in a void element would never be serialized.
+    html = PAGE.format(seed='<hr role="heading">')
+    v = violation_for(html, "empty-heading")
+    assert heuristic_fix(v).corrected_html == \
+        '<hr role="heading" aria-label="section heading">'
+    assert all(x.rule_id != "empty-heading"
+               for x in reaudit_after_fix(html, "empty-heading"))
 
 
 def test_contrast_recipe_soundness_200_random_cases():
@@ -271,26 +290,27 @@ def test_heuristic_proposal_round_trips_through_parse_fix():
         assert parse_fix(fix.raw_response).corrected_html == fix.corrected_html
 
 
-def test_heuristic_proposal_element_is_its_corrected_html_parsed(
-        corpus_paths, rules_dir, rules_manifest, composed_pages):
-    """The heuristic provider hands over its recipe's element instead of
-    letting the corrector parse its own output again; that is only sound
-    while the two trees are equal."""
+def test_applied_heuristic_fix_is_its_corrected_html_parsed(
+        corpus_paths, rules_dir, rules_manifest, composed_pages, monkeypatch):
+    """A start-tag answer keeps the element's children instead of the
+    corrector parsing the answer, and a content answer hands over the
+    recipe's element; either is only sound while the element that the fix
+    leaves equals the answer parsed."""
     compared = []
+    apply_to = FixProposal.apply_to
 
-    class Comparing(HeuristicProvider):
-        def propose(self, bundle, violation=None):
-            proposal = super().propose(bundle, violation)
-            compared.append(proposal.__dict__["element"] ==
-                            dom.parse_fragment_element(proposal.corrected_html))
-            return proposal
+    def checked(self, el, snippet):
+        apply_to(self, el, snippet)
+        compared.append(el == dom.parse_fragment_element(self.corrected_html))
 
+    monkeypatch.setattr(FixProposal, "apply_to", checked)
     pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
     pages += [(name, (rules_dir / name).read_text("utf-8"))
               for name in sorted(rules_manifest)]
     for name, html in pages + composed_pages:
         doc = dom.parse_html(html)
-        correct_document(doc, rules.audit(doc, web_url=name), Comparing())
+        correct_document(doc, rules.audit(doc, web_url=name),
+                         HeuristicProvider())
     assert len(compared) > 1000
     assert all(compared)
 
