@@ -309,8 +309,9 @@ def split_element(html: str) -> Optional[tuple]:
 
     Only the start tag is parsed; the content is the text between it and
     the end tag, none for a void element. None unless ``html`` opens with a
-    canonical start tag and ends with the matching end tag. The content is
-    not checked: it is canonical when ``html`` is a serialization.
+    canonical start tag and ends with the matching end tag (is nothing else,
+    for a void element). The content is not checked: it is canonical when
+    ``html`` is a serialization.
     """
     m = _TOKEN.match(html)
     if m is None or m.lastgroup != "start" or m.group("close") is None:

@@ -32,7 +32,8 @@ def oracle_fix(v):
     fence = "`"
     while fence in corrected:
         fence += "`"
-    return corrected, f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
+    raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
+    return corrected, raw
 
 
 def fixed(v):
