@@ -73,7 +73,8 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
         return CorrectionRecord(v, None, NO_RECIPE, str(exc))
     except (ProviderUnavailableError, ReplayMissError) as exc:
         return CorrectionRecord(v, None, PROVIDER_FAILED, str(exc))
-    except (IncompleteViolationError, UnparseableResponseError) as exc:
+    except (IncompleteViolationError, InvalidFragmentError,
+            UnparseableResponseError) as exc:
         return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
     return _apply(el, v, proposal, snippet)
 
@@ -103,7 +104,7 @@ def correct_document(
 
     Each distinct (index, snippet) is located once, after one walk of the
     document and before any fix, and a fix rewrites its element in place,
-    so no fix moves a target still waiting for its own. A start-tag answer
+    so no fix moves a target still waiting for its own. A template answer
     keeps the element's children (``FixProposal.apply_to``). Failures are
     recorded and skipped: one record per violation, in input order.
 

@@ -303,31 +303,50 @@ def start_tag(tag: str, attrs) -> str:
     return text + ">"
 
 
-def split_element(html: str) -> Optional[tuple]:
-    """Split ``html``, the canonical serialization of one element, into that
-    element without its children and the text of its content.
+def split_element(html: str) -> Optional[Element]:
+    """The template of ``html``, the canonical serialization of one element:
+    that element with one ``str`` child, the text of its content byte for
+    byte, so ``serialize_node`` gives ``html`` back.
 
     Only the start tag is parsed; the content is the text between it and
     the end tag, none for a void element. None unless ``html`` opens with a
     canonical start tag and ends with the matching end tag (is nothing else,
     for a void element). The content is not checked: it is canonical when
-    ``html`` is a serialization.
+    ``html`` is a serialization. ``fill`` puts real children in its place.
     """
     m = _TOKEN.match(html)
     if m is None or m.lastgroup != "start" or m.group("close") is None:
         return None
     start, end = m.span("attrs")
-    el = Element(m.group("tag").lower(),
-                 _attrs(html, start, end) if start < end else {})
+    tag = m.group("tag").lower()
+    attrs = _attrs(html, start, end) if start < end else {}
     opened = m.end()
-    if html[:opened] != start_tag(el.tag, el.attrs.items()):
+    if html[:opened] != start_tag(tag, attrs.items()):
         return None
-    if el.tag in VOID_ELEMENTS:
-        return (el, "") if len(html) == opened else None
-    close = f"</{el.tag}>"
+    if tag in VOID_ELEMENTS:
+        return Element(tag, attrs, [""]) if len(html) == opened else None
+    close = f"</{tag}>"
     if not html.endswith(close, opened):
         return None
-    return el, html[opened:-len(close)]
+    return Element(tag, attrs, [html[opened:-len(close)]])
+
+
+def fill(template: Element, children: list) -> Element:
+    """Put ``children`` in place of the ``str`` child that ``template`` (see
+    ``split_element``), or an element under it, holds; return ``template``.
+    """
+    stack = [template]
+    while stack:
+        el = stack.pop()
+        kids = el.children
+        for k, kid in enumerate(kids):
+            if isinstance(kid, str):
+                el.children = (children if len(kids) == 1
+                               else kids[:k] + children + kids[k + 1:])
+                return template
+            if isinstance(kid, Element):
+                stack.append(kid)
+    return template
 
 
 def serialize_node(node: Node) -> str:

@@ -15,8 +15,8 @@ from functools import cached_property
 from importlib import resources
 from typing import Optional
 
-from .dom import (VOID_ELEMENTS, Element, parse_fragment_element, rewrite,
-                  serialize_node, start_tag)
+from .dom import (VOID_ELEMENTS, Element, fill, parse_fragment_element,
+                  rewrite, serialize_node)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -56,9 +56,8 @@ class FixProposal:
     thought: Optional[str]
     raw_response: str
     provider_id: str = ""
-    # A start-tag answer's proposed element without children, and the
-    # serialization it was built from, whose content the answer keeps.
-    start: Optional[Element] = field(default=None, repr=False, compare=False)
+    # The serialization that a template answer (see ``answer``) was built
+    # from, whose element's children fill the template.
     built_from: Optional[str] = field(default=None, repr=False,
                                       compare=False)
 
@@ -73,11 +72,11 @@ class FixProposal:
         element; ``InvalidFragmentError`` (``el`` untouched) unless the
         answer is exactly one element.
 
-        A start-tag answer built from ``snippet`` gives ``el`` its tag and
-        attributes and keeps ``el``'s children, which serialize to the
-        content the answer kept, so nothing is parsed. Any other answer, or
-        a start-tag answer applied a second time or to another element, is
-        parsed and its element handed over whole.
+        A template answer built from ``snippet`` is filled with ``el``'s
+        children, which serialize to the content the template stands for,
+        so nothing is parsed. Any other answer, or a template answer
+        applied a second time or to another element, is parsed and its
+        element handed over whole.
 
         Either way the proposal drops what it handed over, so applying it
         again parses afresh. The document owns what it took; a proposal
@@ -85,48 +84,36 @@ class FixProposal:
         replaces, and would share it with the next document it is applied
         to.
         """
-        if self.start is not None and snippet == self.built_from:
-            el.tag, el.attrs = self.start.tag, self.start.attrs
-            self.start = self.built_from = None
-            return
+        built_from, self.built_from = self.built_from, None
+        if built_from is not None:
+            template = self.__dict__.pop("element")
+            if snippet == built_from:
+                rewrite(el, fill(template, el.children))
+                return
         replacement = self.element
         del self.element
         rewrite(el, replacement)
 
     @classmethod
-    def _respond(cls, corrected: str, thought: str,
-                 provider_id: str) -> "FixProposal":
-        """The proposal of a ``Thought:`` / ``CORRECTED:`` response that
-        offers ``corrected``, in the form ``parse_fix`` reads back. The
-        fence has one backtick more than the longest run inside it."""
+    def answer(cls, el: Element, thought: str, provider_id: str,
+               built_from: Optional[str] = None) -> "FixProposal":
+        """The ``Thought:`` / ``CORRECTED:`` response that offers ``el``, in
+        the form ``parse_fix`` reads back; the fence has one backtick more
+        than the longest run inside it.
+
+        ``el`` fills the ``element`` cache instead of a second parse, so it
+        must be what parsing its serialization gives back. A template
+        (``dom.split_element`` of ``built_from``) must be that once it is
+        filled with the children of the element serialized as
+        ``built_from``.
+        """
+        corrected = serialize_node(el)
         fence = "`"
         while fence in corrected:
             fence += "`"
         raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
-        return cls(corrected, thought, raw, provider_id)
-
-    @classmethod
-    def answer(cls, el: Element, thought: str,
-               provider_id: str) -> "FixProposal":
-        """The response that offers ``el``. ``el`` must be what parsing its
-        serialization gives back: it fills the ``element`` cache instead of
-        a second parse."""
-        proposal = cls._respond(serialize_node(el), thought, provider_id)
+        proposal = cls(corrected, thought, raw, provider_id, built_from)
         proposal.__dict__["element"] = el
-        return proposal
-
-    @classmethod
-    def start_tag_answer(cls, el: Element, content: str, built_from: str,
-                         thought: str, provider_id: str) -> "FixProposal":
-        """The response that gives the element serialized as ``built_from``
-        the tag and attributes of the childless ``el`` and keeps its
-        ``content`` (see ``dom.split_element``) byte for byte: ``el``'s start
-        tag, the content, then ``el``'s end tag, none for a void element
-        (whose content is empty)."""
-        end = "" if el.tag in VOID_ELEMENTS else f"</{el.tag}>"
-        proposal = cls._respond(start_tag(el.tag, el.attrs.items())
-                                + content + end, thought, provider_id)
-        proposal.start, proposal.built_from = el, built_from
         return proposal
 
 

@@ -256,8 +256,9 @@ def _fix_link_name(el, v):
 
 
 def _fix_empty_heading(el, v):
-    if el.tag in VOID_ELEMENTS:
-        # Text in a void element is never serialized: name it instead.
+    if el.tag in VOID_ELEMENTS or el.tag in RAW_TEXT_ELEMENTS:
+        # Text in a void element is never serialized, and raw text is not
+        # a heading's text: name it instead.
         el.attrs["aria-label"] = "section heading"
         return "named the heading with a placeholder aria-label"
     el.children.append(Text("section heading"))
@@ -354,6 +355,7 @@ def _fix_landmark_one_main(el, v):
                 return "wrapped the body content in a main landmark"
         raise NoRecipeError("document has no body to wrap")
     el.tag = "section"
+    el.attrs.pop("role", None)
     if not el.attrs.get("aria-label", "").strip():
         el.attrs["aria-label"] = _param(v, "label")
     return "converted the extra main into a labeled section"
@@ -485,41 +487,29 @@ _RECIPES = {
 }
 
 
-def _edits_content(rule_id: str, tag: str) -> bool:
-    """Whether the recipe for ``rule_id`` on a ``tag`` element reads or
-    edits the element's content; every other recipe reads and edits only
-    its tag and attributes."""
-    return rule_id in ("region", "empty-heading") or (
-        rule_id == "landmark-one-main" and tag == "html")
-
-
-# Tags whose content is not serialized or not parsed as markup.
-_OPAQUE = VOID_ELEMENTS | RAW_TEXT_ELEMENTS
-
-
 def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
-    ``v.html_snippet`` is a canonical serialization, as the audit gives. A
-    recipe that edits only the start tag runs on the snippet's start tag
-    alone (``dom.split_element``), and the answer keeps the snippet's
-    content byte for byte (``FixProposal.start_tag_answer``). That is what
-    parsing the whole snippet, running the recipe and serializing give,
-    because canonical content parses back to the children it came from,
-    under any tag that is not opaque. A recipe that edits the content, a
-    rename into or out of an opaque tag and a snippet that does not open
-    with a canonical start tag take that parse.
+    ``v.html_snippet`` is a canonical serialization, as the audit gives. The
+    recipe runs on the snippet's template (``dom.split_element``), whose
+    one ``str`` child stands for the content byte for byte; it edits the
+    start tag, wraps the content or adds to it. The answer is the template
+    serialized, which is what parsing the snippet, running the recipe and
+    serializing give, because canonical content parses back to the children
+    it came from. The corrector fills the template with the element's live
+    children (``FixProposal.apply_to``). Three cases parse the snippet
+    instead: a snippet that does not open with a canonical start tag, a
+    ``script`` or ``style`` element, whose raw content would be escaped
+    under any other tag, and the ``landmark-one-main`` wrap on ``<html>``,
+    which reads the body's children.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
-    split = split_element(v.html_snippet)
-    if split is not None and not _edits_content(v.rule_id, split[0].tag):
-        el, content = split
-        tag = el.tag
-        thought = recipe(el, v)
-        if el.tag == tag or not {tag, el.tag} & _OPAQUE:
-            return FixProposal.start_tag_answer(el, content, v.html_snippet,
-                                                thought, "heuristic")
-    el = parse_fragment_element(v.html_snippet)
-    return FixProposal.answer(el, recipe(el, v), "heuristic")
+    template = split_element(v.html_snippet)
+    if template is None or template.tag in RAW_TEXT_ELEMENTS or (
+            v.rule_id, template.tag) == ("landmark-one-main", "html"):
+        el = parse_fragment_element(v.html_snippet)
+        return FixProposal.answer(el, recipe(el, v), "heuristic")
+    return FixProposal.answer(template, recipe(template, v), "heuristic",
+                              v.html_snippet)

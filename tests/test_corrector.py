@@ -15,8 +15,9 @@ from accessfix.corrector import (
     apply_fix,
     correct_document,
 )
-from accessfix.errors import ProviderUnavailableError
-from accessfix.harness import CorpusEntry, build_replay_transcript, ingest
+from accessfix.errors import InvalidFragmentError, ProviderUnavailableError
+from accessfix.harness import (CorpusEntry, build_replay_transcript, ingest,
+                               run_pages)
 from accessfix.prompts import FixProposal
 from accessfix.providers import (
     HeuristicProvider,
@@ -138,6 +139,37 @@ def test_correct_document_mixed_outcomes():
     assert outcomes[0] == PROVIDER_FAILED
     assert outcomes[1] == PARSE_FAILED
     assert set(outcomes[2:]) <= {APPLIED}
+
+
+def test_fragment_error_while_proposing_fails_only_that_fix():
+    """A provider may parse while it proposes; an InvalidFragmentError from
+    it is that violation's parse failure, not the page's."""
+    violations = rules.audit(dom.parse_html(PAGE), web_url="f")
+    stub = StubProvider(
+        [InvalidFragmentError("fragment must contain exactly one element")]
+        + [heuristic_fix(v).corrected_html for v in reversed(violations[:-1])]
+    )
+    [page] = run_pages([CorpusEntry("f", PAGE)], stub)
+    assert page.error == ""
+    outcomes = [r.outcome for r in page.records]
+    assert outcomes == [APPLIED] * (len(violations) - 1) + [PARSE_FAILED]
+    assert "exactly one element" in page.records[-1].detail
+
+
+@pytest.mark.parametrize("html", [
+    # An extra main with role="main" became a section that is still a main.
+    '<main>a</main><div role="main">b</div>',
+    # Text appended to a raw-text heading is not its text.
+    '<script role="heading"></script>',
+    # A content recipe parsed a snippet that re-parsed as two elements, and
+    # its InvalidFragmentError failed the page.
+    '<section role="main"><p role="heading"><tr role="main">',
+])
+def test_heuristic_mends_end_at_zero(html):
+    [page] = run_pages([CorpusEntry("f", html)], HeuristicProvider())
+    assert page.error == ""
+    assert {r.outcome for r in page.records} == {APPLIED}
+    assert page.final.violations == []
 
 
 def test_correct_document_records_carry_violation_and_outcome_metadata():

@@ -292,10 +292,10 @@ def test_heuristic_proposal_round_trips_through_parse_fix():
 
 def test_applied_heuristic_fix_is_its_corrected_html_parsed(
         corpus_paths, rules_dir, rules_manifest, composed_pages, monkeypatch):
-    """A start-tag answer keeps the element's children instead of the
-    corrector parsing the answer, and a content answer hands over the
-    recipe's element; either is only sound while the element that the fix
-    leaves equals the answer parsed."""
+    """A template answer is filled with the element's children instead of
+    the corrector parsing the answer, and a parsed snippet's answer hands
+    over the recipe's element; either is only sound while the element that
+    the fix leaves equals the answer parsed."""
     compared = []
     apply_to = FixProposal.apply_to
 

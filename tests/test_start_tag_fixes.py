@@ -1,22 +1,23 @@
-"""The heuristic fixer's start-tag answers against the route they replace.
+"""The heuristic fixer's template answers against the route they replace.
 
-Most recipes touch only an element's tag and attributes. For those,
-``heuristic_fix`` reads the snippet's start tag alone and keeps its content
-byte for byte, and the corrector keeps the element's children instead of
-parsing the answer. ``oracle_fix`` is the whole-snippet route: parse the
-snippet, run the recipe, serialize the element.
+``heuristic_fix`` runs each recipe on the snippet's template, its start tag
+with the content kept byte for byte, and the corrector fills the template
+with the element's children instead of parsing the answer. ``oracle_fix``
+is the whole-snippet route: parse the snippet, run the recipe, serialize
+the element.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accessfix import dom, providers, rules
 from accessfix.corrector import APPLIED, apply_fix, correct_document
 from accessfix.errors import NoRecipeError
+from accessfix.harness import CorpusEntry, run_pages
 from accessfix.providers import HeuristicProvider, heuristic_fix
 
 
@@ -96,6 +97,26 @@ def test_routes_agree_on_tag_soup(html):
     assert_routes_agree(html)
 
 
+@pytest.mark.parametrize("html", [
+    '<main>a</main><script role="main">x<y&amp;</script>',
+    '<h1>a</h1><main><style role="heading" aria-level="4">x<y</style></main>',
+    '<nav><script role="banner">x<y</script></nav>',
+], ids=["extra-main", "heading-order", "nested-landmark"])
+def test_renamed_raw_text_is_escaped(html):
+    """A recipe that renames a script or style runs on the parsed snippet:
+    the raw content becomes text of the new tag, escaped when serialized,
+    where a template would write it as it stands."""
+    assert_routes_agree(html)
+
+
+@settings(max_examples=100, deadline=None)
+@example('<section role="main"><p role="heading"><tr role="main">')
+@given(tag_soup)
+def test_heuristic_runs_complete_on_tag_soup(html):
+    [page] = run_pages([CorpusEntry("soup", html)], HeuristicProvider())
+    assert page.error == ""
+
+
 def count_fragment_parses(monkeypatch):
     """Count calls of ``dom.parse_fragment_element`` from every accessfix
     module that binds it."""
@@ -160,20 +181,38 @@ def test_nested_checkbox_fixes_parse_nothing(monkeypatch):
     assert rules.audit(doc, web_url="f") == []
 
 
+@pytest.mark.parametrize("body", [
+    "<main>" + "<h2>" * 500 + "</h2>" * 500 + "</main>",
+    "<main></main>" + "<div>t" * 500 + "</div>" * 500,
+    "<main></main>" + "<div><p>t</p>" * 500 + "</div>" * 500,
+], ids=["empty-headings", "region-divs", "region-paragraphs"])
+def test_nested_content_fixes_parse_nothing(monkeypatch, body):
+    """The content recipes (an appended heading text, a section around an
+    element's children or around a <p>) run on the snippet's template too."""
+    doc = dom.parse_html('<html lang="en"><body>' + body + "</body></html>")
+    violations = rules.audit(doc, web_url="f")
+    assert len(violations) == 500
+    calls = count_fragment_parses(monkeypatch)
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert {r.outcome for r in records} == {APPLIED}
+    assert calls == []
+    assert rules.audit(doc, web_url="f") == []
+
+
 PAGE = ('<html lang="en"><body><main><img src="a.png">'
         '<p><img src="b.png"></p></main></body></html>')
 
 
 @pytest.mark.parametrize("target", [0, 1], ids=["own", "other"])
 def test_start_tag_answer_elsewhere_is_applied_whole(monkeypatch, target):
-    """A start-tag answer keeps the children only of an element that
+    """A template answer keeps the children only of an element that
     serializes to the snippet it was built from, and only once. Applied to
     another element, or again, it is parsed and handed over whole."""
     docs = [dom.parse_html(PAGE) for _ in range(2)]
     violations = rules.audit(docs[0], web_url="f")
     assert [v.rule_id for v in violations] == ["image-alt"] * 2
     proposal = heuristic_fix(violations[0])
-    assert proposal.start is not None
+    assert proposal.built_from == violations[0].html_snippet
     expected = dom.parse_fragment_element(proposal.corrected_html)
     calls = count_fragment_parses(monkeypatch)
     for doc in docs:
