@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .colors import LINEAR, RgbColor, relative_luminance
-from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Comment, DomDocument,
-                  Element, Text, parse_fragment_element, rewrite,
-                  split_element)
+from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
+                  parse_fragment_element, rewrite, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -23,7 +22,7 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import FixProposal, PromptBundle, parse_fix
-from .rules import Violation, _Index
+from .rules import Violation, blocks_zoom, main_wrap, viewport_items
 
 
 @dataclass
@@ -313,47 +312,12 @@ def _fix_region(el, v):
     return f'wrapped the stray content in a section labeled "{label}"'
 
 
-def _wrap_body_content(ix, body):
-    """Wrap the children of element ``body`` of ``ix`` in ``<main>``, all but
-    a leading run of banner landmarks and a trailing run of contentinfo ones
-    (with the blank text and comments among them), which would be nested
-    landmarks inside main."""
-    kids = ix.elements[body].children
-    role = {ix.slot[i]: ix.landmark[i]
-            for i in range(body + 1, ix.end[body]) if ix.parent[i] == body}
-
-    def blank(k):
-        node = kids[k]
-        return isinstance(node, Comment) or (
-            isinstance(node, Text) and not node.data.strip())
-
-    start = 0
-    for k in range(len(kids)):
-        if role.get(k) == "banner":
-            start = k + 1
-        elif not blank(k):
-            break
-    stop = len(kids)
-    for k in range(len(kids) - 1, start - 1, -1):
-        if role.get(k) == "contentinfo":
-            stop = k
-        elif not blank(k):
-            break
-    main = Element("main", {}, kids[start:stop])
-    ix.elements[body].children = kids[:start] + [main] + kids[stop:]
-
-
 def _fix_landmark_one_main(el, v):
     if el.tag == "html":
-        ix = _Index.build(DomDocument(el), {})
         # An earlier region fix may have added the main landmark already.
-        if ix.mains:
+        if main_wrap(el) is None:
             return "left the page as it is: it already has a main landmark"
-        for i, up in enumerate(ix.parent):
-            if up == 0 and ix.elements[i].tag == "body":
-                _wrap_body_content(ix, i)
-                return "wrapped the body content in a main landmark"
-        raise NoRecipeError("document has no body to wrap")
+        return "wrapped the body content in a main landmark"
     el.tag = "section"
     el.attrs.pop("role", None)
     if not el.attrs.get("aria-label", "").strip():
@@ -397,20 +361,12 @@ def _fix_aria_required_attr(el, v):
 
 def _fix_meta_viewport(el, v):
     parts = []
-    for chunk in re.split(r"[,;]", el.attrs.get("content", "")):
-        if "=" not in chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.lower() == "user-scalable" and value.lower() in ("no", "0"):
-            continue
-        if key.lower() == "maximum-scale":
-            try:
-                if float(value) < 2:
-                    value = "5"
-            except ValueError:
-                pass
-        parts.append(f"{key}={value}")
+    for name, value in viewport_items(el.attrs.get("content", "")):
+        if blocks_zoom(name, value):
+            if name.lower() == "user-scalable":
+                continue
+            value = "5"  # a maximum-scale below 2
+        parts.append(f"{name}={value}")
     el.attrs["content"] = ", ".join(parts)
     return "removed the zoom restrictions from the viewport meta tag"
 

@@ -16,13 +16,14 @@ from typing import Optional
 
 from .colors import RgbColor, composite_over, contrast_ratio, parse_color
 from .dom import (
+    Comment,
     DomDocument,
     Element,
     Text,
     preorder,
     serialize_node,
 )
-from .errors import UnknownRuleError
+from .errors import NoRecipeError, UnknownRuleError
 
 IMPACT_LEVELS = ("cosmetic", "minor", "moderate", "serious", "critical")
 
@@ -253,9 +254,27 @@ class _Index:
 
     @cached_property
     def mains(self) -> list:
-        """Indices of the main landmarks: ``<main>`` or role "main"."""
-        return [i for i, el in enumerate(self.elements)
-                if el.tag == "main" or self.role[i] == "main"]
+        """Indices of the main landmarks, by ``landmark``: one role each."""
+        return [i for i, role in enumerate(self.landmark) if role == "main"]
+
+    @cached_property
+    def body(self) -> Optional[int]:
+        """Index of the root's first body child, None if it has none."""
+        return next((i for i, up in enumerate(self.parent)
+                     if up == 0 and self.elements[i].tag == "body"), None)
+
+    @cached_property
+    def skip_target(self) -> Optional[tuple]:
+        """(index, target) of the page's first link when its href is
+        ``#target`` and no element has that id, else None."""
+        for i, el in enumerate(self.elements):
+            href = el.attrs.get("href")
+            if el.tag == "a" and href is not None:
+                target = href[1:]
+                if href[:1] == "#" and target and target not in self.ids:
+                    return i, target
+                return None
+        return None
 
     @cached_property
     def new_id(self) -> _Names:
@@ -272,17 +291,50 @@ class _Index:
     def rendered_body(self):
         """Indices of the elements of the root's first body child, skipping
         script and style subtrees, in document order."""
-        body = next((i for i, up in enumerate(self.parent)
-                     if up == 0 and self.elements[i].tag == "body"), None)
+        body = i = self.body
         if body is None:
             return
-        i = body
         while i < self.end[body]:
             if self.elements[i].tag in ("script", "style"):
                 i = self.end[i]
             else:
                 yield i
                 i += 1
+
+
+def main_wrap(root: Element) -> Optional[Element]:
+    """Wrap the body content under ``root`` in a new ``<main>``, with the
+    target of a dangling skip link as its id, and return it; None if the
+    page has a main landmark. Leading banners and trailing contentinfos
+    (and blank text and comments among them) stay outside, as they would
+    nest in the main. Raises NoRecipeError if ``root`` has no body."""
+    ix = _Index.build(DomDocument(root), {})
+    if ix.mains:
+        return None
+    body = ix.body
+    if body is None:
+        raise NoRecipeError("document has no body to wrap")
+    kids = ix.elements[body].children
+    role = {ix.slot[i]: ix.landmark[i]
+            for i in range(body + 1, ix.end[body]) if ix.parent[i] == body}
+    blank = [isinstance(node, Comment) or (
+        isinstance(node, Text) and not node.data.strip()) for node in kids]
+    start = 0
+    for k in range(len(kids)):
+        if role.get(k) == "banner":
+            start = k + 1
+        elif not blank[k]:
+            break
+    stop = len(kids)
+    for k in range(len(kids) - 1, start - 1, -1):
+        if role.get(k) == "contentinfo":
+            stop = k
+        elif not blank[k]:
+            break
+    attrs = {"id": ix.skip_target[1]} if ix.skip_target else {}
+    main = Element("main", attrs, kids[start:stop])
+    ix.elements[body].children = kids[:start] + [main] + kids[stop:]
+    return main
 
 
 # --- checkers -------------------------------------------------------------
@@ -501,29 +553,13 @@ def check_landmark_no_duplicate_content(ix):
 
 
 def check_skip_link(ix):
-    first_link = None
-    for i, el in enumerate(ix.elements):
-        if el.tag == "a" and el.attrs.get("href") is not None:
-            first_link = (i, el)
-            break
-    if first_link is None:
-        return []
-    i, el = first_link
-    href = el.attrs.get("href", "")
-    if not href.startswith("#") or len(href) < 2:
-        return []
-    if href[1:] in ix.ids:
+    if ix.skip_target is None:
         return []
     existing = next(iter(ix.ids), None)
-    if existing:
-        return [_Finding(
-            i, f"The skip link target does not exist; point it at an existing "
-            f'id such as "{existing}".',
-            {"target": existing},
-        )]
-    return [_Finding(
-        i, "The skip link target does not exist; add the target anchor id.",
-    )]
+    hint = (f'point it at an existing id such as "{existing}".' if existing
+            else "add the target anchor id.")
+    return [_Finding(ix.skip_target[0], "The skip link target does not exist; "
+                     + hint, {"target": existing} if existing else {})]
 
 
 def check_aria_required_attr(ix):
@@ -543,29 +579,34 @@ def check_aria_required_attr(ix):
     return findings
 
 
-def _parse_viewport_content(content: str) -> dict:
-    pairs = {}
-    for chunk in re.split(r"[,;]", content):
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-            pairs[key.strip().lower()] = value.strip().lower()
-    return pairs
+def viewport_items(content: str) -> list:
+    """The ``name=value`` items of a viewport ``content`` value in order,
+    as stripped (name, value) pairs; a chunk without "=" is no item."""
+    pairs = (chunk.partition("=") for chunk in re.split(r"[,;]", content))
+    return [(name.strip(), value.strip()) for name, eq, value in pairs if eq]
+
+
+def blocks_zoom(name: str, value: str) -> bool:
+    """Whether one viewport item disables zoom: ``user-scalable`` no or 0,
+    or a ``maximum-scale`` below 2. Names and values are caseless."""
+    name = name.lower()
+    if name == "user-scalable":
+        return value.lower() in ("no", "0")
+    try:
+        return name == "maximum-scale" and float(value) < 2
+    except ValueError:
+        return False
 
 
 def check_meta_viewport(ix):
+    """Of items that share a name, the last counts."""
     findings = []
     for i, el in enumerate(ix.elements):
         if el.tag != "meta" or el.attrs.get("name", "").lower() != "viewport":
             continue
-        pairs = _parse_viewport_content(el.attrs.get("content", ""))
-        bad = pairs.get("user-scalable") in ("no", "0")
-        max_scale = pairs.get("maximum-scale")
-        if max_scale is not None:
-            try:
-                bad = bad or float(max_scale) < 2
-            except ValueError:
-                pass
-        if bad:
+        last = {name.lower(): (name, value) for name, value
+                in viewport_items(el.attrs.get("content", ""))}
+        if any(blocks_zoom(*item) for item in last.values()):
             findings.append(_Finding(i))
     return findings
 

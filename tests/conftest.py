@@ -6,8 +6,19 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 FIXTURES = resources.files("accessfix") / "fixtures"
+
+# Every @given test draws the same examples on every run, so a property test
+# is a fixed gate. ``--hypothesis-profile explore`` draws fresh ones.
+settings.register_profile("gate", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("gate")
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,12 @@ def test_fragment_error_while_proposing_fails_only_that_fix():
     # A content recipe parsed a snippet that re-parsed as two elements, and
     # its InvalidFragmentError failed the page.
     '<section role="main"><p role="heading"><tr role="main">',
+    # A <main> whose explicit role is banner counted as a main, and the
+    # nested-banner fix removed the page's only main.
+    '<nav><main role="banner">x',
+    # The skip link was retargeted at "#main-content", and the root wrap
+    # made a main with no id.
+    "<a href='#main'>",
 ])
 def test_heuristic_mends_end_at_zero(html):
     [page] = run_pages([CorpusEntry("f", html)], HeuristicProvider())

@@ -215,6 +215,22 @@ def test_landmark_one_main_recipe_leaves_page_banner_and_footer_outside(
                                f"{corrected}</body></html>")
 
 
+def test_root_main_wrap_ids_the_main_after_a_dangling_skip_link():
+    root = dom.parse_html('<a href="#top">skip</a><p>x</p>').root
+    main = rules.main_wrap(root)
+    assert dom.serialize_node(root.children[1]) == (
+        '<body><main id="top"><a href="#top">skip</a><p>x</p></main></body>')
+    assert main is root.children[1].children[0]
+    assert rules.main_wrap(root) is None
+
+
+def test_root_main_wrap_without_a_body_has_no_recipe():
+    v = Violation("landmark-one-main", "moderate", "d", "h",
+                  "<html><head></head></html>", 0, "u")
+    with pytest.raises(NoRecipeError, match="no body"):
+        heuristic_fix(v)
+
+
 def test_landmark_one_main_fix_on_a_landmark_only_page_ends_at_score_0():
     html = ('<html lang="en"><body><header>h</header><nav>n</nav>'
             "<footer>f</footer></body></html>")

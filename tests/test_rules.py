@@ -241,6 +241,27 @@ def test_meta_viewport_max_scale_below_two():
     assert counts["meta-viewport"] == 1
 
 
+@pytest.mark.parametrize("content, fixed", [
+    ("width=device-width, user-scalable=no, maximum-scale=1",
+     "width=device-width, maximum-scale=5"),
+    (" User-Scalable = 0 ;maximum-scale=1.5;x", "maximum-scale=5"),
+    # Of the items that share a name, the last counts.
+    ("user-scalable=no, USER-SCALABLE=yes", None),
+    ("maximum-scale=big, initial-scale=1", None),
+])
+def test_meta_viewport_fix_drops_what_blocks_zoom(content, fixed):
+    doc = dom.parse_html(f'<html lang="en"><head><meta name="viewport" '
+                         f'content="{content}"></head><body><main>x</main>'
+                         "</body></html>")
+    violations = rules.audit(doc)
+    assert [v.rule_id for v in violations] == ["meta-viewport"] * bool(fixed)
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert [r.outcome for r in records] == [APPLIED] * len(violations)
+    if fixed:
+        assert doc.root.children[0].children[0].attrs["content"] == fixed
+    assert rules.audit(doc) == []
+
+
 # A role is read by its first token, by every rule and by the heuristic
 # recipes: each page's audit, then its heuristic correction and re-audit.
 @pytest.mark.parametrize("body, found", [
@@ -430,7 +451,9 @@ def reference_has_text(el):
 
 
 def reference_is_main(el):
-    return el.tag == "main" or reference_role(el) == "main"
+    """One role per element: an explicit role wins over the tag."""
+    role = reference_role(el)
+    return role == "main" if role else el.tag == "main"
 
 
 def assert_index_facts(doc):
@@ -475,7 +498,9 @@ def test_index_facts_match_the_subtree_walks(
         *NESTED.values(), '<a href="/x"> ', '<a href="/x"><img alt=" ">',
         '<h3><img alt="y">', '<div role=" Heading x">', "<div><script>x",
         "<div><script>x</script>", "<style>p{}</style><div>",
-        '<div role="MAIN"><main>\n',
+        '<div role="MAIN"><main>\n', '<main role="banner">',
+        '<main role="presentation">', '<div role="main">',
+        '<main role="main navigation">',
     ]]
     elements = 0
     for html in pages:
