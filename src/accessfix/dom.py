@@ -299,7 +299,9 @@ def start_tag(tag: str, attrs) -> str:
         return f"<{tag}>"
     text = "<" + tag
     for name, value in attrs:
-        text += f' {name}="{_escape_attr(value)}"'
+        if "&" in value or "<" in value or ">" in value or '"' in value:
+            value = _escape_attr(value)
+        text += f' {name}="{value}"'
     return text + ">"
 
 
@@ -354,36 +356,79 @@ def serialize_node(node: Node) -> str:
     return _serialize(node, normalized=False)
 
 
+_NODE_TYPES = frozenset((Element, Text, str, Comment, Doctype))
+
+
+def _node_type(node) -> type:
+    """The node class that ``node`` is an instance of; TypeError if none."""
+    for kind in (str, Text, Comment, Doctype, Element):
+        if isinstance(node, kind):
+            return kind
+    raise TypeError(f"cannot serialize a {type(node).__name__} node")
+
+
 def _serialize(node: Node, normalized: bool) -> str:
-    """Serialize with an explicit stack of nodes and pending end tags.
+    """Serialize with an explicit stack of nodes and pending end tags; a
+    ``str`` on the stack is written as it is.
 
     The normalized form sorts attributes, collapses whitespace in text, and
-    drops comments, doctypes and whitespace-only text.
+    drops comments, doctypes and whitespace-only text. Text under script or
+    style is written unescaped.
     """
     parts = []
-    stack = [(node, False)]  # (node or end tag, parent is raw text)
+    append = parts.append
+    stack = [node]
+    pop, push = stack.pop, stack.extend
+    if normalized:
+        while stack:
+            node = pop()
+            kind = _node_type(node)
+            if kind is Element:
+                tag = node.tag
+                append(start_tag(tag, sorted(node.attrs.items())))
+                if tag in VOID_ELEMENTS:
+                    continue
+                stack.append(f"</{tag}>")
+                if tag in RAW_TEXT_ELEMENTS:
+                    push([" ".join(kid.data.split()) if isinstance(kid, Text)
+                          else kid for kid in reversed(node.children)])
+                else:
+                    push(reversed(node.children))
+            elif kind is Text:
+                append(_escape_text(" ".join(node.data.split())))
+            elif kind is str:
+                append(node)
+        return "".join(parts)
     while stack:
-        node, raw = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, Text):
-            data = " ".join(node.data.split()) if normalized else node.data
-            parts.append(data if raw else _escape_text(data))
-        elif normalized and isinstance(node, (Comment, Doctype)):
-            continue
-        elif isinstance(node, Comment):
-            parts.append(f"<!--{node.data}-->")
-        elif isinstance(node, Doctype):
-            parts.append(f"<!{node.data}>")
-        else:
-            attrs = node.attrs.items()
-            parts.append(start_tag(node.tag, sorted(attrs) if normalized
-                                   else attrs))
-            if node.tag in VOID_ELEMENTS:
+        node = pop()
+        kind = type(node)
+        if kind not in _NODE_TYPES:
+            kind = _node_type(node)
+        if kind is Element:
+            tag, attrs, children = node.tag, node.attrs, node.children
+            append(start_tag(tag, attrs.items()) if attrs else f"<{tag}>")
+            if tag in VOID_ELEMENTS:
                 continue
-            stack.append((f"</{node.tag}>", False))
-            child_raw = node.tag in RAW_TEXT_ELEMENTS
-            stack.extend((child, child_raw) for child in reversed(node.children))
+            if not children:
+                append(f"</{tag}>")
+                continue
+            stack.append(f"</{tag}>")
+            if tag in RAW_TEXT_ELEMENTS:
+                push([kid.data if isinstance(kid, Text) else kid
+                      for kid in reversed(children)])
+            else:
+                push(reversed(children))
+        elif kind is Text:
+            data = node.data
+            if "&" in data or "<" in data or ">" in data:
+                data = _escape_text(data)
+            append(data)
+        elif kind is str:
+            append(node)
+        elif kind is Comment:
+            append(f"<!--{node.data}-->")
+        else:
+            append(f"<!{node.data}>")
     return "".join(parts)
 
 
@@ -408,12 +453,18 @@ def preorder(root: Element) -> Preorder:
         elements.append(el)
         parent.append(up)
         slot.append(at)
-        for k in range(len(el.children) - 1, -1, -1):
-            if isinstance(el.children[k], Element):
-                stack.append((el.children[k], here, k))
+        kids = el.children
+        for k in range(len(kids) - 1, -1, -1):
+            kid = kids[k]
+            kind = type(kid)
+            if kind is Element or (kind is not Text
+                                   and isinstance(kid, Element)):
+                stack.append((kid, here, k))
     end = list(range(1, len(elements) + 1))
     for i in range(len(elements) - 1, 0, -1):
-        end[parent[i]] = max(end[parent[i]], end[i])
+        up = parent[i]
+        if end[i] > end[up]:
+            end[up] = end[i]
     return Preorder(elements, parent, slot, end)
 
 

@@ -101,6 +101,8 @@ _IMPLICIT_LANDMARK_TAGS = {
     "footer": "contentinfo",
     "aside": "complementary",
 }
+# Tags that may be a landmark without an explicit role.
+_LANDMARK_TAGS = {*_IMPLICIT_LANDMARK_TAGS, "section", "form"}
 
 ARIA_REQUIRED_ATTRS = {
     "checkbox": ("aria-checked",),
@@ -232,13 +234,18 @@ class _Index:
         elements, parent, slot, end = preorder(doc.root)
         role, has_text, ids = [], [], {}
         for el in elements:
-            words = el.attrs.get("role", "").split()
+            attrs = el.attrs
+            words = attrs["role"].split() if "role" in attrs else None
             role.append(words[0].lower() if words else "")
-            value = el.attrs.get("id")
+            value = attrs.get("id")
             if value and value not in ids:
                 ids[value] = el
-            has_text.append(any(isinstance(child, Text) and child.data.strip()
-                                for child in el.children))
+            for child in el.children:
+                if isinstance(child, Text) and child.data.strip():
+                    has_text.append(True)
+                    break
+            else:
+                has_text.append(False)
         shown = [el.tag not in ("script", "style") for el in elements]
         text = [t and s for t, s in zip(has_text, shown)]
         img = [False] * len(elements)
@@ -248,7 +255,8 @@ class _Index:
                 text[up] = True
             if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
                 img[up] = True
-        landmark = [_landmark_role(el, r, ids) for el, r in zip(elements, role)]
+        landmark = [_landmark_role(el, r, ids) if r or el.tag in _LANDMARK_TAGS
+                    else None for el, r in zip(elements, role)]
         return cls(elements, parent, slot, end, role, has_text, text, img,
                    ids, landmark, thresholds)
 

@@ -1,0 +1,100 @@
+"""``tools/bench_pairs.py``: the order of the runs, their medians, and the
+layout of the ``BENCH_<n>.json`` file it writes, on canned run outputs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    path = REPO / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(pages_per_s, correct=True):
+    """A canned last line of ``perfbench/run.py --trace 0``, parsed."""
+    values = {"pages_per_s": (pages_per_s, "pages/s"),
+              "page_ms_p50": (1000 / pages_per_s, "ms"),
+              "success_rate": (1.0, "ratio")}
+    return {"correct": correct, "attempted": 100, "failed": 0,
+            "metrics": {name: {"value": value, "unit": unit}
+                        for name, (value, unit) in values.items()}}
+
+
+def test_runs_alternate_which_side_goes_first(bench_pairs):
+    calls = []
+
+    def run(root, workload, seed, seconds):
+        calls.append((root, workload))
+        return result(100.0 + len(calls))
+
+    roots = {"parent": "p", "change": "c"}
+    results = bench_pairs.run_pairs(roots, ["wide_fix", "scan_mixed"], 3,
+                                    seed=1, seconds=0.5, run=run)
+    assert [root for root, _ in calls] == ["p", "c", "c", "p", "p", "c"] * 2
+    assert [w for _, w in calls] == ["wide_fix"] * 6 + ["scan_mixed"] * 6
+    assert [r["metrics"]["pages_per_s"]["value"]
+            for r in results["change"]["wide_fix"]] == [102.0, 103.0, 106.0]
+
+
+def test_side_summary_takes_each_metric_median(bench_pairs):
+    summary = bench_pairs.side_summary("abc", {
+        "wide_fix": [result(90.0), result(130.0), result(110.1234567)],
+        "scan_mixed": [result(10.0), result(20.0)],
+    })
+    assert summary["commit"] == "abc" and summary["all_correct"] is True
+    assert summary["runs"]["wide_fix"]["pages_per_s"] == [90.0, 130.0,
+                                                           110.123457]
+    assert summary["medians"]["wide_fix"]["pages_per_s"] == 110.123457
+    assert summary["medians"]["wide_fix"]["page_ms_p50"] == \
+        round(1000 / 110.1234567, 6)
+    assert summary["medians"]["scan_mixed"]["pages_per_s"] == 15.0
+    assert bench_pairs.side_summary("abc", {
+        "wide_fix": [result(1.0), result(1.0, correct=False)],
+    })["all_correct"] is False
+
+
+def shape(value):
+    """The key tree of a JSON document, with lists and scalars as leaves."""
+    if isinstance(value, dict):
+        return {key: shape(v) for key, v in value.items()}
+    return type(value).__name__ if not isinstance(value, list) else "list"
+
+
+def test_layout_has_the_shape_of_the_committed_trajectory(bench_pairs):
+    committed = json.loads((REPO / "BENCH_20.json").read_text("utf-8"))
+    committed.pop("note")  # a remark written by hand
+    metrics = {name: {"value": values[0], "unit": ""} for name, values in
+               committed["parent"]["runs"]["wide_fix"].items()}
+    outs = {w: [{"correct": True, "metrics": metrics}] * 3
+            for w in committed["parent"]["medians"]}
+    document = bench_pairs.layout(bench_pairs.side_summary("p", outs),
+                                  bench_pairs.side_summary("c", outs),
+                                  runs=3, seed=1, seconds=20)
+    assert shape(document) == shape(committed)
+    written = json.loads((REPO / "BENCH_23.json").read_text("utf-8"))
+    assert shape(written) == shape(committed)
+    assert "--seed 1 --seconds 20 --trace 0, 3 runs" in document["what"]
+
+
+def test_run_once_reads_the_last_line_in_the_checkout(bench_pairs, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os, sys\n"
+        "print('progress line')\n"
+        "print(json.dumps({'argv': sys.argv[1:], 'cwd': os.getcwd()}))\n",
+        "utf-8")
+    out = bench_pairs.run_once(str(tmp_path), "scan_mixed", 2, 5.0)
+    assert out["argv"] == ["--workload", "scan_mixed", "--seed", "2",
+                           "--seconds", "5.0", "--trace", "0"]
+    assert Path(out["cwd"]) == tmp_path

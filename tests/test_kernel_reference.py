@@ -1,0 +1,231 @@
+"""The DOM kernels against the loops they replaced.
+
+``reference_serialize``, ``reference_preorder`` and ``reference_index`` are
+the serializer, the pre-order walk and the audit index build as they were
+before their per-node loops were rewritten, copied verbatim apart from the
+names they call. Every output must stay byte for byte the same: both
+serialization forms of each element, every ``Preorder`` list, and every
+``_Index`` fact.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from accessfix import dom, rules
+from accessfix.dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Comment, Doctype,
+                           Element, Text)
+from test_start_tag_fixes import tag_soup
+
+
+def reference_escape_text(data: str) -> str:
+    return data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def reference_escape_attr(data: str) -> str:
+    return (
+        data.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
+
+
+def reference_start_tag(tag: str, attrs) -> str:
+    if not attrs:
+        return f"<{tag}>"
+    text = "<" + tag
+    for name, value in attrs:
+        text += f' {name}="{reference_escape_attr(value)}"'
+    return text + ">"
+
+
+def reference_serialize(node, normalized: bool) -> str:
+    parts = []
+    stack = [(node, False)]  # (node or end tag, parent is raw text)
+    while stack:
+        node, raw = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Text):
+            data = " ".join(node.data.split()) if normalized else node.data
+            parts.append(data if raw else reference_escape_text(data))
+        elif normalized and isinstance(node, (Comment, Doctype)):
+            continue
+        elif isinstance(node, Comment):
+            parts.append(f"<!--{node.data}-->")
+        elif isinstance(node, Doctype):
+            parts.append(f"<!{node.data}>")
+        else:
+            attrs = node.attrs.items()
+            parts.append(reference_start_tag(
+                node.tag, sorted(attrs) if normalized else attrs))
+            if node.tag in VOID_ELEMENTS:
+                continue
+            stack.append((f"</{node.tag}>", False))
+            child_raw = node.tag in RAW_TEXT_ELEMENTS
+            stack.extend((child, child_raw) for child in reversed(node.children))
+    return "".join(parts)
+
+
+def reference_preorder(root):
+    elements, parent, slot = [], [], []
+    stack = [(root, -1, 0)]
+    while stack:
+        el, up, at = stack.pop()
+        here = len(elements)
+        elements.append(el)
+        parent.append(up)
+        slot.append(at)
+        for k in range(len(el.children) - 1, -1, -1):
+            if isinstance(el.children[k], Element):
+                stack.append((el.children[k], here, k))
+    end = list(range(1, len(elements) + 1))
+    for i in range(len(elements) - 1, 0, -1):
+        end[parent[i]] = max(end[parent[i]], end[i])
+    return dom.Preorder(elements, parent, slot, end)
+
+
+def reference_index(doc):
+    """The ``_Index`` fields, in order, but ``thresholds``."""
+    elements, parent, slot, end = reference_preorder(doc.root)
+    role, has_text, ids = [], [], {}
+    for el in elements:
+        words = el.attrs.get("role", "").split()
+        role.append(words[0].lower() if words else "")
+        value = el.attrs.get("id")
+        if value and value not in ids:
+            ids[value] = el
+        has_text.append(any(isinstance(child, Text) and child.data.strip()
+                            for child in el.children))
+    shown = [el.tag not in ("script", "style") for el in elements]
+    text = [t and s for t, s in zip(has_text, shown)]
+    img = [False] * len(elements)
+    for i in range(len(elements) - 1, 0, -1):
+        up, el = parent[i], elements[i]
+        if text[i] and shown[up]:
+            text[up] = True
+        if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
+            img[up] = True
+    landmark = [rules._landmark_role(el, r, ids)
+                for el, r in zip(elements, role)]
+    return (elements, parent, slot, end, role, has_text, text, img, ids,
+            landmark)
+
+
+def identities(value):
+    """``value`` with every node replaced by its id, so lists of nodes
+    compare by identity."""
+    if isinstance(value, list):
+        return [identities(v) for v in value]
+    if isinstance(value, dict):
+        return {k: identities(v) for k, v in value.items()}
+    if isinstance(value, (Element, Text, Comment, Doctype)):
+        return id(value)
+    return value
+
+
+SUBTREE_LIMIT = 50  # elements; bigger subtrees are covered by the root's
+
+
+def assert_kernels_agree(doc):
+    pre = dom.preorder(doc.root)
+    assert identities(list(pre)) == \
+        identities(list(reference_preorder(doc.root)))
+    ix = rules._Index.build(doc, {})
+    fields = (ix.elements, ix.parent, ix.slot, ix.end, ix.role, ix.has_text,
+              ix.text, ix.described_img, ix.ids, ix.landmark)
+    assert identities(list(fields)) == identities(list(reference_index(doc)))
+    for i, el in enumerate(pre.elements):
+        if i and pre.end[i] - i > SUBTREE_LIMIT:
+            continue  # deep pages would cost the square of their depth
+        for normalized in (False, True):
+            assert dom._serialize(el, normalized) == \
+                reference_serialize(el, normalized), (i, normalized)
+
+
+def test_kernels_agree_on_the_corpus_and_the_rule_fixtures(
+        corpus_paths, rules_dir, rules_manifest):
+    pages = [Path(path).read_text("utf-8") for path in corpus_paths]
+    pages += [(rules_dir / name).read_text("utf-8")
+              for name in sorted(rules_manifest)]
+    for html in pages:
+        assert_kernels_agree(dom.parse_html(html))
+
+
+def test_kernels_agree_on_the_benchmark_pages(perfbench_pages):
+    for name, html in perfbench_pages:
+        assert_kernels_agree(dom.parse_html(html))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag_soup)
+def test_kernels_agree_on_tag_soup(html):
+    assert_kernels_agree(dom.parse_html(html))
+
+
+def hand_built():
+    """A tree no parse makes: a template with a ``str`` child, an element
+    under a script, comments and a doctype anywhere, and the escaped
+    characters in attribute values and in text, together and alone."""
+    odd = '&<>"'
+    template = Element("p", {"title": odd}, ["<b>kept</b> as &amp; is"])
+    script = Element("script", {"data-x": odd}, [
+        Text(" a <b> && c "), Comment("in script"),
+        Element("b", {"z": "1", "a": odd}, [Text(odd + "  two  words")]),
+        "<raw str>",
+    ])
+    style = Element("style", {}, [Text("x > y { }")])
+    body = Element("body", {"class": "a  b"}, [
+        Comment(" c "), Text("  "), template, script, style,
+        Element("div", {"role": " Main  x", "id": odd}, [
+            Text(odd), Element("br", {}, [Text("dropped")]),
+            Element("section", {"aria-label": "S"}, [Doctype("doctype x")]),
+        ]),
+        Element("img", {"alt": 'say "y"', "src": "a&b.png"}),
+        Element("form", {}, [Text("\n")]),
+        Element("form", {"aria-label": "F"}, [Text("a > b")]),
+    ])
+    head = Element("head", {}, [Element("title", {}, [Text("t")])])
+    return dom.DomDocument(Element("html", {"lang": odd}, [
+        Doctype("DOCTYPE html"), head, body]))
+
+
+def test_kernels_agree_on_hand_built_trees():
+    doc = hand_built()
+    assert_kernels_agree(doc)
+    out = doc.serialize()
+    assert '<p title="&amp;&lt;&gt;&quot;"><b>kept</b> as &amp; is</p>' in out
+    assert "<script" in out and " a <b> && c <!--in script-->" in out
+
+
+class Para(Element):
+    pass
+
+
+class Words(Text):
+    pass
+
+
+def test_node_subclasses_serialize_and_walk_as_their_base():
+    inner = Para("em", {"title": "<"}, [Words("a<b")])
+    doc = dom.DomDocument(Element("html", {}, [
+        Element("head"), Para("body", {}, [
+            inner, Element("script", {}, [Words("x<y")]), Words(" & ")]),
+    ]))
+    assert_kernels_agree(doc)
+    assert doc.serialize() == (
+        '<html><head></head><body><em title="&lt;">a&lt;b</em>'
+        "<script>x<y</script> &amp; </body></html>")
+    assert rules._Index.build(doc, {}).has_text[2]
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_foreign_node_is_a_type_error_naming_it(normalized):
+    class Widget:
+        tag, attrs, children = "w", {}, []
+
+    tree = Element("div", {}, [Text("a"), Widget()])
+    with pytest.raises(TypeError, match="Widget"):
+        dom._serialize(tree, normalized)

@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Measure a parent commit against the working tree with the benchmark and
+write the trajectory file ``BENCH_<n>.json``.
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_23.json
+
+The parent is extracted with ``git archive`` into a temporary directory.
+Each side runs its own ``perfbench/run.py --trace 0`` from its own root,
+``--runs`` times per workload; for each run the two sides alternate which
+goes first. The file holds each side's runs and their medians, per workload
+and end-to-end metric, with the interpreter and the machine they ran on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("corpus_replay", "wide_fix", "scan_mixed", "remote_sim")
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def extract(rev: str, dest: str) -> str:
+    """The full commit id of ``rev``, after writing its tree under ``dest``."""
+    commit = git("rev-parse", "--verify", rev + "^{commit}")
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return commit
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The result object that ``perfbench/run.py`` in ``root`` prints last."""
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(roots: dict, workloads, runs: int, seed: int, seconds: float,
+              run=run_once) -> dict:
+    """side -> workload -> the results of ``runs`` runs. ``roots`` maps
+    "parent" and "change" to their checkouts; the parent goes first in even
+    runs and the change in odd ones."""
+    results = {side: {w: [] for w in workloads} for side in roots}
+    for workload in workloads:
+        for k in range(runs):
+            order = ["parent", "change"]
+            if k % 2:
+                order.reverse()
+            for side in order:
+                result = run(roots[side], workload, seed, seconds)
+                results[side][workload].append(result)
+                print(f"{workload} run {k + 1} {side}: "
+                      f"{result['metrics']['pages_per_s']['value']:.2f} "
+                      f"pages/s, correct {result['correct']}", file=sys.stderr)
+    return results
+
+
+def side_summary(commit: str, results: dict) -> dict:
+    """One side of the file: every run's metric values per workload and
+    their medians, rounded to six decimals."""
+    runs = {
+        workload: {
+            name: [round(r["metrics"][name]["value"], 6) for r in outs]
+            for name in outs[0]["metrics"]
+        }
+        for workload, outs in results.items()
+    }
+    return {
+        "commit": commit,
+        "all_correct": all(r["correct"] for outs in results.values()
+                           for r in outs),
+        "medians": {
+            workload: {name: round(statistics.median(values), 6)
+                       for name, values in metrics.items()}
+            for workload, metrics in runs.items()
+        },
+        "runs": runs,
+    }
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def layout(parent: dict, change: dict, runs: int, seed: int,
+           seconds: float) -> dict:
+    """The whole file: what was run, where, and each side's summary."""
+    return {
+        "what": (
+            "Medians of the end-to-end metrics of perfbench/run.py "
+            f"--workload W --seed {seed} --seconds {seconds:g} --trace 0, "
+            f"{runs} runs per commit and workload, parent and change "
+            "alternating (which side runs first alternates)."),
+        "interpreter": (f"{platform.python_implementation()} "
+                        f"{platform.python_version()}"),
+        "cpu": cpu_model(),
+        "nproc": os.cpu_count(),
+        "parent": parent,
+        "change": change,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="the commit to compare the working tree with")
+    parser.add_argument("--out", required=True, help="the file to write")
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="a workload to run (repeatable; default all)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+
+    # The change side is named by its commit, marked when the tree differs.
+    change_commit = git("rev-parse", "HEAD")
+    if git("status", "--porcelain"):
+        change_commit += "-dirty"
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
+        parent_commit = extract(args.parent, parent_root)
+        results = run_pairs({"parent": parent_root, "change": ROOT},
+                            args.workload or WORKLOADS, args.runs, args.seed,
+                            args.seconds)
+    document = layout(side_summary(parent_commit, results["parent"]),
+                      side_summary(change_commit, results["change"]),
+                      args.runs, args.seed, args.seconds)
+    with open(args.out, "w", encoding="utf-8") as out:
+        json.dump(document, out, indent=1)
+        out.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
