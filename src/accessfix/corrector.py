@@ -40,28 +40,15 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def _apply(el: Element, v: Violation, p: FixProposal,
-           snippet: str) -> CorrectionRecord:
-    """Apply ``p`` to ``el``, which serializes to ``snippet``."""
+def apply_fix(el: Element, v: Violation, p: FixProposal,
+              snippet: str) -> CorrectionRecord:
+    """Rewrite ``el``, which serializes to ``snippet``, in place with ``p``'s
+    element (see ``FixProposal.apply_to``); a failure leaves ``el`` as is."""
     try:
         p.apply_to(el, snippet)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
     return CorrectionRecord(v, p, APPLIED)
-
-
-def apply_fix(doc: DomDocument, v: Violation, p: FixProposal) -> CorrectionRecord:
-    """Rewrite the violating element in place with the corrected fragment.
-
-    The element at the violation's index must still serialize to its
-    snippet. Failures leave the document untouched. The element takes over
-    what the proposal offers (see ``FixProposal.apply_to``), which the
-    proposal then drops, so applying it again parses afresh.
-    """
-    el = locate(preorder(doc.root).elements, v.index, v.html_snippet)
-    if el is None:
-        return CorrectionRecord(v, p, MATCH_FAILED, _STALE)
-    return _apply(el, v, p, v.html_snippet)
 
 
 def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
@@ -76,7 +63,7 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     except (IncompleteViolationError, InvalidFragmentError,
             UnparseableResponseError) as exc:
         return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
-    return _apply(el, v, proposal, snippet)
+    return apply_fix(el, v, proposal, snippet)
 
 
 def _independent(targets, end: list) -> set:

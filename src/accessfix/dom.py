@@ -213,20 +213,20 @@ def _tokenize(text: str) -> Element:
     return top
 
 
-def parse_fragment_element(text: str, error=InvalidFragmentError) -> Element:
+def parse_fragment_element(text: str) -> Element:
     """Parse text that must contain exactly one top-level element.
 
     Whitespace-only text, comments, and doctypes around the element are
-    ignored; any other top-level content raises ``error``.
+    ignored; any other top-level content raises ``InvalidFragmentError``.
     """
     elements = []
     for node in _tokenize(text).children:
         if isinstance(node, Element):
             elements.append(node)
         elif isinstance(node, Text) and node.data.strip():
-            raise error("fragment contains top-level text")
+            raise InvalidFragmentError("fragment contains top-level text")
     if len(elements) != 1:
-        raise error(
+        raise InvalidFragmentError(
             "fragment must contain exactly one element, got %d" % len(elements)
         )
     return elements[0]
@@ -499,9 +499,10 @@ def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
 
 def find_by_snippet(doc: DomDocument, snippet: str) -> list:
     """Locate all elements whose normalized outer HTML equals the snippet's."""
-    target = normalized_outer_html(
-        parse_fragment_element(snippet, error=InvalidSnippetError)
-    )
+    try:
+        target = normalized_outer_html(parse_fragment_element(snippet))
+    except InvalidFragmentError as exc:
+        raise InvalidSnippetError(str(exc)) from exc
     found = []
     for i, el in enumerate(preorder(doc.root).elements):
         if normalized_outer_html(el) == target:
@@ -509,14 +510,7 @@ def find_by_snippet(doc: DomDocument, snippet: str) -> list:
     return found
 
 
-def rewrite(el: Element, replacement: Element) -> None:
+def replace_node(el: Element, replacement: Element) -> None:
     """Give ``el`` the tag, attributes and children of ``replacement``."""
     el.tag, el.attrs, el.children = (replacement.tag, replacement.attrs,
                                      replacement.children)
-
-
-def replace_node(doc: DomDocument, loc: NodeLocator,
-                 replacement: Element) -> DomDocument:
-    """Rewrite the located element in place with ``replacement``."""
-    rewrite(resolve(doc, loc), replacement)
-    return doc

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Optional
 
 from .dom import (VOID_ELEMENTS, Element, fill, parse_fragment_element,
-                  rewrite, serialize_node)
+                  replace_node, serialize_node)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -88,11 +88,11 @@ class FixProposal:
         if built_from is not None:
             template = self.__dict__.pop("element")
             if snippet == built_from:
-                rewrite(el, fill(template, el.children))
+                replace_node(el, fill(template, el.children))
                 return
         replacement = self.element
         del self.element
-        rewrite(el, replacement)
+        replace_node(el, replacement)
 
     @classmethod
     def answer(cls, el: Element, thought: str, provider_id: str,

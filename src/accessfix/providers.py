@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .colors import LINEAR, RgbColor, relative_luminance
 from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
-                  parse_fragment_element, rewrite, split_element)
+                  parse_fragment_element, replace_node, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -297,7 +297,7 @@ def _wrap_children(el, wrapper):
 def _wrap_self(el, wrapper):
     """Turn ``el`` into ``wrapper`` around a copy of the original ``el``."""
     wrapper.children = [Element(el.tag, el.attrs, el.children)]
-    rewrite(el, wrapper)
+    replace_node(el, wrapper)
 
 
 def _fix_region(el, v):

@@ -13,7 +13,7 @@ import pytest
 
 from accessfix import dom, rules
 from accessfix.colors import RgbColor, contrast_ratio
-from accessfix.corrector import APPLIED, apply_fix, correct_document
+from accessfix.corrector import APPLIED, correct_document
 from accessfix.harness import (
     build_replay_transcript,
     export_rows,
@@ -123,6 +123,18 @@ def test_criterion_5_per_rule_correction_rates(corpus_paths, rules_dir,
             assert result.per_rule_correction_rate[rule_id] == 100, rule_id
 
 
+class Offer:
+    """A provider that answers every prompt with one proposal."""
+
+    provider_id = "offer"
+
+    def __init__(self, proposal):
+        self.proposal = proposal
+
+    def propose(self, bundle, violation=None):
+        return self.proposal
+
+
 def test_criterion_6_substitution_safety(corpus_paths):
     with Budget("criterion-6 substitution safety", 10.0):
         for path in corpus_paths:
@@ -136,9 +148,8 @@ def test_criterion_6_substitution_safety(corpus_paths):
             # Failure isolation: garbage proposals never mutate the document.
             for v in violations[:3]:
                 for bad in ("<img", "", "plain words", "<p>a</p><p>b</p>"):
-                    record = apply_fix(
-                        doc, v,
-                        FixProposal(bad, None, bad, "test"),
+                    _, [record] = correct_document(
+                        doc, [v], Offer(FixProposal(bad, None, bad, "test")),
                     )
                     assert record.outcome != APPLIED
                     assert doc.serialize() == once

@@ -98,3 +98,42 @@ def test_run_once_reads_the_last_line_in_the_checkout(bench_pairs, tmp_path):
     assert out["argv"] == ["--workload", "scan_mixed", "--seed", "2",
                            "--seconds", "5.0", "--trace", "0"]
     assert Path(out["cwd"]) == tmp_path
+
+
+END_TO_END = [{"name": "pages_per_s", "better": "higher", "bound": 0.2},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
+def test_resolution_marks_a_spread_wider_than_the_bound(bench_pairs):
+    parent = {"wide_fix": {"pages_per_s": [100.0, 101.0, 102.0],
+                           "setup_s": [0.03, 0.06, 0.09]},
+              "scan_mixed": {"setup_s": [0.03, 0.06, 0.09]}}
+    change = {"wide_fix": {"pages_per_s": [102.0, 100.5, 103.0],
+                           "setup_s": [0.05, 0.05, 0.10]},
+              "scan_mixed": {"setup_s": [0.02, 0.01, 0.025]}}
+    rows = bench_pairs.resolution(parent, change, END_TO_END)
+    by_key = {(r["workload"], r["metric"]): r for r in rows}
+    assert list(by_key) == [("wide_fix", "pages_per_s"),
+                            ("wide_fix", "setup_s"), ("scan_mixed", "setup_s")]
+    # Quartiles 100.5 and 101.5 about a median of 101: narrow, resolved.
+    narrow = by_key["wide_fix", "pages_per_s"]
+    assert narrow["spread"] == pytest.approx(1 / 101)
+    assert (narrow["won"], narrow["pairs"], narrow["unresolved"]) == \
+        (2, 3, False)
+    # Quartiles 0.045 and 0.075 about 0.06: a spread of 0.5 > 0.25.
+    wide = by_key["wide_fix", "setup_s"]
+    assert wide["spread"] == pytest.approx(0.5)
+    assert (wide["won"], wide["unresolved"]) == (1, True)
+    # As wide, but every change run is lower than every parent run.
+    apart = by_key["scan_mixed", "setup_s"]
+    assert (apart["won"], apart["unresolved"]) == (3, False)
+    table = bench_pairs.render_resolution(rows).splitlines()
+    assert len(table) == 4
+    assert [line.endswith("unresolved") for line in table[1:]] == \
+        [False, True, False]
+
+
+def test_spread_of_one_run_or_a_zero_median(bench_pairs):
+    assert bench_pairs.spread([5.0]) == 0.0
+    assert bench_pairs.spread([0.0, 0.0, 0.0]) == 0.0
+    assert bench_pairs.spread([-1.0, 0.0, 1.0]) == float("inf")

@@ -4,22 +4,31 @@ functions and methods by name; each must exist, or a traced run breaks."""
 import ast
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from accessfix import harness
+from accessfix.providers import HeuristicProvider
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "perfbench" / "run.py"
 # Kept in ``dom`` only because the tracer names them; nothing else uses them.
-TRACER_ONLY = {"NodeLocator", "resolve", "replace_node", "find_by_snippet",
+TRACER_ONLY = {"NodeLocator", "resolve", "find_by_snippet",
                "normalized_outer_html"}
 
 
-def test_every_trace_target_exists(monkeypatch):
+def load(monkeypatch, name, path):
+    """The module at ``path``, loaded for one test and left uncompiled."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)
-    spec.loader.exec_module(run)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_every_trace_target_exists(monkeypatch):
+    run = load(monkeypatch, "perfbench_run", RUN_PY)
     functions, methods = run.trace_targets(run.AuditPhases())
     assert functions and methods
     missing = [
@@ -43,3 +52,22 @@ def test_only_dom_uses_the_helpers_kept_for_the_tracer():
             if name in TRACER_ONLY:
                 used.setdefault(path.name, set()).add(name)
     assert used == {}
+
+
+def test_traced_fix_stage_names_time_the_live_path(monkeypatch,
+                                                   corpus_paths):
+    """``corrector.apply_fix`` and ``dom.replace_node`` are the steps that
+    ``correct_document`` runs, and the stale-locator helpers are not."""
+    run = load(monkeypatch, "perfbench_run", RUN_PY)
+    tracer = load(monkeypatch, "tracer", RUN_PY.parent / "tracer.py").Tracer()
+    entries = harness.ingest(corpus_paths[:1])
+    with tracer.installed(*run.trace_targets(run.AuditPhases())):
+        _, _, records, failures = harness.run_benchmark(
+            entries, HeuristicProvider())
+    assert failures == []
+    spans = Counter(span[2] for span in tracer.spans)
+    applying = [r for r in records if r.proposal is not None]
+    assert applying
+    assert spans["corrector.apply_fix"] == len(applying)
+    assert spans["dom.replace_node"] >= 1
+    assert spans["dom.find_by_snippet"] == spans["dom.resolve"] == 0

@@ -281,6 +281,36 @@ def test_config_overrides_apply(tmp_path, capsys):
     assert "score 50" in capsys.readouterr().out
 
 
+CONTRAST = (
+    '<html lang="en"><head><meta name="viewport" content="width=device-width">'
+    '</head><body><main><img src="a.png">'
+    '<p style="color:#767676">contrast 4.54</p>'
+    '<p style="color:#777777">contrast 4.48</p>'
+    "</main></body></html>"
+)
+
+
+def test_bench_config_thresholds_and_impacts_reach_the_audit(tmp_path,
+                                                             capsys):
+    page = write_page(tmp_path, text=CONTRAST)
+    cfg = tmp_path / "audit.ini"
+    cfg.write_text("[thresholds]\ncontrast_normal = 5\n"
+                   "[impacts]\nimage-alt = minor\n", encoding="utf-8")
+    flagged, totals = [], []
+    for extra in ([], ["--config", str(cfg)]):
+        rows = tmp_path / "rows.json"
+        assert main(["bench", page, "--provider", "heuristic", "--report",
+                     "json", "--rows", str(rows), *extra]) == 0
+        totals.append(json.loads(capsys.readouterr().out)["totalInitial"])
+        flagged.append([r.html for r in import_rows(rows)
+                        if r.rule_id == "color-contrast"])
+    assert flagged == [['<p style="color:#777777">contrast 4.48</p>'],
+                       ['<p style="color:#767676">contrast 4.54</p>',
+                        '<p style="color:#777777">contrast 4.48</p>']]
+    # critical (5) + serious (4), then minor (2) + two serious.
+    assert totals == [5 + 4, 2 + 4 + 4]
+
+
 # Every [provider] key: (INI text, ProviderConfig field, value read).
 PROVIDER_SETTINGS = {
     "kind": ("replay", "kind", "replay"),

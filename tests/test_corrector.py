@@ -12,10 +12,10 @@ from accessfix.corrector import (
     PARSE_FAILED,
     PROVIDER_FAILED,
     _independent,
-    apply_fix,
     correct_document,
 )
-from accessfix.errors import InvalidFragmentError, ProviderUnavailableError
+from accessfix.errors import (InvalidFragmentError, NoRecipeError,
+                              ProviderUnavailableError)
 from accessfix.harness import (CorpusEntry, build_replay_transcript, ingest,
                                run_pages)
 from accessfix.prompts import FixProposal
@@ -42,10 +42,37 @@ def proposal(html):
                        raw_response=html, provider_id="test")
 
 
+class StubProvider:
+    """Answers each prompt with the next response: a proposal as it is, an
+    exception raised, or corrected HTML in a fresh proposal."""
+
+    provider_id = "stub"
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+
+    def propose(self, bundle, violation=None):
+        item = self.responses.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        if isinstance(item, FixProposal):
+            return item
+        return FixProposal(corrected_html=item, thought=None,
+                           raw_response=item, provider_id=self.provider_id)
+
+
+def correct_one(doc, v, p):
+    """The record of correcting ``v`` alone in ``doc``, answered with ``p``
+    (see ``StubProvider``): ``correct_document`` locates it and
+    ``apply_fix`` applies the proposal."""
+    _, [record] = correct_document(doc, [v], StubProvider([p]))
+    return record
+
+
 def test_apply_fix_with_fresh_locator():
     doc = dom.parse_html(PAGE)
     v = get_violation(doc, "image-alt")
-    record = apply_fix(doc, v, proposal('<img src="a.png" alt="a">'))
+    record = correct_one(doc, v, proposal('<img src="a.png" alt="a">'))
     assert record.outcome == APPLIED
     assert 'alt="a"' in doc.serialize()
     assert "<p>keep me</p>" in doc.serialize()
@@ -55,7 +82,7 @@ def test_applied_proposal_shares_no_tree_between_documents():
     docs = [dom.parse_html(PAGE) for _ in range(2)]
     p = proposal('<img src="a.png" alt="a">')
     for doc in docs:
-        assert apply_fix(doc, get_violation(doc, "image-alt"), p).outcome \
+        assert correct_one(doc, get_violation(doc, "image-alt"), p).outcome \
             == APPLIED
     img = docs[0].root.children[1].children[1].children[0]
     img.attrs["alt"] = "changed"
@@ -70,7 +97,7 @@ def test_apply_fix_stale_locator_leaves_document_unchanged():
     main = doc.root.children[1].children[1]
     main.children.insert(0, dom.parse_fragment_element("<p>new first</p>"))
     before = doc.serialize()
-    record = apply_fix(doc, v, proposal('<img src="a.png" alt="a">'))
+    record = correct_one(doc, v, proposal('<img src="a.png" alt="a">'))
     assert record.outcome == MATCH_FAILED
     assert doc.serialize() == before
 
@@ -80,7 +107,7 @@ def test_apply_fix_no_match_leaves_document_unchanged():
     v = get_violation(doc, "image-alt")
     before = doc.serialize()
     stranger = replace(v, html_snippet='<img src="not-here.png">')
-    record = apply_fix(doc, stranger, proposal('<img alt="a">'))
+    record = correct_one(doc, stranger, proposal('<img alt="a">'))
     assert record.outcome == MATCH_FAILED
     assert doc.serialize() == before
 
@@ -90,7 +117,7 @@ def test_apply_fix_unparseable_fragment_is_rejected_before_mutation():
     v = get_violation(doc, "image-alt")
     before = doc.serialize()
     for bad in ("<img", "", "just words", "<p>a</p><p>b</p>"):
-        record = apply_fix(doc, v, proposal(bad))
+        record = correct_one(doc, v, proposal(bad))
         assert record.outcome == PARSE_FAILED
         assert doc.serialize() == before
 
@@ -111,20 +138,6 @@ def test_correct_document_empty_list():
     assert records == []
 
 
-class StubProvider:
-    provider_id = "stub"
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-
-    def propose(self, bundle, violation=None):
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return FixProposal(corrected_html=item, thought=None,
-                           raw_response=item, provider_id=self.provider_id)
-
-
 def test_correct_document_mixed_outcomes():
     doc = dom.parse_html(PAGE)
     violations = rules.audit(doc, web_url="f")
@@ -139,6 +152,16 @@ def test_correct_document_mixed_outcomes():
     assert outcomes[0] == PROVIDER_FAILED
     assert outcomes[1] == PARSE_FAILED
     assert set(outcomes[2:]) <= {APPLIED}
+
+
+def test_a_provider_without_a_recipe_is_recorded_as_no_recipe():
+    doc = dom.parse_html(PAGE)
+    before = doc.serialize()
+    record = correct_one(doc, get_violation(doc, "image-alt"),
+                         NoRecipeError("no recipe for image-alt"))
+    assert (record.outcome, record.proposal, record.detail) == \
+        (NO_RECIPE, None, "no recipe for image-alt")
+    assert doc.serialize() == before
 
 
 def test_fragment_error_while_proposing_fails_only_that_fix():

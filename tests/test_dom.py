@@ -140,7 +140,8 @@ def test_replace_node_changes_only_target_subtree():
     doc = dom.parse_html('<p>keep</p><img src="x.png"><p>also keep</p>')
     loc = dom.find_by_snippet(doc, '<img src="x.png">')[0]
     dom.replace_node(
-        doc, loc, dom.parse_fragment_element('<img src="x.png" alt="logo">')
+        dom.resolve(doc, loc),
+        dom.parse_fragment_element('<img src="x.png" alt="logo">'),
     )
     out = doc.serialize()
     assert '<img src="x.png" alt="logo">' in out
@@ -151,7 +152,8 @@ def test_replace_node_with_own_serialization_is_identity():
     doc = dom.parse_html("<p>hi</p>")
     before = doc.serialize()
     loc = dom.find_by_snippet(doc, "<p>hi</p>")[0]
-    dom.replace_node(doc, loc, dom.parse_fragment_element("<p>hi</p>"))
+    dom.replace_node(dom.resolve(doc, loc),
+                     dom.parse_fragment_element("<p>hi</p>"))
     assert doc.serialize() == before
 
 
@@ -159,19 +161,20 @@ def test_replace_node_rejects_multi_element_fragment():
     doc = dom.parse_html("<p>hi</p>")
     loc = dom.find_by_snippet(doc, "<p>hi</p>")[0]
     with pytest.raises(InvalidFragmentError):
-        dom.replace_node(
-            doc, loc, dom.parse_fragment_element("<p>a</p><p>b</p>")
-        )
+        dom.replace_node(dom.resolve(doc, loc),
+                         dom.parse_fragment_element("<p>a</p><p>b</p>"))
 
 
 def test_stale_locator_detected_after_mutation():
     doc = dom.parse_html("<p>hi</p>")
     loc = dom.find_by_snippet(doc, "<p>hi</p>")[0]
-    dom.replace_node(doc, loc, dom.parse_fragment_element("<p>changed</p>"))
+    dom.replace_node(dom.resolve(doc, loc),
+                     dom.parse_fragment_element("<p>changed</p>"))
     with pytest.raises(StaleLocatorError):
         dom.resolve(doc, loc)
     with pytest.raises(StaleLocatorError):
-        dom.replace_node(doc, loc, dom.parse_fragment_element("<p>again</p>"))
+        dom.replace_node(dom.resolve(doc, loc),
+                         dom.parse_fragment_element("<p>again</p>"))
 
 
 def test_locator_survives_text_before_its_element_but_not_a_change_to_it():
@@ -188,7 +191,7 @@ def test_locator_survives_text_before_its_element_but_not_a_change_to_it():
 def test_replace_root_element():
     doc = dom.parse_html("<p>hi</p>")
     loc = dom.NodeLocator(0, doc.serialize())
-    dom.replace_node(doc, loc, dom.parse_fragment_element(
+    dom.replace_node(dom.resolve(doc, loc), dom.parse_fragment_element(
         '<html lang="en"><head></head><body><p>hi</p></body></html>'
     ))
     assert doc.root.attrs.get("lang") == "en"

@@ -15,7 +15,7 @@ import pytest
 import accessfix
 from accessfix import dom, harness, providers, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
-from accessfix.corrector import correct_document
+from accessfix.corrector import apply_fix, correct_document
 from accessfix.errors import (
     ConfigError,
     NoRecipeError,
@@ -53,9 +53,8 @@ def violation_for(html, rule_id):
 def reaudit_after_fix(html, rule_id):
     doc = dom.parse_html(html)
     v = next(x for x in rules.audit(doc, web_url="f") if x.rule_id == rule_id)
-    from accessfix.corrector import apply_fix
-
-    record = apply_fix(doc, v, heuristic_fix(v))
+    el = dom.locate(dom.preorder(doc.root).elements, v.index, v.html_snippet)
+    record = apply_fix(el, v, heuristic_fix(v), v.html_snippet)
     assert record.outcome == "applied"
     return rules.audit(doc, web_url="f")
 

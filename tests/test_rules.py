@@ -79,6 +79,23 @@ def test_separated_strays_flagged_individually():
     assert len(region) == 2
 
 
+@pytest.mark.parametrize("role", ["region", "form"])
+def test_an_unnamed_region_or_form_is_no_landmark(role):
+    page = ('<html lang="en"><body><main>m</main><div role="{}"{}>'
+            "<p>outside</p></div></body></html>")
+    assert audit_counts(page.format(role, ""))["region"] == 1
+    assert audit_counts(page.format(role, ' aria-label="x"'))["region"] == 0
+
+
+def test_two_collapsed_region_runs_on_one_parent_are_one_violation():
+    violations = rules.audit(dom.parse_html(
+        '<html lang="en"><body><div><p>a</p><p>b</p><header>h</header>'
+        "<p>c</p><p>d</p></div></body></html>"
+    ))
+    region = [v for v in violations if v.rule_id == "region"]
+    assert [v.html_snippet[:10] for v in region] == ["<div><p>a<"]
+
+
 def test_duplicate_id_suggests_unique_rename():
     violations = rules.audit(dom.parse_html(
         '<html lang="en"><body><main><p id="x">a</p><p id="x">b</p>'
@@ -104,7 +121,11 @@ LINKED_NAV = '<nav{}><a href="/">H</a></nav>'
      + LINKED_NAV.format(' aria-label="Menu"') * 3, ["Menu 3", "Menu 4"]),
     ('<aside>a</aside><aside>b</aside><nav title="nav 2">c</nav>'
      "<nav>d</nav><nav>e</nav>", ["aside 2", "nav 3"]),
-], ids=["named", "unnamed"])
+    # Named by the text of the referenced elements, script left out.
+    ('<span id="a">Site <script>go()</script></span><span id="b">Site</span>'
+     '<nav aria-labelledby="gone a">c</nav><nav aria-labelledby="b">d</nav>',
+     ["Site 2"]),
+], ids=["named", "unnamed", "labelledby"])
 def test_landmark_unique_label_skips_the_names_on_the_page(body, labels):
     page = f'<html lang="en"><body><main>{body}</main></body></html>'
     assert data_of(page, "landmark-unique", "label") == labels
@@ -168,6 +189,28 @@ def test_many_copies_of_one_id_fix_in_linear_time():
     assert {r.outcome for r in run.records} == {APPLIED}
     assert run.final.violations == []
     assert elapsed < 2.0
+
+
+def test_label_skips_inputs_that_need_no_label():
+    exempt = "".join(f'<input type="{t}">' for t in
+                     ("hidden", "submit", "button", "reset", "IMAGE"))
+    violations = rules.audit(dom.parse_html(
+        f'<html lang="en"><body><main>{exempt}<input type="text"></main>'
+        "</body></html>"
+    ))
+    assert [v.html_snippet for v in violations if v.rule_id == "label"] == \
+        ['<input type="text">']
+
+
+def test_a_non_integer_aria_level_reads_as_level_two():
+    violations = rules.audit(dom.parse_html(
+        '<html lang="en"><body><main><h1>A</h1>'
+        '<div role="heading" aria-level="two">B</div><h4>C</h4>'
+        "</main></body></html>"
+    ))
+    flagged = [v for v in violations if v.rule_id == "heading-order"]
+    assert [v.html_snippet for v in flagged] == ["<h4>C</h4>"]
+    assert "previous heading level was h2" in flagged[0].help
 
 
 def test_unknown_rule_is_configuration_error():

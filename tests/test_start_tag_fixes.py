@@ -217,8 +217,9 @@ def test_start_tag_answer_elsewhere_is_applied_whole(monkeypatch, target):
     calls = count_fragment_parses(monkeypatch)
     for doc in docs:
         v = violations[target]
-        el = dom.preorder(doc.root).elements[v.index]
-        assert apply_fix(doc, v, proposal).outcome == APPLIED
+        el = dom.locate(dom.preorder(doc.root).elements, v.index,
+                        v.html_snippet)
+        assert apply_fix(el, v, proposal, v.html_snippet).outcome == APPLIED
         assert el == expected
     # Only the first application to the answer's own element parses nothing.
     assert len(calls) == (1 if target == 0 else 2)

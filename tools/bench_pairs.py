@@ -9,6 +9,12 @@ Each side runs its own ``perfbench/run.py --trace 0`` from its own root,
 ``--runs`` times per workload; for each run the two sides alternate which
 goes first. The file holds each side's runs and their medians, per workload
 and end-to-end metric, with the interpreter and the machine they ran on.
+
+Afterwards it prints, per workload and end-to-end metric of
+``BENCHMARK.json``, the parent's interquartile range over its median and
+how many pairs the change won. A metric whose range is wider than its bound
+is marked ``unresolved``, unless every change run beats every parent run:
+such a comparison cannot tell a change within the bound from one beyond it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -96,6 +103,56 @@ def side_summary(commit: str, results: dict) -> dict:
     }
 
 
+def spread(values) -> float:
+    """Interquartile range over the median; 0 with fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if median == 0:
+        return 0.0 if q3 == q1 else math.inf
+    return (q3 - q1) / abs(median)
+
+
+def resolution(parent: dict, change: dict, end_to_end) -> list:
+    """One row per workload and end-to-end metric that both sides ran:
+    ``parent`` and ``change`` are ``side_summary(...)["runs"]``, and
+    ``end_to_end`` is ``BENCHMARK.json``'s list of ``{name, better, bound}``.
+    Run k of the change is paired with run k of the parent."""
+    rows = []
+    for workload, runs in parent.items():
+        for metric in end_to_end:
+            name = metric["name"]
+            if name not in runs or name not in change.get(workload, {}):
+                continue
+            ours, theirs = change[workload][name], runs[name]
+            if metric["better"] == "lower":
+                ours, theirs = [-x for x in ours], [-x for x in theirs]
+            width = spread(runs[name])
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "spread": width,
+                "bound": metric["bound"],
+                "won": sum(c > p for c, p in zip(ours, theirs)),
+                "pairs": min(len(ours), len(theirs)),
+                "unresolved": (width > metric["bound"]
+                               and min(ours) <= max(theirs)),
+            })
+    return rows
+
+
+def render_resolution(rows) -> str:
+    lines = [f"{'workload':<14} {'metric':<13} {'IQR/median':>10} "
+             f"{'bound':>6} {'won':>6}"]
+    for row in rows:
+        lines.append(
+            f"{row['workload']:<14} {row['metric']:<13} "
+            f"{row['spread']:>10.3f} {row['bound']:>6.2f} "
+            f"{row['won']:>3}/{row['pairs']:<2}"
+            + ("  unresolved" if row["unresolved"] else ""))
+    return "\n".join(lines)
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as info:
@@ -154,6 +211,11 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as out:
         json.dump(document, out, indent=1)
         out.write("\n")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as spec:
+        end_to_end = json.load(spec)["end_to_end"]
+    print(render_resolution(resolution(document["parent"]["runs"],
+                                       document["change"]["runs"],
+                                       end_to_end)))
     return 0
 
 
