@@ -40,12 +40,11 @@ class CorrectionRecord:
     detail: str = ""
 
 
-def apply_fix(el: Element, v: Violation, p: FixProposal,
-              snippet: str) -> CorrectionRecord:
-    """Rewrite ``el``, which serializes to ``snippet``, in place with ``p``'s
-    element (see ``FixProposal.apply_to``); a failure leaves ``el`` as is."""
+def apply_fix(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
+    """Rewrite ``el`` in place into ``p``'s element (see
+    ``FixProposal.apply_to``); a failure leaves ``el`` as is."""
     try:
-        p.apply_to(el, snippet)
+        p.apply_to(el)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
     return CorrectionRecord(v, p, APPLIED)
@@ -55,7 +54,7 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     if el is None:
         return CorrectionRecord(v, None, MATCH_FAILED, _STALE)
     try:
-        snippet, proposal = propose()
+        proposal = propose()
     except NoRecipeError as exc:
         return CorrectionRecord(v, None, NO_RECIPE, str(exc))
     except (ProviderUnavailableError, ReplayMissError) as exc:
@@ -63,7 +62,7 @@ def _correct(el: Optional[Element], v: Violation, propose) -> CorrectionRecord:
     except (IncompleteViolationError, InvalidFragmentError,
             UnparseableResponseError) as exc:
         return CorrectionRecord(v, None, PARSE_FAILED, str(exc))
-    return apply_fix(el, v, proposal, snippet)
+    return apply_fix(el, v, proposal)
 
 
 def _independent(targets, end: list) -> set:
@@ -91,9 +90,10 @@ def correct_document(
 
     Each distinct (index, snippet) is located once, after one walk of the
     document and before any fix, and a fix rewrites its element in place,
-    so no fix moves a target still waiting for its own. A template answer
-    keeps the element's children (``FixProposal.apply_to``). Failures are
-    recorded and skipped: one record per violation, in input order.
+    so no fix moves a target still waiting for its own. Each proposal is
+    applied to the element it was asked for, and a recipe's answer edits
+    that element itself (``FixProposal.apply_to``). Failures are recorded
+    and skipped: one record per violation, in input order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
     with its audited snippet, which locating checked; any other with its
@@ -109,12 +109,11 @@ def correct_document(
     targets = [(found[v.index, v.html_snippet], v) for v in violations]
     independent = _independent(targets, end)
 
-    def ask(i: int) -> tuple:
-        """(the snippet that target ``i`` was prompted with, the proposal)."""
+    def ask(i: int) -> FixProposal:
         el, v = targets[i]
         if i not in independent:
             v = replace(v, html_snippet=serialize_node(el))
-        return v.html_snippet, provider.propose(build_prompt(v, strategy), v)
+        return provider.propose(build_prompt(v, strategy), v)
 
     early = {}
     pool = None

@@ -30,7 +30,7 @@ RAW_TEXT_ELEMENTS = {"script", "style"}
 HEAD_ELEMENTS = {"title", "meta", "link", "base", "style"}
 
 # Start tags that implicitly close an open <p>.
-_P_CLOSERS = {
+P_CLOSERS = {
     "address", "article", "aside", "blockquote", "details", "div", "dl",
     "fieldset", "figcaption", "figure", "footer", "form", "h1", "h2", "h3",
     "h4", "h5", "h6", "header", "hr", "main", "menu", "nav", "ol", "p",
@@ -135,7 +135,7 @@ def _tokenize(text: str) -> Element:
     """Scan ``text`` once and build its tree under a ``#fragment`` root.
 
     Construction recovers from unclosed and misnested tags: a start tag
-    implicitly closes an open ``p`` (``_P_CLOSERS``) or list item, cell,
+    implicitly closes an open ``p`` (``P_CLOSERS``) or list item, cell,
     row or option (``_AUTO_CLOSE``); an end tag closes up to the nearest
     open element of its name and is skipped when none is open; of
     duplicate attributes the first wins; adjacent text is merged.
@@ -173,7 +173,7 @@ def _tokenize(text: str) -> Element:
             closes = _AUTO_CLOSE.get(tag, ())
             while parent is not top and (
                 parent.tag in closes
-                or (parent.tag == "p" and tag in _P_CLOSERS)
+                or (parent.tag == "p" and tag in P_CLOSERS)
             ):
                 stack.pop()
                 open_count[parent.tag] -= 1
@@ -314,7 +314,7 @@ def split_element(html: str) -> Optional[Element]:
     the end tag, none for a void element. None unless ``html`` opens with a
     canonical start tag and ends with the matching end tag (is nothing else,
     for a void element). The content is not checked: it is canonical when
-    ``html`` is a serialization. ``fill`` puts real children in its place.
+    ``html`` is a serialization.
     """
     m = _TOKEN.match(html)
     if m is None or m.lastgroup != "start" or m.group("close") is None:
@@ -331,24 +331,6 @@ def split_element(html: str) -> Optional[Element]:
     if not html.endswith(close, opened):
         return None
     return Element(tag, attrs, [html[opened:-len(close)]])
-
-
-def fill(template: Element, children: list) -> Element:
-    """Put ``children`` in place of the ``str`` child that ``template`` (see
-    ``split_element``), or an element under it, holds; return ``template``.
-    """
-    stack = [template]
-    while stack:
-        el = stack.pop()
-        kids = el.children
-        for k, kid in enumerate(kids):
-            if isinstance(kid, str):
-                el.children = (children if len(kids) == 1
-                               else kids[:k] + children + kids[k + 1:])
-                return template
-            if isinstance(kid, Element):
-                stack.append(kid)
-    return template
 
 
 def serialize_node(node: Node) -> str:

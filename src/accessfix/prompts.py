@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
-from .dom import (VOID_ELEMENTS, Element, fill, parse_fragment_element,
+from .dom import (VOID_ELEMENTS, Element, parse_fragment_element,
                   replace_node, serialize_node)
 from .errors import (
     IncompleteViolationError,
@@ -56,10 +56,10 @@ class FixProposal:
     thought: Optional[str]
     raw_response: str
     provider_id: str = ""
-    # The serialization that a template answer (see ``answer``) was built
-    # from, whose element's children fill the template.
-    built_from: Optional[str] = field(default=None, repr=False,
-                                      compare=False)
+    # The recipe that ``corrected_html`` was rendered with, run on the live
+    # element instead of parsing the answer; None for a parsed answer.
+    edit: Optional[Callable] = field(default=None, repr=False,
+                                     compare=False)
 
     @cached_property
     def element(self) -> Element:
@@ -67,54 +67,37 @@ class FixProposal:
         exactly one element. Parsed on first read only."""
         return parse_fragment_element(self.corrected_html)
 
-    def apply_to(self, el: Element, snippet: str) -> None:
-        """Rewrite ``el``, which serializes to ``snippet``, into the proposed
-        element; ``InvalidFragmentError`` (``el`` untouched) unless the
-        answer is exactly one element.
+    def apply_to(self, el: Element) -> None:
+        """Rewrite ``el`` into the proposed element: run ``edit`` on it, or
+        hand over the answer's element whole; ``InvalidFragmentError``
+        (``el`` untouched) unless that answer is exactly one element.
 
-        A template answer built from ``snippet`` is filled with ``el``'s
-        children, which serialize to the content the template stands for,
-        so nothing is parsed. Any other answer, or a template answer
-        applied a second time or to another element, is parsed and its
-        element handed over whole.
-
-        Either way the proposal drops what it handed over, so applying it
+        A handed-over element is dropped from the proposal, so applying it
         again parses afresh. The document owns what it took; a proposal
         that kept it would also keep alive every subtree that a later fix
         replaces, and would share it with the next document it is applied
         to.
         """
-        built_from, self.built_from = self.built_from, None
-        if built_from is not None:
-            template = self.__dict__.pop("element")
-            if snippet == built_from:
-                replace_node(el, fill(template, el.children))
-                return
+        if self.edit is not None:
+            self.edit(el)
+            return
         replacement = self.element
         del self.element
         replace_node(el, replacement)
 
     @classmethod
     def answer(cls, el: Element, thought: str, provider_id: str,
-               built_from: Optional[str] = None) -> "FixProposal":
+               edit: Callable) -> "FixProposal":
         """The ``Thought:`` / ``CORRECTED:`` response that offers ``el``, in
         the form ``parse_fix`` reads back; the fence has one backtick more
-        than the longest run inside it.
-
-        ``el`` fills the ``element`` cache instead of a second parse, so it
-        must be what parsing its serialization gives back. A template
-        (``dom.split_element`` of ``built_from``) must be that once it is
-        filled with the children of the element serialized as
-        ``built_from``.
-        """
+        than the longest run inside it. ``edit`` makes on the element it is
+        given the change that made ``el``."""
         corrected = serialize_node(el)
         fence = "`"
         while fence in corrected:
             fence += "`"
         raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
-        proposal = cls(corrected, thought, raw, provider_id, built_from)
-        proposal.__dict__["element"] = el
-        return proposal
+        return cls(corrected, thought, raw, provider_id, edit)
 
 
 # The user message split at its placeholders: odd parts are their names.

@@ -10,11 +10,11 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .colors import LINEAR, RgbColor, relative_luminance
-from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
-                  parse_fragment_element, replace_node, split_element)
+from .dom import (P_CLOSERS, RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element,
+                  Text, parse_fragment_element, replace_node, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -275,9 +275,17 @@ def _fix_duplicate_id(el, v):
     return f'renamed the duplicate id to "{new_id}"'
 
 
+# A recipe renames an element only from a tag in ``P_CLOSERS`` to another:
+# any other tag may sit in an open <p>, which the new start tag would close
+# when the page is read back.
+
+
 def _fix_heading_order(el, v):
-    # aria-level can be any integer; keep the new tag within h1..h6.
+    # aria-level can be any integer; keep the new level within 1..6.
     level = min(max(_param(v, "previous_level") + 1, 1), 6)
+    if el.tag not in P_CLOSERS:
+        el.attrs["aria-level"] = str(level)
+        return f"lowered the heading to aria-level {level}"
     el.tag = f"h{level}"
     return f"lowered the heading to h{level}"
 
@@ -318,11 +326,16 @@ def _fix_landmark_one_main(el, v):
         if main_wrap(el) is None:
             return "left the page as it is: it already has a main landmark"
         return "wrapped the body content in a main landmark"
-    el.tag = "section"
-    el.attrs.pop("role", None)
+    if el.tag in P_CLOSERS:
+        el.tag = "section"
+        el.attrs.pop("role", None)
+        done = "converted the extra main into a labeled section"
+    else:
+        el.attrs["role"] = "region"
+        done = "turned the extra main into a labeled region"
     if not el.attrs.get("aria-label", "").strip():
         el.attrs["aria-label"] = _param(v, "label")
-    return "converted the extra main into a labeled section"
+    return done
 
 
 def _fix_landmark_unique(el, v):
@@ -332,8 +345,10 @@ def _fix_landmark_unique(el, v):
 
 
 def _fix_landmark_content(el, v):
-    el.tag = "div"
     el.attrs.pop("role", None)
+    if el.tag not in P_CLOSERS:
+        return "dropped the nested landmark's role"
+    el.tag = "div"
     return "re-tagged the nested landmark to a plain div"
 
 
@@ -447,25 +462,22 @@ def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
     ``v.html_snippet`` is a canonical serialization, as the audit gives. The
-    recipe runs on the snippet's template (``dom.split_element``), whose
-    one ``str`` child stands for the content byte for byte; it edits the
-    start tag, wraps the content or adds to it. The answer is the template
-    serialized, which is what parsing the snippet, running the recipe and
-    serializing give, because canonical content parses back to the children
-    it came from. The corrector fills the template with the element's live
-    children (``FixProposal.apply_to``). Three cases parse the snippet
-    instead: a snippet that does not open with a canonical start tag, a
-    ``script`` or ``style`` element, whose raw content would be escaped
-    under any other tag, and the ``landmark-one-main`` wrap on ``<html>``,
-    which reads the body's children.
+    answer is rendered by running the recipe on the snippet's template
+    (``dom.split_element``), whose one ``str`` child stands for the content
+    byte for byte; it edits the start tag, wraps the content or adds to it.
+    That gives what parsing the snippet, running the recipe and serializing
+    give, because canonical content parses back to the children it came
+    from. The proposal's ``edit`` runs the recipe again on the live element
+    (``FixProposal.apply_to``). Two cases render from the parsed snippet
+    instead: a snippet that does not open with a canonical start tag, and
+    the ``landmark-one-main`` wrap on ``<html>``, which reads the body's
+    children.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
-    template = split_element(v.html_snippet)
-    if template is None or template.tag in RAW_TEXT_ELEMENTS or (
-            v.rule_id, template.tag) == ("landmark-one-main", "html"):
+    el = split_element(v.html_snippet)
+    if el is None or (v.rule_id, el.tag) == ("landmark-one-main", "html"):
         el = parse_fragment_element(v.html_snippet)
-        return FixProposal.answer(el, recipe(el, v), "heuristic")
-    return FixProposal.answer(template, recipe(template, v), "heuristic",
-                              v.html_snippet)
+    return FixProposal.answer(el, recipe(el, v), "heuristic",
+                              partial(recipe, v=v))

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 from accessfix import harness
-from accessfix.providers import HeuristicProvider
+from accessfix.providers import HeuristicProvider, ReplayProvider
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "perfbench" / "run.py"
@@ -56,18 +56,24 @@ def test_only_dom_uses_the_helpers_kept_for_the_tracer():
 
 def test_traced_fix_stage_names_time_the_live_path(monkeypatch,
                                                    corpus_paths):
-    """``corrector.apply_fix`` and ``dom.replace_node`` are the steps that
-    ``correct_document`` runs, and the stale-locator helpers are not."""
+    """``corrector.apply_fix`` is the step that ``correct_document`` runs,
+    and ``dom.replace_node`` the one that hands over a parsed answer (a
+    replay run's); the stale-locator helpers are not run."""
     run = load(monkeypatch, "perfbench_run", RUN_PY)
-    tracer = load(monkeypatch, "tracer", RUN_PY.parent / "tracer.py").Tracer()
+    tracing = load(monkeypatch, "tracer", RUN_PY.parent / "tracer.py")
     entries = harness.ingest(corpus_paths[:1])
-    with tracer.installed(*run.trace_targets(run.AuditPhases())):
-        _, _, records, failures = harness.run_benchmark(
-            entries, HeuristicProvider())
-    assert failures == []
-    spans = Counter(span[2] for span in tracer.spans)
-    applying = [r for r in records if r.proposal is not None]
-    assert applying
-    assert spans["corrector.apply_fix"] == len(applying)
-    assert spans["dom.replace_node"] >= 1
-    assert spans["dom.find_by_snippet"] == spans["dom.resolve"] == 0
+    replay = ReplayProvider(harness.build_replay_transcript(entries))
+    spans = {}
+    for provider in (HeuristicProvider(), replay):
+        tracer = tracing.Tracer()
+        with tracer.installed(*run.trace_targets(run.AuditPhases())):
+            _, _, records, failures = harness.run_benchmark(entries, provider)
+        assert failures == []
+        spans[provider.provider_id] = Counter(span[2] for span in tracer.spans)
+        applying = [r for r in records if r.proposal is not None]
+        assert applying
+        assert spans[provider.provider_id]["corrector.apply_fix"] == \
+            len(applying)
+    assert spans["replay"]["dom.replace_node"] >= 1
+    for counts in spans.values():
+        assert counts["dom.find_by_snippet"] == counts["dom.resolve"] == 0

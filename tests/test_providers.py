@@ -54,7 +54,7 @@ def reaudit_after_fix(html, rule_id):
     doc = dom.parse_html(html)
     v = next(x for x in rules.audit(doc, web_url="f") if x.rule_id == rule_id)
     el = dom.locate(dom.preorder(doc.root).elements, v.index, v.html_snippet)
-    record = apply_fix(el, v, heuristic_fix(v), v.html_snippet)
+    record = apply_fix(el, v, heuristic_fix(v))
     assert record.outcome == "applied"
     return rules.audit(doc, web_url="f")
 
@@ -307,15 +307,14 @@ def test_heuristic_proposal_round_trips_through_parse_fix():
 
 def test_applied_heuristic_fix_is_its_corrected_html_parsed(
         corpus_paths, rules_dir, rules_manifest, composed_pages, monkeypatch):
-    """A template answer is filled with the element's children instead of
-    the corrector parsing the answer, and a parsed snippet's answer hands
-    over the recipe's element; either is only sound while the element that
-    the fix leaves equals the answer parsed."""
+    """A recipe's answer is applied by running the recipe on the live
+    element instead of the corrector parsing the answer; that is only sound
+    while the element that the fix leaves equals the answer parsed."""
     compared = []
     apply_to = FixProposal.apply_to
 
-    def checked(self, el, snippet):
-        apply_to(self, el, snippet)
+    def checked(self, el):
+        apply_to(self, el)
         compared.append(el == dom.parse_fragment_element(self.corrected_html))
 
     monkeypatch.setattr(FixProposal, "apply_to", checked)

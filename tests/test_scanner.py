@@ -34,7 +34,7 @@ class _Oracle(HTMLParser):
     def handle_startendtag(self, tag, attrs):
         while len(self.stack) > 1 and (
             self.stack[-1].tag in dom._AUTO_CLOSE.get(tag, ())
-            or (self.stack[-1].tag == "p" and tag in dom._P_CLOSERS)
+            or (self.stack[-1].tag == "p" and tag in dom.P_CLOSERS)
         ):
             self.stack.pop()
         first = {}

@@ -1,10 +1,10 @@
 """The heuristic fixer's template answers against the route they replace.
 
-``heuristic_fix`` runs each recipe on the snippet's template, its start tag
-with the content kept byte for byte, and the corrector fills the template
-with the element's children instead of parsing the answer. ``oracle_fix``
-is the whole-snippet route: parse the snippet, run the recipe, serialize
-the element.
+``heuristic_fix`` renders each answer by running the recipe on the
+snippet's template, its start tag with the content kept byte for byte, and
+the corrector runs the recipe again on the live element instead of parsing
+the answer. ``oracle_fix`` is the whole-snippet route: parse the snippet,
+run the recipe, serialize the element.
 """
 
 import sys
@@ -103,10 +103,17 @@ def test_routes_agree_on_tag_soup(html):
     '<nav><script role="banner">x<y</script></nav>',
 ], ids=["extra-main", "heading-order", "nested-landmark"])
 def test_renamed_raw_text_is_escaped(html):
-    """A recipe that renames a script or style runs on the parsed snippet:
-    the raw content becomes text of the new tag, escaped when serialized,
-    where a template would write it as it stands."""
+    """No recipe renames a script or style, which may sit in an open <p>,
+    so its raw content is never escaped under a new tag: the template
+    writes it as it stands, as the parsed snippet does."""
     assert_routes_agree(html)
+
+    def raw_text_tags(doc):
+        return [el.tag for el in dom.preorder(doc.root).elements
+                if el.tag in dom.RAW_TEXT_ELEMENTS]
+
+    assert raw_text_tags(corrected(html)) == \
+        raw_text_tags(dom.parse_html(html))
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +170,8 @@ def test_wide_page_fixes_parse_nothing_and_solve_contrast_once(monkeypatch):
     assert {r.outcome for r in records} == {APPLIED}
     assert calls == []
     search = providers.rescale_for_contrast.cache_info()
-    assert (search.misses, search.hits) == (1, 49)
+    # The recipe runs once for the answer and once on the live element.
+    assert (search.misses, search.hits) == (1, 99)
     assert rules.audit(doc, web_url="f") == []
 
 
@@ -205,24 +213,83 @@ PAGE = ('<html lang="en"><body><main><img src="a.png">'
 
 @pytest.mark.parametrize("target", [0, 1], ids=["own", "other"])
 def test_start_tag_answer_elsewhere_is_applied_whole(monkeypatch, target):
-    """A template answer keeps the children only of an element that
-    serializes to the snippet it was built from, and only once. Applied to
-    another element, or again, it is parsed and handed over whole."""
+    """A recipe's answer runs its recipe on whichever element it is applied
+    to, as often as it is applied, and parses nothing: on another element it
+    makes the change that element's own answer offers. The documents it is
+    applied to share no attributes."""
     docs = [dom.parse_html(PAGE) for _ in range(2)]
     violations = rules.audit(docs[0], web_url="f")
     assert [v.rule_id for v in violations] == ["image-alt"] * 2
     proposal = heuristic_fix(violations[0])
-    assert proposal.built_from == violations[0].html_snippet
-    expected = dom.parse_fragment_element(proposal.corrected_html)
+    assert proposal.edit is not None
+    expected = dom.parse_fragment_element(
+        heuristic_fix(violations[target]).corrected_html)
     calls = count_fragment_parses(monkeypatch)
     for doc in docs:
         v = violations[target]
         el = dom.locate(dom.preorder(doc.root).elements, v.index,
                         v.html_snippet)
-        assert apply_fix(el, v, proposal, v.html_snippet).outcome == APPLIED
+        assert apply_fix(el, v, proposal).outcome == APPLIED
         assert el == expected
-    # Only the first application to the answer's own element parses nothing.
-    assert len(calls) == (1 if target == 0 else 2)
+    assert calls == []
     el0, el1 = (dom.preorder(doc.root).elements[violations[target].index]
                 for doc in docs)
     assert el0 == el1 and el0.attrs is not el1.attrs
+
+
+def corrected(html, name="f"):
+    """``html`` parsed and corrected with the heuristic provider."""
+    doc = dom.parse_html(html)
+    correct_document(doc, rules.audit(doc, web_url=name), HeuristicProvider())
+    return doc
+
+
+def assert_reads_back(doc, name=""):
+    """The corrected tree holds no ``str`` stand-in, and the page written
+    out parses back to it byte for byte: what was re-audited is the page."""
+    assert not any(isinstance(kid, str)
+                   for el in dom.preorder(doc.root).elements
+                   for kid in el.children), name
+    out = doc.serialize()
+    assert dom.parse_html(out).serialize() == out, name
+
+
+def test_corrected_pages_read_back(corpus_paths, rules_dir, rules_manifest,
+                                   composed_pages, perfbench_pages):
+    pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
+    pages += [(name, (rules_dir / name).read_text("utf-8"))
+              for name in sorted(rules_manifest)]
+    for name, html in pages + composed_pages + perfbench_pages:
+        assert_reads_back(corrected(html, name), name)
+
+
+@settings(max_examples=150, deadline=None)
+@example('<p role="main"><script role="banner"></script>')
+@given(tag_soup)
+def test_corrected_tag_soup_reads_back(html):
+    assert_reads_back(corrected(html))
+
+
+@pytest.mark.parametrize("body", [
+    '<main><h1>a</h1><p>t<span role="heading" aria-level="4">h</span></p>'
+    "</main>",
+    '<main><nav aria-label="n"><p>t<span role="banner">b</span></p></nav>'
+    "</main>",
+    '<main>a</main><p>t<span role="main">b</span></p>',
+], ids=["heading-order", "nested-landmark", "extra-main"])
+def test_fixes_inside_a_paragraph_leave_it_whole(body):
+    """A recipe renames only a tag that closes an open <p>, so a fix inside a
+    paragraph leaves it whole when the page is read back."""
+    doc = corrected(f'<html lang="en"><body>{body}</body></html>')
+    assert rules.audit(doc, web_url="f") == []
+    assert_reads_back(doc)
+
+
+def test_correction_keeps_every_element():
+    """Fixes edit the live elements; none is swapped for a parsed copy."""
+    doc = dom.parse_html('<html lang="en"><body><p id="k">x</p></body></html>')
+    before = dom.preorder(doc.root).elements
+    correct_document(doc, rules.audit(doc, web_url="f"), HeuristicProvider())
+    after = {id(el) for el in dom.preorder(doc.root).elements}
+    assert [el.tag for el in before] == ["html", "head", "body", "main"]
+    assert all(id(el) in after for el in before)
