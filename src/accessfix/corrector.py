@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -112,7 +112,8 @@ def correct_document(
     def ask(i: int) -> FixProposal:
         el, v = targets[i]
         if i not in independent:
-            v = replace(v, html_snippet=serialize_node(el))
+            v = Violation(v.rule_id, v.impact, v.description, v.help,
+                          serialize_node(el), v.index, v.web_url, v.data)
         return provider.propose(build_prompt(v, strategy), v)
 
     early = {}

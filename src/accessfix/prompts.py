@@ -37,11 +37,31 @@ _TEMPLATES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class PromptBundle:
+    """A system/user message pair. The user message is the user template
+    filled with ``values``, rendered when it is first read, so a provider
+    that reads no prompt text costs no rendering. Bundles compare by their
+    strategy and messages."""
+
     strategy: str
     system_message: str
-    user_message: str
+    values: dict = field(repr=False)  # placeholder name -> its text
+    _user: Optional[str] = field(default=None, init=False, repr=False)
+
+    @property
+    def user_message(self) -> str:
+        # Not a cached_property, whose lock on first read costs more than
+        # the rendering. Two threads that race here render the same text.
+        if self._user is None:
+            self._user = _render(_USER_PARTS, self.values)
+        return self._user
+
+    def __eq__(self, other):
+        if not isinstance(other, PromptBundle):
+            return NotImplemented
+        return ((self.strategy, self.system_message, self.user_message)
+                == (other.strategy, other.system_message, other.user_message))
 
     def messages(self) -> list:
         return [
@@ -50,14 +70,29 @@ class PromptBundle:
         ]
 
 
+@dataclass(frozen=True)
+class StartTag:
+    """An edit that gives an element this start tag and keeps its children.
+    ``attrs`` holds (name, value) pairs; each element it is applied to gets
+    an ``attrs`` dict of its own."""
+
+    tag: str
+    attrs: tuple
+
+    def __call__(self, el: Element) -> None:
+        el.tag = self.tag
+        el.attrs = dict(self.attrs)
+
+
 @dataclass
 class FixProposal:
     corrected_html: str
     thought: Optional[str]
     raw_response: str
     provider_id: str = ""
-    # The recipe that ``corrected_html`` was rendered with, run on the live
-    # element instead of parsing the answer; None for a parsed answer.
+    # What makes ``corrected_html`` of the element that was asked for, run
+    # on the live element instead of parsing the answer: a ``StartTag``, or
+    # a recipe that edits the content; None for a parsed answer.
     edit: Optional[Callable] = field(default=None, repr=False,
                                      compare=False)
 
@@ -68,7 +103,8 @@ class FixProposal:
         return parse_fragment_element(self.corrected_html)
 
     def apply_to(self, el: Element) -> None:
-        """Rewrite ``el`` into the proposed element: run ``edit`` on it, or
+        """Rewrite ``el`` into the proposed element: run ``edit`` on it (a
+        ``StartTag`` sets the answer's start tag, a recipe runs again), or
         hand over the answer's element whole; ``InvalidFragmentError``
         (``el`` untouched) unless that answer is exactly one element.
 
@@ -112,24 +148,23 @@ def _render(parts: list, values: dict) -> str:
 
 
 def build_prompt(v: Violation, strategy: str) -> PromptBundle:
-    """Build the deterministic system/user message pair for one violation."""
+    """Build the deterministic system/user message pair for one violation.
+
+    Every check runs here: an unknown strategy raises ValueError, an empty
+    snippet or a missing description or help IncompleteViolationError. The
+    user message is rendered only when it is first read."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
     if not v.html_snippet.strip():
         raise IncompleteViolationError("violation has an empty HTML snippet")
     if not v.description.strip() or not v.help.strip():
         raise IncompleteViolationError("violation is missing description or help")
-    user = _render(_USER_PARTS, {
+    return PromptBundle(strategy, _TEMPLATES[f"{strategy}_system"], {
         "rule_id": v.rule_id,
         "description": v.description,
         "help": v.help,
         "html": v.html_snippet,
     })
-    return PromptBundle(
-        strategy=strategy,
-        system_message=_TEMPLATES[f"{strategy}_system"],
-        user_message=user,
-    )
 
 
 _CORRECTED_RE = re.compile(r"CORRECTED:\s*(`+)(?!`)(.+?)\1(?!`)", re.S)

@@ -21,7 +21,7 @@ from .errors import (
     ProviderUnavailableError,
     ReplayMissError,
 )
-from .prompts import FixProposal, PromptBundle, parse_fix
+from .prompts import FixProposal, PromptBundle, StartTag, parse_fix
 from .rules import Violation, blocks_zoom, main_wrap, viewport_items
 
 
@@ -255,9 +255,11 @@ def _fix_link_name(el, v):
 
 
 def _fix_empty_heading(el, v):
-    if el.tag in VOID_ELEMENTS or el.tag in RAW_TEXT_ELEMENTS:
-        # Text in a void element is never serialized, and raw text is not
-        # a heading's text: name it instead.
+    if (el.tag in VOID_ELEMENTS or el.tag in RAW_TEXT_ELEMENTS
+            or el.tag == "html"):
+        # Text in a void element is never serialized, raw text is not a
+        # heading's text, and text after an <html>'s body is read back
+        # into the body: name it instead.
         el.attrs["aria-label"] = "section heading"
         return "named the heading with a placeholder aria-label"
     el.children.append(Text("section heading"))
@@ -321,7 +323,7 @@ def _fix_region(el, v):
 
 
 def _fix_landmark_one_main(el, v):
-    if el.tag == "html":
+    if v.index == 0:  # the page has no main: the root is flagged
         # An earlier region fix may have added the main landmark already.
         if main_wrap(el) is None:
             return "left the page as it is: it already has a main landmark"
@@ -462,22 +464,33 @@ def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
     ``v.html_snippet`` is a canonical serialization, as the audit gives. The
-    answer is rendered by running the recipe on the snippet's template
-    (``dom.split_element``), whose one ``str`` child stands for the content
-    byte for byte; it edits the start tag, wraps the content or adds to it.
-    That gives what parsing the snippet, running the recipe and serializing
-    give, because canonical content parses back to the children it came
-    from. The proposal's ``edit`` runs the recipe again on the live element
-    (``FixProposal.apply_to``). Two cases render from the parsed snippet
-    instead: a snippet that does not open with a canonical start tag, and
-    the ``landmark-one-main`` wrap on ``<html>``, which reads the body's
-    children.
+    recipe runs once, on the snippet's template (``dom.split_element``),
+    whose one ``str`` child stands for the content byte for byte; it edits
+    the start tag, wraps the content or adds to it. That gives what parsing
+    the snippet, running the recipe and serializing give, because canonical
+    content parses back to the children it came from.
+
+    The proposal's ``edit`` is what ``FixProposal.apply_to`` runs on the
+    live element. A recipe that left the content as it was changed only
+    the start tag, and its edit is that start tag as data (``StartTag``).
+    A recipe that wrapped or added to the content is run again there, and
+    so is a recipe run on the parsed snippet. That happens in two cases: a
+    snippet that does not open with a canonical start tag, and the
+    ``landmark-one-main`` wrap of the root (pre-order index 0), which reads
+    the body's children.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
     el = split_element(v.html_snippet)
-    if el is None or (v.rule_id, el.tag) == ("landmark-one-main", "html"):
+    if el is None or (v.rule_id == "landmark-one-main" and v.index == 0):
         el = parse_fragment_element(v.html_snippet)
-    return FixProposal.answer(el, recipe(el, v), "heuristic",
-                              partial(recipe, v=v))
+        content = None
+    else:
+        content = el.children[:]
+    thought = recipe(el, v)
+    if el.children == content:
+        edit = StartTag(el.tag, tuple(el.attrs.items()))
+    else:
+        edit = partial(recipe, v=v)
+    return FixProposal.answer(el, thought, "heuristic", edit)

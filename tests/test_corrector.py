@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from accessfix import dom, rules
+from accessfix import dom, prompts, rules
 from accessfix.corrector import (
     APPLIED,
     MATCH_FAILED,
@@ -193,12 +193,20 @@ def test_fragment_error_while_proposing_fails_only_that_fix():
     # The skip link was retargeted at "#main-content", and the root wrap
     # made a main with no id.
     "<a href='#main'>",
+    # A nested <html role="main"> was taken for the root: the root wrap
+    # found a main, did nothing, and the outcome read applied.
+    '<select role="main"><html role="main">',
+    # Text appended to the root heading landed after <body>, and the page
+    # written out read back with it inside the body.
+    '<html role="heading"> ',
 ])
 def test_heuristic_mends_end_at_zero(html):
     [page] = run_pages([CorpusEntry("f", html)], HeuristicProvider())
     assert page.error == ""
     assert {r.outcome for r in page.records} == {APPLIED}
     assert page.final.violations == []
+    out = page.corrected_html
+    assert dom.parse_html(out).serialize() == out
 
 
 def test_correct_document_records_carry_violation_and_outcome_metadata():
@@ -233,6 +241,47 @@ def test_in_process_providers_start_no_thread(corpus_paths, monkeypatch):
             doc = dom.parse_html(entry.html_text)
             _, records = correct_document(doc, rules.audit(doc), provider)
             assert {r.outcome for r in records} == {APPLIED}, entry.source_id
+
+
+def count_renders(monkeypatch) -> list:
+    """Record each user message that ``prompts`` renders."""
+    calls = []
+
+    def counting(parts, values):
+        calls.append(values)
+        return render(parts, values)
+
+    render = prompts._render
+    monkeypatch.setattr(prompts, "_render", counting)
+    return calls
+
+
+def test_heuristic_correction_renders_no_prompt_text(monkeypatch):
+    """The heuristic provider reads the violation, not the prompt, so no
+    user message is rendered, for independent and dependent targets alike."""
+    html = ('<html><body><div role="checkbox">x<div role="checkbox">y'
+            '<img src="a.png"></div></div>' + PAGE + "</body></html>")
+    doc = dom.parse_html(html)
+    violations = rules.audit(doc, web_url="f")
+    calls = count_renders(monkeypatch)
+    _, records = correct_document(doc, violations, HeuristicProvider())
+    assert {r.outcome for r in records} == {APPLIED}
+    assert len(records) > 5
+    assert calls == []
+
+
+def test_replay_renders_one_user_message_per_request(corpus_paths,
+                                                     monkeypatch):
+    entries = ingest(corpus_paths)
+    replay = ReplayProvider(build_replay_transcript(entries))
+    calls = count_renders(monkeypatch)
+    requests = 0
+    for entry in entries:
+        doc = dom.parse_html(entry.html_text)
+        _, records = correct_document(doc, rules.audit(doc), replay)
+        assert {r.outcome for r in records} == {APPLIED}, entry.source_id
+        requests += len(records)
+    assert len(calls) == requests
 
 
 def dependent_targets(paths) -> set:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accessfix import dom, rules
+from accessfix import dom, prompts, rules
 from accessfix.dom import VOID_ELEMENTS
 from accessfix.errors import IncompleteViolationError, UnparseableResponseError
 from accessfix.prompts import (
@@ -73,6 +73,38 @@ def test_empty_snippet_rejected():
     v.html_snippet = "  "
     with pytest.raises(IncompleteViolationError):
         build_prompt(v, "react")
+
+
+@pytest.mark.parametrize("field", ["description", "help"])
+def test_missing_text_is_rejected_when_the_prompt_is_built(field):
+    """The checks run in ``build_prompt``, though the user message is only
+    rendered when it is read."""
+    v = sample_violation()
+    setattr(v, field, " ")
+    with pytest.raises(IncompleteViolationError):
+        build_prompt(v, "react")
+
+
+def test_bundles_compare_by_their_rendered_messages():
+    v = sample_violation()
+    bundle = build_prompt(v, "react")
+    v.html_snippet = '<img src="y.png">'
+    other = build_prompt(v, "react")
+    assert bundle != other
+    assert bundle.messages()[1]["content"] == bundle.user_message
+    assert bundle.user_message.replace("x.png", "y.png") == other.user_message
+
+
+def test_user_message_is_rendered_once_when_first_read(monkeypatch):
+    calls = []
+    render = prompts._render
+    monkeypatch.setattr(prompts, "_render",
+                        lambda *args: calls.append(args) or render(*args))
+    bundle = build_prompt(sample_violation(), "react")
+    assert calls == []
+    assert bundle.messages() == bundle.messages()
+    assert bundle.user_message in bundle.messages()[1]["content"]
+    assert len(calls) == 1
 
 
 def test_unknown_strategy_rejected():

@@ -1,12 +1,14 @@
 """The heuristic fixer's template answers against the route they replace.
 
-``heuristic_fix`` renders each answer by running the recipe on the
-snippet's template, its start tag with the content kept byte for byte, and
-the corrector runs the recipe again on the live element instead of parsing
-the answer. ``oracle_fix`` is the whole-snippet route: parse the snippet,
-run the recipe, serialize the element.
+``heuristic_fix`` renders each answer by running the recipe once on the
+snippet's template, its start tag with the content kept byte for byte. The
+corrector sets the answer's start tag on the live element, or runs a
+content recipe there again, instead of parsing the answer. ``oracle_fix`` is
+the whole-snippet route: parse the snippet, run the recipe, serialize the
+element.
 """
 
+import copy
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from accessfix import dom, providers, rules
 from accessfix.corrector import APPLIED, apply_fix, correct_document
 from accessfix.errors import NoRecipeError
 from accessfix.harness import CorpusEntry, run_pages
+from accessfix.prompts import StartTag
 from accessfix.providers import HeuristicProvider, heuristic_fix
 
 
@@ -170,8 +173,8 @@ def test_wide_page_fixes_parse_nothing_and_solve_contrast_once(monkeypatch):
     assert {r.outcome for r in records} == {APPLIED}
     assert calls == []
     search = providers.rescale_for_contrast.cache_info()
-    # The recipe runs once for the answer and once on the live element.
-    assert (search.misses, search.hits) == (1, 99)
+    # Each recipe runs once: the live element gets the answer's start tag.
+    assert (search.misses, search.hits) == (1, 49)
     assert rules.audit(doc, web_url="f") == []
 
 
@@ -213,17 +216,16 @@ PAGE = ('<html lang="en"><body><main><img src="a.png">'
 
 @pytest.mark.parametrize("target", [0, 1], ids=["own", "other"])
 def test_start_tag_answer_elsewhere_is_applied_whole(monkeypatch, target):
-    """A recipe's answer runs its recipe on whichever element it is applied
-    to, as often as it is applied, and parses nothing: on another element it
-    makes the change that element's own answer offers. The documents it is
-    applied to share no attributes."""
+    """A start-tag answer sets its own start tag on whichever element it is
+    applied to, as often as it is applied, and parses nothing: on another
+    element it makes the change that parsing the answer would. The
+    documents it is applied to share no attributes."""
     docs = [dom.parse_html(PAGE) for _ in range(2)]
     violations = rules.audit(docs[0], web_url="f")
     assert [v.rule_id for v in violations] == ["image-alt"] * 2
     proposal = heuristic_fix(violations[0])
-    assert proposal.edit is not None
-    expected = dom.parse_fragment_element(
-        heuristic_fix(violations[target]).corrected_html)
+    assert isinstance(proposal.edit, StartTag)
+    expected = dom.parse_fragment_element(proposal.corrected_html)
     calls = count_fragment_parses(monkeypatch)
     for doc in docs:
         v = violations[target]
@@ -235,6 +237,50 @@ def test_start_tag_answer_elsewhere_is_applied_whole(monkeypatch, target):
     el0, el1 = (dom.preorder(doc.root).elements[violations[target].index]
                 for doc in docs)
     assert el0 == el1 and el0.attrs is not el1.attrs
+
+
+def test_start_tag_edit_is_a_value():
+    """A start-tag edit equals its copy, and each document it is applied to
+    gets attributes of its own."""
+    docs = [dom.parse_html(PAGE) for _ in range(2)]
+    v = rules.audit(docs[0], web_url="f")[0]
+    edit = heuristic_fix(v).edit
+    assert edit == copy.deepcopy(edit) == StartTag(
+        "img", (("src", "a.png"), ("alt", "a")))
+    assert hash(edit) == hash(copy.copy(edit))
+    els = [dom.preorder(doc.root).elements[v.index] for doc in docs]
+    for el in els:
+        edit(el)
+    assert els[0] == els[1] == dom.Element("img", {"src": "a.png", "alt": "a"})
+    assert els[0].attrs is not els[1].attrs
+
+
+def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
+                                                 perfbench_pages):
+    """A start-tag recipe runs once, on the snippet's template; a content
+    recipe runs there and again on the live element."""
+    calls = []
+    for rule_id, recipe in providers._RECIPES.items():
+        def counting(el, v, recipe=recipe):
+            calls.append(v.rule_id)
+            return recipe(el, v)
+        monkeypatch.setitem(providers._RECIPES, rule_id, counting)
+    pages = [Path(path).read_text("utf-8") for path in corpus_paths]
+    pages += [html for name, html in perfbench_pages
+              if name.endswith("wide.html")]
+    expected, start_tags = [], set()
+    for html in pages:
+        doc = dom.parse_html(html)
+        _, records = correct_document(doc, rules.audit(doc, web_url="f"),
+                                      HeuristicProvider())
+        for r in records:
+            assert r.outcome == APPLIED
+            once = isinstance(r.proposal.edit, StartTag)
+            expected += [r.violation.rule_id] * (1 if once else 2)
+            if once:
+                start_tags.add(r.violation.rule_id)
+    assert sorted(calls) == sorted(expected)
+    assert len(start_tags) >= 10
 
 
 def corrected(html, name="f"):
