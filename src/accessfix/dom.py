@@ -51,6 +51,21 @@ _AUTO_CLOSE = {
     "optgroup": {"option", "optgroup"},
 }
 
+# Tags whose content parses otherwise than under a <div>: void and raw-text
+# elements, textarea and title (whose content a browser reads as text),
+# <p>, which P_CLOSERS close, and every tag that _AUTO_CLOSE closes or that
+# closes one.
+_CONTEXT_TAGS = (VOID_ELEMENTS | RAW_TEXT_ELEMENTS | {"textarea", "title", "p"}
+                 | set(_AUTO_CLOSE).union(*_AUTO_CLOSE.values()))
+
+
+def parses_alike(tag: str) -> bool:
+    """Whether ``tag`` parses any canonical content to the same children as
+    every other such tag does, and no such tag's start tag closes it. A
+    canonical element may then be renamed between such tags, or wrapped in
+    one, as a string."""
+    return tag not in _CONTEXT_TAGS
+
 
 @dataclass
 class Text:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from html import unescape
 from importlib import resources
 from typing import Callable, Optional
 
-from .dom import (VOID_ELEMENTS, Element, parse_fragment_element,
-                  replace_node, serialize_node)
+from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
+                  parse_fragment_element, parses_alike, replace_node,
+                  serialize_node, split_element)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -71,55 +72,103 @@ class PromptBundle:
 
 
 @dataclass(frozen=True)
-class StartTag:
-    """An edit that gives an element this start tag and keeps its children.
-    ``attrs`` holds (name, value) pairs; each element it is applied to gets
-    an ``attrs`` dict of its own."""
+class _TagEdit:
+    """An edit made with one start tag. ``attrs`` holds (name, value) pairs;
+    each element it is applied to gets an ``attrs`` dict of its own. Edits
+    of two kinds never compare equal. The kinds subclass this one frozen
+    dataclass, so importing the module sets up one dataclass, not three."""
 
     tag: str
     attrs: tuple
+
+
+class StartTag(_TagEdit):
+    """An edit that gives an element this start tag and keeps its
+    children."""
 
     def __call__(self, el: Element) -> None:
         el.tag = self.tag
         el.attrs = dict(self.attrs)
 
 
+class WrapChildren(_TagEdit):
+    """An edit that puts an element's children into a new element with
+    this start tag, its one child."""
+
+    def __call__(self, el: Element) -> None:
+        el.children = [Element(self.tag, dict(self.attrs), el.children)]
+
+
+class WrapSelf(_TagEdit):
+    """An edit that turns an element into a new element with this start
+    tag around a copy of the original, which keeps its tag, attributes and
+    children."""
+
+    def __call__(self, el: Element) -> None:
+        el.tag, el.attrs, el.children = (
+            self.tag, dict(self.attrs), [Element(el.tag, el.attrs, el.children)])
+
+
+@dataclass(frozen=True)
+class AppendText:
+    """An edit that adds text after an element's children, merged into a
+    trailing text node as the parser merges adjacent text."""
+
+    data: str
+
+    def __call__(self, el: Element) -> None:
+        kids = el.children
+        if kids and isinstance(kids[-1], Text):
+            kids[-1] = Text(kids[-1].data + self.data)
+        else:
+            kids.append(Text(self.data))
+
+
+@dataclass(eq=False)
+class Replace:
+    """An edit that hands an element over whole: the element ``html``
+    parses to. ``element`` is that parse, if it is already made; the first
+    application takes it, and a later one parses again.
+
+    The document owns what it took; an edit that kept it would also keep
+    alive every subtree that a later fix replaces, and would share it with
+    the next document it is applied to.
+    """
+
+    html: str
+    element: Optional[Element] = field(default=None, repr=False)
+
+    def __call__(self, el: Element) -> None:
+        replacement, self.element = self.element, None
+        if replacement is None:
+            replacement = parse_fragment_element(self.html)
+        replace_node(el, replacement)
+
+
 @dataclass
 class FixProposal:
+    """A fix: the corrected element as text, and the ``edit`` that makes it
+    of the element it was asked for. The edit is one of ``StartTag``,
+    ``WrapChildren``, ``WrapSelf`` and ``AppendText``, a heuristic recipe
+    that reads the page (the root ``landmark-one-main`` wrap), or
+    ``Replace``, which parses ``corrected_html``: the default."""
+
     corrected_html: str
     thought: Optional[str]
     raw_response: str
     provider_id: str = ""
-    # What makes ``corrected_html`` of the element that was asked for, run
-    # on the live element instead of parsing the answer: a ``StartTag``, or
-    # a recipe that edits the content; None for a parsed answer.
     edit: Optional[Callable] = field(default=None, repr=False,
                                      compare=False)
 
-    @cached_property
-    def element(self) -> Element:
-        """``corrected_html`` parsed; ``InvalidFragmentError`` unless it is
-        exactly one element. Parsed on first read only."""
-        return parse_fragment_element(self.corrected_html)
+    def __post_init__(self):
+        if self.edit is None:
+            self.edit = Replace(self.corrected_html)
 
     def apply_to(self, el: Element) -> None:
-        """Rewrite ``el`` into the proposed element: run ``edit`` on it (a
-        ``StartTag`` sets the answer's start tag, a recipe runs again), or
-        hand over the answer's element whole; ``InvalidFragmentError``
-        (``el`` untouched) unless that answer is exactly one element.
-
-        A handed-over element is dropped from the proposal, so applying it
-        again parses afresh. The document owns what it took; a proposal
-        that kept it would also keep alive every subtree that a later fix
-        replaces, and would share it with the next document it is applied
-        to.
-        """
-        if self.edit is not None:
-            self.edit(el)
-            return
-        replacement = self.element
-        del self.element
-        replace_node(el, replacement)
+        """Rewrite ``el`` into the proposed element by running ``edit`` on
+        it; a ``Replace`` raises ``InvalidFragmentError`` (``el``
+        untouched) unless its answer is exactly one element."""
+        self.edit(el)
 
     @classmethod
     def answer(cls, el: Element, thought: str, provider_id: str,
@@ -239,22 +288,73 @@ def _candidates(text: str):
     yield from _balanced_elements(text)
 
 
-def parse_fix(raw_response: str, provider_id: str = "") -> FixProposal:
+def _classify(answer: str, snippet: str, old: Element):
+    """The edit that makes ``answer`` of the element that ``snippet``
+    serializes, found by comparing strings; None if there is none. ``old``
+    is ``dom.split_element(snippet)``. Only the start tags are parsed:
+
+    - a canonical start tag, the snippet's content and its end tag is a
+      ``StartTag``, if the tag is kept or both tags ``dom.parses_alike``;
+    - one new element around the snippet is a ``WrapSelf``;
+    - the snippet's start tag around one new element that holds its
+      content is a ``WrapChildren``;
+    - the snippet's start tag, its content and then text with no "<" is an
+      ``AppendText`` of that text, unescaped as the parser reads it: the
+      content is canonical, so each character reference in it ends with
+      its ";" before that text starts.
+
+    A wrapper ``dom.parses_alike``, and so does a snippet whose children
+    are wrapped. So each edit, run on the element, gives the element that
+    parsing ``answer`` gives, which is exactly one.
+    """
+    new = split_element(answer)
+    if new is None:
+        return None
+    [content], [inner] = old.children, new.children
+    attrs = tuple(new.attrs.items())
+    if inner == content:
+        if new.tag == old.tag or (parses_alike(new.tag)
+                                  and parses_alike(old.tag)):
+            return StartTag(new.tag, attrs)
+    elif inner == snippet:
+        if parses_alike(new.tag):
+            return WrapSelf(new.tag, attrs)
+    elif new.tag == old.tag and attrs == tuple(old.attrs.items()):
+        rest = inner[len(content):]
+        if (inner.startswith(content) and "<" not in rest
+                and old.tag not in RAW_TEXT_ELEMENTS):
+            return AppendText(unescape(rest))
+        wrapper = split_element(inner)
+        if (wrapper is not None and wrapper.children[0] == content
+                and parses_alike(wrapper.tag) and parses_alike(old.tag)):
+            return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
+    return None
+
+
+def parse_fix(raw_response: str, provider_id: str = "",
+              snippet: Optional[str] = None) -> FixProposal:
     """Extract the corrected tag from a response.
 
-    The first candidate (see ``_candidates``) that parses as exactly one
-    element wins; its parse is kept on the proposal's ``element``. Never
-    raises on arbitrary text except the typed unparseable-response error.
+    The first candidate (see ``_candidates``) that is an edit of
+    ``snippet``, the element the prompt carried (see ``_classify``), or
+    that parses as exactly one element wins. An edit is applied without a
+    parse; a parsed answer is a ``Replace`` that holds its parse. Without
+    a snippet every candidate is parsed. A candidate that is an edit would
+    have parsed, so the snippet changes no winner. Never raises on
+    arbitrary text except the typed unparseable-response error.
     """
     tm = _THOUGHT_RE.search(raw_response)
     thought = tm.group(1).strip() if tm else None
+    old = split_element(snippet) if snippet is not None else None
     for candidate in _candidates(raw_response):
-        proposal = FixProposal(candidate, thought, raw_response, provider_id)
-        try:
-            proposal.element
-        except InvalidFragmentError:
-            continue
-        return proposal
+        edit = _classify(candidate, snippet, old) if old is not None else None
+        if edit is None:
+            try:
+                edit = Replace(candidate, parse_fragment_element(candidate))
+            except InvalidFragmentError:
+                continue
+        return FixProposal(candidate, thought, raw_response, provider_id,
+                           edit)
     raise UnparseableResponseError(
         "no corrected HTML element found in response"
     )

@@ -14,14 +14,15 @@ from functools import lru_cache, partial
 
 from .colors import LINEAR, RgbColor, relative_luminance
 from .dom import (P_CLOSERS, RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element,
-                  Text, parse_fragment_element, replace_node, split_element)
+                  Text, parse_fragment_element, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
     ProviderUnavailableError,
     ReplayMissError,
 )
-from .prompts import FixProposal, PromptBundle, StartTag, parse_fix
+from .prompts import (AppendText, FixProposal, PromptBundle, StartTag,
+                      WrapChildren, WrapSelf, parse_fix)
 from .rules import Violation, blocks_zoom, main_wrap, viewport_items
 
 
@@ -173,10 +174,13 @@ class RemoteProvider:
                         self.cfg.request_timeout,
                     )
                     content = body["choices"][0]["message"]["content"]
-                    return parse_fix(content, provider_id=self.provider_id)
+                    if not isinstance(content, str):
+                        raise TypeError("message content is not a string")
                 except (OSError, KeyError, IndexError, TypeError,
                         ValueError) as exc:
                     last_error = exc
+                else:
+                    break
             # An HTTP error carries its status as ``code``; a client error
             # other than 429 (too many requests) fails the same way again.
             status = getattr(last_error, "code", None)
@@ -185,10 +189,13 @@ class RemoteProvider:
                     f"remote provider refused the request: HTTP {status}: "
                     f"{last_error}"
                 ) from last_error
-        raise ProviderUnavailableError(
-            f"remote provider failed after {self.cfg.max_retries + 1} attempts: "
-            f"{last_error}"
-        )
+        else:
+            raise ProviderUnavailableError(
+                f"remote provider failed after {self.cfg.max_retries + 1} "
+                f"attempts: {last_error}"
+            )
+        # Parsed after the slot is released: it waits on no endpoint.
+        return parse_fix(content, self.provider_id, bundle.values["html"])
 
 
 class ReplayProvider:
@@ -201,7 +208,7 @@ class ReplayProvider:
 
     def propose(self, bundle: PromptBundle, violation=None) -> FixProposal:
         raw = self.transcript.lookup(request_hash(bundle.messages()))
-        return parse_fix(raw, provider_id=self.provider_id)
+        return parse_fix(raw, self.provider_id, bundle.values["html"])
 
 
 class HeuristicProvider:
@@ -262,7 +269,7 @@ def _fix_empty_heading(el, v):
         # into the body: name it instead.
         el.attrs["aria-label"] = "section heading"
         return "named the heading with a placeholder aria-label"
-    el.children.append(Text("section heading"))
+    AppendText("section heading")(el)
     return "inserted placeholder heading text"
 
 
@@ -299,26 +306,15 @@ def _fix_label(el, v):
     return f'added aria-label "{label}"'
 
 
-def _wrap_children(el, wrapper):
-    wrapper.children = el.children
-    el.children = [wrapper]
-
-
-def _wrap_self(el, wrapper):
-    """Turn ``el`` into ``wrapper`` around a copy of the original ``el``."""
-    wrapper.children = [Element(el.tag, el.attrs, el.children)]
-    replace_node(el, wrapper)
-
-
 def _fix_region(el, v):
     # <main> and <section> implicitly close an open <p>, so a <p> is wrapped
     # whole: wrapping its children would not re-parse as one element.
-    wrap = _wrap_self if el.tag == "p" else _wrap_children
+    wrap = WrapSelf if el.tag == "p" else WrapChildren
     if _param(v, "wrap_in") == "main":
-        wrap(el, Element("main"))
+        wrap("main", ())(el)
         return "wrapped the stray content in a main landmark"
     label = _param(v, "label")
-    wrap(el, Element("section", {"aria-label": label}))
+    wrap("section", (("aria-label", label),))(el)
     return f'wrapped the stray content in a section labeled "{label}"'
 
 
@@ -460,37 +456,61 @@ _RECIPES = {
 }
 
 
+def _content_edit(el: Element, content: list, snippet: str):
+    """The edit value that wrapped the children of ``el`` or ``el`` itself,
+    or appended text to its children, where ``content`` were its children
+    and ``snippet`` was ``el`` serialized before; None (the answer is
+    parsed) if no edit value did."""
+    old = split_element(snippet) or parse_fragment_element(snippet)
+    start = (old.tag, list(old.attrs.items()))
+    kids = el.children
+    kept = (el.tag, list(el.attrs.items())) == start
+    if kept and kids[:-1] == content and isinstance(kids[-1], Text):
+        return AppendText(kids[-1].data)
+    if (len(kids) == 1 and isinstance(kids[0], Element)
+            and kids[0].children == content):
+        inner = kids[0]
+        if kept:
+            return WrapChildren(inner.tag, tuple(inner.attrs.items()))
+        if (inner.tag, list(inner.attrs.items())) == start:
+            return WrapSelf(el.tag, tuple(el.attrs.items()))
+    return None
+
+
 def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
     ``v.html_snippet`` is a canonical serialization, as the audit gives. The
     recipe runs once, on the snippet's template (``dom.split_element``),
     whose one ``str`` child stands for the content byte for byte; it edits
-    the start tag, wraps the content or adds to it. That gives what parsing
-    the snippet, running the recipe and serializing give, because canonical
-    content parses back to the children it came from.
+    the start tag, wraps the content or the element, or adds text. That
+    gives what parsing the snippet, running the recipe and serializing
+    give, because canonical content parses back to the children it came
+    from. A snippet that does not open with a canonical start tag is
+    parsed instead.
 
-    The proposal's ``edit`` is what ``FixProposal.apply_to`` runs on the
-    live element. A recipe that left the content as it was changed only
-    the start tag, and its edit is that start tag as data (``StartTag``).
-    A recipe that wrapped or added to the content is run again there, and
-    so is a recipe run on the parsed snippet. That happens in two cases: a
-    snippet that does not open with a canonical start tag, and the
-    ``landmark-one-main`` wrap of the root (pre-order index 0), which reads
-    the body's children.
+    The proposal's ``edit``, which ``FixProposal.apply_to`` runs on the
+    live element, is read from the shape the recipe left: a ``StartTag``
+    if the content is as it was, else a ``WrapChildren``, ``WrapSelf`` or
+    ``AppendText``. Only the ``landmark-one-main`` wrap of the root
+    (pre-order index 0) reads the body's children: it runs on the parsed
+    snippet, and again on the live element.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
-    el = split_element(v.html_snippet)
-    if el is None or (v.rule_id == "landmark-one-main" and v.index == 0):
+    if v.rule_id == "landmark-one-main" and v.index == 0:
         el = parse_fragment_element(v.html_snippet)
-        content = None
-    else:
-        content = el.children[:]
+        thought = recipe(el, v)
+        return FixProposal.answer(el, thought, "heuristic",
+                                  partial(recipe, v=v))
+    el = split_element(v.html_snippet)
+    if el is None:
+        el = parse_fragment_element(v.html_snippet)
+    content = el.children[:]
     thought = recipe(el, v)
     if el.children == content:
         edit = StartTag(el.tag, tuple(el.attrs.items()))
     else:
-        edit = partial(recipe, v=v)
+        edit = _content_edit(el, content, v.html_snippet)
     return FixProposal.answer(el, thought, "heuristic", edit)

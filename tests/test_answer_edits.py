@@ -1,0 +1,259 @@
+"""Model answers classified as edits of the snippet their prompt carried.
+
+``prompts.parse_fix`` reads an answer that changes only the start tag,
+wraps the content or the element, or appends text as an edit value, found
+by comparing strings; any other answer is parsed. An edit, run on the
+element the snippet serializes, must give what handing over the parsed
+answer gives.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from accessfix import dom, providers, rules
+from accessfix.corrector import APPLIED, correct_document
+from accessfix.dom import parse_fragment_element, serialize_node, start_tag
+from accessfix.prompts import (AppendText, FixProposal, Replace, StartTag,
+                               WrapChildren, WrapSelf, parse_fix)
+from accessfix.providers import ProviderConfig, RemoteProvider, heuristic_fix
+from test_start_tag_fixes import corrected, tag_soup
+
+# Tags that parse their content alike, and tags that do not: void, raw
+# text, escapable raw text, <p> and the tags that close or are closed
+# implicitly.
+ALIKE = ["div", "span", "section", "main", "nav", "h2", "a", "header", "ul",
+         "table", "label", "html", "body"]
+UNALIKE = ["p", "li", "dt", "dd", "tr", "td", "th", "thead", "tbody",
+           "tfoot", "option", "optgroup", "script", "style", "textarea",
+           "title", "img", "br", "input"]
+TEXTS = [" a &amp; b &lt;c&gt; ", "x & y", "&#60;&copy", "section heading"]
+
+
+def respond(answer: str) -> str:
+    """A ``Thought:`` / ``CORRECTED:`` response that carries ``answer``."""
+    fence = "`"
+    while fence in answer:
+        fence += "`"
+    return f"Thought: t\nCORRECTED: {fence}{answer}{fence}"
+
+
+def end_tag(tag: str) -> str:
+    return "" if tag in dom.VOID_ELEMENTS else f"</{tag}>"
+
+
+def answers(snippet: str) -> list:
+    """Answers built from a canonical ``snippet``: attribute edits, renames
+    into every tag above, wraps of its children and of itself in each, and
+    appended text."""
+    old = dom.split_element(snippet)
+    tag, attrs, [content] = old.tag, list(old.attrs.items()), old.children
+    close = end_tag(tag)
+    edited = [attrs + [("data-fix", 'a "q" & <b>')], attrs[1:],
+              [(name, value + "x") for name, value in attrs]]
+    built = [start_tag(tag, a) + content + close for a in edited]
+    for new in ALIKE + UNALIKE:
+        built.append(start_tag(new, attrs) + content + end_tag(new))
+        built.append(start_tag(new, [("class", "w")]) + snippet + end_tag(new))
+        if close:
+            built.append(start_tag(tag, attrs) + f"<{new}>" + content
+                         + end_tag(new) + close)
+    if close:
+        built += [start_tag(tag, attrs) + content + text + close
+                  for text in TEXTS]
+        built.append(start_tag(tag, attrs) + content + "<b>x</b>" + close)
+    return built
+
+
+def check_answers(snippet: str) -> list:
+    """For every answer built from ``snippet``: the proposal that
+    ``parse_fix`` makes with the snippet has the corrected element and the
+    thought it makes without it, and an edit other than ``Replace`` run on
+    the parsed snippet gives the corrected element parsed, which is one
+    element. The edit types found, one per answer."""
+    kinds = []
+    for answer in answers(snippet):
+        raw = respond(answer)
+        try:
+            plain = parse_fix(raw)
+        except Exception as exc:  # noqa: BLE001 - the same error with both
+            with pytest.raises(type(exc)):
+                parse_fix(raw, snippet=snippet)
+            kinds.append(None)
+            continue
+        proposal = parse_fix(raw, snippet=snippet)
+        assert (proposal.corrected_html, proposal.thought) == \
+            (plain.corrected_html, plain.thought)
+        kinds.append(type(proposal.edit))
+        if isinstance(proposal.edit, Replace):
+            continue
+        expected = parse_fragment_element(proposal.corrected_html)
+        el = parse_fragment_element(snippet)
+        proposal.apply_to(el)
+        assert serialize_node(el) == serialize_node(expected), \
+            (snippet, answer)
+        assert el == expected, (snippet, answer)
+    return kinds
+
+
+def audited_snippets(html: str) -> list:
+    return list(dict.fromkeys(
+        v.html_snippet for v in rules.audit(dom.parse_html(html), web_url="f")))
+
+
+def test_corpus_answers_apply_as_their_parse(corpus_paths):
+    kinds = set()
+    for path in corpus_paths:
+        for snippet in audited_snippets(Path(path).read_text("utf-8")):
+            kinds.update(check_answers(snippet))
+    assert {StartTag, WrapChildren, WrapSelf, AppendText, Replace} <= kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag_soup)
+def test_tag_soup_answers_apply_as_their_parse(html):
+    for snippet in audited_snippets(html):
+        check_answers(snippet)
+
+
+@pytest.mark.parametrize("new", ALIKE + UNALIKE)
+@pytest.mark.parametrize("old", ["div", "section", "p", "li", "td"])
+def test_a_rename_is_an_edit_when_both_tags_parse_alike(old, new):
+    snippet = f'<{old} id="k">a<b>b</b></{old}>'
+    answer = f'<{new} id="k">a<b>b</b>{end_tag(new)}'
+    edit = parse_fix(respond(answer), snippet=snippet).edit
+    alike = old == new or (dom.parses_alike(old) and dom.parses_alike(new))
+    assert isinstance(edit, StartTag) == alike
+    assert alike or isinstance(edit, Replace)
+
+
+SNIPPET = '<div id="k">x<b>y</b></div>'
+
+
+@pytest.mark.parametrize("snippet,answer", [
+    (SNIPPET, '<p id="k">x<b>y</b></p>'),
+    (SNIPPET, '<li id="k">x<b>y</b></li>'),
+    (SNIPPET, '<td id="k">x<b>y</b></td>'),
+    (SNIPPET, '<option id="k">x<b>y</b></option>'),
+    (SNIPPET, '<script id="k">x<b>y</b></script>'),
+    (SNIPPET, '<textarea id="k">x<b>y</b></textarea>'),
+    (SNIPPET, '<div  id="k">x<b>y</b></div>'),
+    (SNIPPET, "<div id='k'>x<b>y</b></div>"),
+    (SNIPPET, '<DIV id="k">x<b>y</b></DIV>'),
+    (SNIPPET, '<div id="k" id="j">x<b>y</b></div>'),
+    (SNIPPET, '<div id="k">x<b>z</b></div>'),
+    (SNIPPET, '<div id="k">x<b>y</b>tail<i>i</i></div>'),
+    (SNIPPET, '<div id="k"><p>x<b>y</b></p></div>'),
+    ('<span id="k">x</span>', '<p><span id="k">x</span></p>'),
+    ('<li id="k">x</li>', '<li id="k"><span>x</span></li>'),
+    ("<script>x<y</script>", "<script>x<y z</script>"),
+], ids=["into-p", "into-li", "into-td", "into-option", "into-script",
+        "into-textarea", "spaced-start-tag", "single-quotes", "upper-case",
+        "duplicate-attribute", "changed-content", "text-and-element",
+        "p-wraps-children", "p-wraps-element", "li-children-wrapped",
+        "raw-text-appended"])
+def test_answers_that_are_parsed(snippet, answer):
+    proposal = parse_fix(respond(answer), snippet=snippet)
+    assert proposal.corrected_html == answer
+    assert isinstance(proposal.edit, Replace)
+    assert proposal.edit.element is not None
+
+
+def test_appended_text_is_unescaped_and_merged():
+    snippet = "<h2>a &amp; b</h2>"
+    proposal = parse_fix(respond("<h2>a &amp; b &lt;c&gt; &amp &copy</h2>"),
+                         snippet=snippet)
+    assert proposal.edit == AppendText(" <c> & \xa9")
+    el = parse_fragment_element(snippet)
+    proposal.apply_to(el)
+    assert el.children == [dom.Text("a & b <c> & \xa9")]
+
+
+def test_without_a_snippet_every_answer_is_parsed():
+    proposal = parse_fix(respond('<div id="k">x</div>'))
+    assert isinstance(proposal.edit, Replace)
+
+
+def test_a_parsed_answer_is_handed_over_once():
+    """The first application takes the answer's parse; a later one parses
+    afresh, so no two documents share a subtree."""
+    proposal = parse_fix(respond('<p id="k"><b>x</b></p>'))
+    parsed = proposal.edit.element
+    first, second = dom.Element("p"), dom.Element("p")
+    proposal.apply_to(first)
+    assert proposal.edit.element is None
+    assert first.children is parsed.children
+    proposal.apply_to(second)
+    assert second == first and second.children[0] is not first.children[0]
+
+
+def test_a_proposal_made_without_an_edit_replaces():
+    proposal = FixProposal("<img alt=a>", None, "<img alt=a>")
+    assert proposal.edit.html == "<img alt=a>"
+    el = dom.Element("img", {"src": "x"})
+    proposal.apply_to(el)
+    assert el == dom.Element("img", {"alt": "a"})
+
+
+def test_heuristic_answers_replay_as_the_same_edits(corpus_paths,
+                                                    composed_pages):
+    """A heuristic answer, read back by ``parse_fix`` with its snippet, is
+    the edit value that the recipe made, except for the root wrap."""
+    pages = [Path(path).read_text("utf-8") for path in corpus_paths]
+    pages += [html for _, html in composed_pages]
+    compared = 0
+    for html in pages:
+        for v in rules.audit(dom.parse_html(html), web_url="f"):
+            fix = heuristic_fix(v)
+            if (v.rule_id, v.index) == ("landmark-one-main", 0):
+                continue
+            read = parse_fix(fix.raw_response, snippet=v.html_snippet)
+            if not isinstance(read.edit, Replace):
+                assert read.edit == fix.edit, v.html_snippet
+                compared += 1
+    assert compared > 1000
+
+
+def test_remote_answers_are_edits_parsed_outside_the_slot(monkeypatch):
+    """A remote answer is read against the prompt's snippet after the
+    request gives its concurrency slot back."""
+    doc = dom.parse_html('<html lang="en"><body><main><img src="a.png">'
+                         "</main></body></html>")
+    [v] = rules.audit(doc, web_url="f")
+    answer = heuristic_fix(v).raw_response
+    provider = RemoteProvider(
+        ProviderConfig(kind="remote", endpoint_url="https://example.test/v1",
+                       model_name="m", max_in_flight=1),
+        post_json=lambda *a: {"choices": [{"message": {"content": answer}}]})
+    free = []
+    parse = providers.parse_fix
+
+    def checking(*args):
+        slots = provider._slots
+        free.append(slots.acquire(blocking=False))
+        if free[-1]:
+            slots.release()
+        return parse(*args)
+
+    monkeypatch.setattr(providers, "parse_fix", checking)
+    _, [record] = correct_document(doc, [v], provider)
+    assert record.outcome == APPLIED
+    assert free == [True]
+    assert isinstance(record.proposal.edit, StartTag)
+
+
+def assert_snippets_read_back(doc):
+    for v in rules.audit(doc, web_url="f"):
+        el = parse_fragment_element(v.html_snippet)
+        assert serialize_node(el) == v.html_snippet
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag_soup)
+def test_audited_snippets_parse_back_to_themselves(html):
+    """Every snippet that the audit emits, before and after heuristic
+    correction, is one element that serializes to itself: ``parse_fix``
+    relies on it when it reads an answer against the snippet."""
+    assert_snippets_read_back(dom.parse_html(html))
+    assert_snippets_read_back(corrected(html))

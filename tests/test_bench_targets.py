@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 from accessfix import harness
+from accessfix.prompts import FixProposal
 from accessfix.providers import HeuristicProvider, ReplayProvider
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,17 +55,30 @@ def test_only_dom_uses_the_helpers_kept_for_the_tracer():
     assert used == {}
 
 
+class Parsed(HeuristicProvider):
+    """The heuristic answers without their edits, so each one is parsed and
+    handed over whole."""
+
+    provider_id = "parsed"
+
+    def propose(self, bundle, violation=None):
+        fix = super().propose(bundle, violation)
+        return FixProposal(fix.corrected_html, fix.thought, fix.raw_response,
+                           self.provider_id)
+
+
 def test_traced_fix_stage_names_time_the_live_path(monkeypatch,
                                                    corpus_paths):
     """``corrector.apply_fix`` is the step that ``correct_document`` runs,
-    and ``dom.replace_node`` the one that hands over a parsed answer (a
-    replay run's); the stale-locator helpers are not run."""
+    and ``dom.replace_node`` the one that hands over a parsed answer; a
+    replay run's answers are edits, so it parses and hands over none. The
+    stale-locator helpers are not run."""
     run = load(monkeypatch, "perfbench_run", RUN_PY)
     tracing = load(monkeypatch, "tracer", RUN_PY.parent / "tracer.py")
     entries = harness.ingest(corpus_paths[:1])
     replay = ReplayProvider(harness.build_replay_transcript(entries))
     spans = {}
-    for provider in (HeuristicProvider(), replay):
+    for provider in (HeuristicProvider(), replay, Parsed()):
         tracer = tracing.Tracer()
         with tracer.installed(*run.trace_targets(run.AuditPhases())):
             _, _, records, failures = harness.run_benchmark(entries, provider)
@@ -74,6 +88,9 @@ def test_traced_fix_stage_names_time_the_live_path(monkeypatch,
         assert applying
         assert spans[provider.provider_id]["corrector.apply_fix"] == \
             len(applying)
-    assert spans["replay"]["dom.replace_node"] >= 1
+    assert spans["parsed"]["dom.replace_node"] == \
+        spans["parsed"]["dom.parse_fragment_element"] == len(applying)
+    assert spans["replay"]["dom.replace_node"] == 0
+    assert spans["replay"]["dom.parse_fragment_element"] == 0
     for counts in spans.values():
         assert counts["dom.find_by_snippet"] == counts["dom.resolve"] == 0

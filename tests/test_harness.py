@@ -19,6 +19,7 @@ from accessfix.harness import (
     run_benchmark,
     run_pages,
 )
+from accessfix.prompts import Replace
 from accessfix.providers import HeuristicProvider, ReplayProvider
 from accessfix.scoring import fmt3
 from fixturegen import write_all
@@ -303,7 +304,9 @@ def test_replay_gives_identical_landmarks_distinct_labels(composed_pages):
             assert run.final.score == 0
 
 
-def test_replay_parses_each_fix_once(corpus_paths, monkeypatch):
+def test_replay_parses_no_fragment(corpus_paths, monkeypatch):
+    """Every replayed corpus answer is an edit of the snippet its prompt
+    carried (``prompts.parse_fix``), so none is parsed, and each applies."""
     entries = load_entries(corpus_paths)
     replay = ReplayProvider(build_replay_transcript(entries))
     calls = []
@@ -319,7 +322,8 @@ def test_replay_parses_each_fix_once(corpus_paths, monkeypatch):
     records = run_benchmark(entries, replay)[2]
     applied = [r for r in records if r.outcome == "applied"]
     assert len(applied) == len(records) == 171
-    assert len(calls) == 171
+    assert not any(isinstance(r.proposal.edit, Replace) for r in records)
+    assert calls == []
 
 
 def test_corpus_generator_reproduces_bundled_fixtures(tmp_path):

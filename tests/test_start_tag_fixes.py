@@ -2,14 +2,15 @@
 
 ``heuristic_fix`` renders each answer by running the recipe once on the
 snippet's template, its start tag with the content kept byte for byte. The
-corrector sets the answer's start tag on the live element, or runs a
-content recipe there again, instead of parsing the answer. ``oracle_fix`` is
+corrector makes the recipe's edit (a start tag, a wrap or appended text) on
+the live element, instead of parsing the answer. ``oracle_fix`` is
 the whole-snippet route: parse the snippet, run the recipe, serialize the
 element.
 """
 
 import copy
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from accessfix import dom, providers, rules
 from accessfix.corrector import APPLIED, apply_fix, correct_document
 from accessfix.errors import NoRecipeError
 from accessfix.harness import CorpusEntry, run_pages
-from accessfix.prompts import StartTag
+from accessfix.prompts import (AppendText, StartTag, WrapChildren,
+                               WrapSelf)
 from accessfix.providers import HeuristicProvider, heuristic_fix
 
 
@@ -257,8 +259,10 @@ def test_start_tag_edit_is_a_value():
 
 def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
                                                  perfbench_pages):
-    """A start-tag recipe runs once, on the snippet's template; a content
-    recipe runs there and again on the live element."""
+    """Every recipe runs once, on the snippet's template, and the live
+    element gets the edit value read from what it did there. Only the root
+    ``landmark-one-main`` wrap, which reads the body, runs again on the live
+    element."""
     calls = []
     for rule_id, recipe in providers._RECIPES.items():
         def counting(el, v, recipe=recipe):
@@ -268,19 +272,26 @@ def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
     pages = [Path(path).read_text("utf-8") for path in corpus_paths]
     pages += [html for name, html in perfbench_pages
               if name.endswith("wide.html")]
-    expected, start_tags = [], set()
+    pages += ["<p>stray</p><p>more</p>", "<p>no main</p>"]
+    expected, start_tags, kinds = [], set(), set()
     for html in pages:
         doc = dom.parse_html(html)
         _, records = correct_document(doc, rules.audit(doc, web_url="f"),
                                       HeuristicProvider())
         for r in records:
             assert r.outcome == APPLIED
-            once = isinstance(r.proposal.edit, StartTag)
-            expected += [r.violation.rule_id] * (1 if once else 2)
-            if once:
+            edit = r.proposal.edit
+            twice = isinstance(edit, partial)
+            if twice:
+                assert (r.violation.rule_id, r.violation.index) == (
+                    "landmark-one-main", 0)
+            expected += [r.violation.rule_id] * (2 if twice else 1)
+            kinds.add(type(edit))
+            if isinstance(edit, StartTag):
                 start_tags.add(r.violation.rule_id)
     assert sorted(calls) == sorted(expected)
     assert len(start_tags) >= 10
+    assert kinds == {StartTag, WrapChildren, WrapSelf, AppendText, partial}
 
 
 def corrected(html, name="f"):
