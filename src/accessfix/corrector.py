@@ -9,9 +9,11 @@ from typing import Optional
 from .dom import (
     DomDocument,
     Element,
+    is_cut,
     locate,
     preorder,
-    serialize_node,
+    snippet,
+    start_tag,
 )
 from .errors import (
     IncompleteViolationError,
@@ -70,13 +72,16 @@ def _independent(targets, end: list) -> set:
 
     In ``(index, i)`` order an element's subtree follows it, so a
     target is independent when the next one lies at or past its pre-order
-    ``end``. A second violation on the same element lies inside it.
+    ``end``. A second violation on the same element lies inside it. A
+    target whose snippet is its start tag alone reaches only to its own
+    element: no fix below an element changes its start tag.
     """
     located = sorted((v.index, i)
                      for i, (el, v) in enumerate(targets) if el is not None)
     following = [at for at, _ in located[1:]] + [len(end)]
     return {i for (at, i), after in zip(located, following)
-            if after >= end[at]}
+            if after >= end[at] or after > at
+            and is_cut(targets[i][1].html_snippet)}
 
 
 def correct_document(
@@ -97,11 +102,12 @@ def correct_document(
 
     A target that no other fix can reach (see ``_independent``) is prompted
     with its audited snippet, which locating checked; any other with its
-    element serialized at its turn, so a fix that landed inside it shows. A
-    provider whose ``max_in_flight`` is above 1 (``RemoteProvider``) is
-    asked for every independent target up front, on a pool of that many
-    threads. The fixes, their order, the prompts and the records are those
-    of a provider asked one violation at a time.
+    element's snippet at its turn, so a fix that landed inside it shows, or
+    with its element's start tag if the audited snippet was the start tag
+    alone. A provider whose ``max_in_flight`` is above 1
+    (``RemoteProvider``) is asked for every independent target up front,
+    on a pool of that many threads. The fixes, their order, the prompts and
+    the records are those of a provider asked one violation at a time.
     """
     elements, _, _, end = preorder(doc.root)
     found = {key: locate(elements, *key)
@@ -112,8 +118,10 @@ def correct_document(
     def ask(i: int) -> FixProposal:
         el, v = targets[i]
         if i not in independent:
+            html = (start_tag(el.tag, el.attrs.items())
+                    if is_cut(v.html_snippet) else snippet(el))
             v = Violation(v.rule_id, v.impact, v.description, v.help,
-                          serialize_node(el), v.index, v.web_url, v.data)
+                          html, v.index, v.web_url, v.data)
         return provider.propose(build_prompt(v, strategy), v)
 
     early = {}

@@ -242,8 +242,8 @@ def parse_fragment_element(text: str) -> Element:
             raise InvalidFragmentError("fragment contains top-level text")
     if len(elements) != 1:
         raise InvalidFragmentError(
-            "fragment must contain exactly one element, got %d" % len(elements)
-        )
+            f"fragment must contain exactly one element, got {len(elements)}",
+            len(elements))
     return elements[0]
 
 
@@ -320,37 +320,78 @@ def start_tag(tag: str, attrs) -> str:
     return text + ">"
 
 
-def split_element(html: str) -> Optional[Element]:
-    """The template of ``html``, the canonical serialization of one element:
-    that element with one ``str`` child, the text of its content byte for
-    byte, so ``serialize_node`` gives ``html`` back.
-
-    Only the start tag is parsed; the content is the text between it and
-    the end tag, none for a void element. None unless ``html`` opens with a
-    canonical start tag and ends with the matching end tag (is nothing else,
-    for a void element). The content is not checked: it is canonical when
-    ``html`` is a serialization.
-    """
-    m = _TOKEN.match(html)
+def split_start(html: str, pos: int = 0) -> Optional[tuple]:
+    """(element, end): the canonical start tag at ``pos`` in ``html`` as an
+    element with no children, and the offset just past it; None if no
+    canonical start tag starts there."""
+    m = _TOKEN.match(html, pos)
     if m is None or m.lastgroup != "start" or m.group("close") is None:
         return None
     start, end = m.span("attrs")
     tag = m.group("tag").lower()
     attrs = _attrs(html, start, end) if start < end else {}
     opened = m.end()
-    if html[:opened] != start_tag(tag, attrs.items()):
+    if html[pos:opened] != start_tag(tag, attrs.items()):
         return None
-    if tag in VOID_ELEMENTS:
-        return Element(tag, attrs, [""]) if len(html) == opened else None
-    close = f"</{tag}>"
-    if not html.endswith(close, opened):
+    return Element(tag, attrs, []), opened
+
+
+def split_element(html: str) -> Optional[Element]:
+    """The template of ``html``, a snippet (see ``snippet``).
+
+    For the canonical serialization of one element it is that element with
+    one ``str`` child, the text of its content byte for byte, so
+    ``serialize_node`` gives ``html`` back. For the canonical start tag
+    alone of a non-void element, a snippet cut to its start tag, it is that
+    element with ``children`` None: its content is not known.
+
+    Only the start tag is parsed; the content is the text between it and
+    the end tag, none for a void element. None unless ``html`` is a
+    canonical start tag, alone or followed by content and the matching end
+    tag (for a void element, alone). The content is not checked: it is
+    canonical when ``html`` is a serialization.
+    """
+    split = split_start(html)
+    if split is None:
         return None
-    return Element(tag, attrs, [html[opened:-len(close)]])
+    el, opened = split
+    if len(html) == opened:
+        if el.tag in VOID_ELEMENTS:
+            el.children.append("")
+        else:
+            el.children = None
+        return el
+    close = f"</{el.tag}>"
+    if el.tag in VOID_ELEMENTS or not html.endswith(close, opened):
+        return None
+    el.children.append(html[opened:-len(close)])
+    return el
 
 
 def serialize_node(node: Node) -> str:
     """Canonical serialization of a node and its subtree."""
     return _serialize(node, normalized=False)
+
+
+SNIPPET_LIMIT = 300  # longest outer HTML a snippet holds whole
+
+
+def snippet(el: Element) -> str:
+    """``el`` as axe-core reports an element (``dq-element.js``): its
+    canonical outer HTML when that is at most ``SNIPPET_LIMIT`` characters,
+    else its start tag alone. Serialization stops once it passes the limit,
+    so a snippet costs O(``SNIPPET_LIMIT``) beyond the start tag."""
+    html = _serialize(el, False, SNIPPET_LIMIT)
+    return start_tag(el.tag, el.attrs.items()) if html is None else html
+
+
+def is_cut(html: str) -> bool:
+    """Whether ``html``, a snippet, is its element's start tag alone: the
+    whole snippet of a non-void element ends with its end tag. Only the
+    snippet is read, so a fix that renamed the element since changes
+    nothing."""
+    tag = html[1:html.find(">")].partition(" ")[0]
+    return tag not in VOID_ELEMENTS and not html.endswith(f"</{tag}>")
 
 
 _NODE_TYPES = frozenset((Element, Text, str, Comment, Doctype))
@@ -364,13 +405,16 @@ def _node_type(node) -> type:
     raise TypeError(f"cannot serialize a {type(node).__name__} node")
 
 
-def _serialize(node: Node, normalized: bool) -> str:
+def _serialize(node: Node, normalized: bool,
+               limit: Optional[int] = None) -> Optional[str]:
     """Serialize with an explicit stack of nodes and pending end tags; a
     ``str`` on the stack is written as it is.
 
     The normalized form sorts attributes, collapses whitespace in text, and
     drops comments, doctypes and whitespace-only text. Text under script or
-    style is written unescaped.
+    style is written unescaped. With a ``limit``, the canonical form is
+    None once it is longer than ``limit`` characters, and no node after
+    the one that passed it is visited.
     """
     parts = []
     append = parts.append
@@ -396,6 +440,7 @@ def _serialize(node: Node, normalized: bool) -> str:
             elif kind is str:
                 append(node)
         return "".join(parts)
+    size = 0  # characters written, counted only with a limit
     while stack:
         node = pop()
         kind = type(node)
@@ -403,29 +448,35 @@ def _serialize(node: Node, normalized: bool) -> str:
             kind = _node_type(node)
         if kind is Element:
             tag, attrs, children = node.tag, node.attrs, node.children
-            append(start_tag(tag, attrs.items()) if attrs else f"<{tag}>")
+            piece = start_tag(tag, attrs.items()) if attrs else f"<{tag}>"
             if tag in VOID_ELEMENTS:
-                continue
-            if not children:
-                append(f"</{tag}>")
-                continue
-            stack.append(f"</{tag}>")
-            if tag in RAW_TEXT_ELEMENTS:
-                push([kid.data if isinstance(kid, Text) else kid
-                      for kid in reversed(children)])
+                pass  # no end tag, and no children written
+            elif not children:
+                piece += f"</{tag}>"
             else:
-                push(reversed(children))
+                stack.append(f"</{tag}>")
+                if tag in RAW_TEXT_ELEMENTS:
+                    push([kid.data if isinstance(kid, Text) else kid
+                          for kid in reversed(children)])
+                else:
+                    push(reversed(children))
         elif kind is Text:
-            data = node.data
-            if "&" in data or "<" in data or ">" in data:
-                data = _escape_text(data)
-            append(data)
+            piece = node.data
+            if limit is not None:  # no more than may still be written
+                piece = piece[:limit - size + 1]
+            if "&" in piece or "<" in piece or ">" in piece:
+                piece = _escape_text(piece)
         elif kind is str:
-            append(node)
+            piece = node
         elif kind is Comment:
-            append(f"<!--{node.data}-->")
+            piece = f"<!--{node.data}-->"
         else:
-            append(f"<!{node.data}>")
+            piece = f"<!{node.data}>"
+        append(piece)
+        if limit is not None:
+            size += len(piece)
+            if size > limit:
+                return None
     return "".join(parts)
 
 
@@ -473,15 +524,15 @@ def normalized_outer_html(el: Element) -> str:
 @dataclass(frozen=True)
 class NodeLocator:
     index: int  # pre-order position of the element in the document
-    snippet: str  # serialize_node of the element when it was located
+    snippet: str  # the element's snippet when it was located
 
 
-def locate(elements: list, index: int, snippet: str) -> Optional[Element]:
-    """Element ``index`` of a document's pre-order ``elements`` if it
-    serializes to exactly ``snippet``; None if stale or missing."""
+def locate(elements: list, index: int, html: str) -> Optional[Element]:
+    """Element ``index`` of a document's pre-order ``elements`` if its
+    ``snippet`` is exactly ``html``; None if stale or missing."""
     if 0 <= index < len(elements):
         el = elements[index]
-        if serialize_node(el) == snippet:
+        if snippet(el) == html:
             return el
     return None
 
@@ -494,16 +545,17 @@ def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
     return el
 
 
-def find_by_snippet(doc: DomDocument, snippet: str) -> list:
-    """Locate all elements whose normalized outer HTML equals the snippet's."""
+def find_by_snippet(doc: DomDocument, html: str) -> list:
+    """Locate all elements whose normalized outer HTML equals that of the
+    element ``html`` parses to."""
     try:
-        target = normalized_outer_html(parse_fragment_element(snippet))
+        target = normalized_outer_html(parse_fragment_element(html))
     except InvalidFragmentError as exc:
         raise InvalidSnippetError(str(exc)) from exc
     found = []
     for i, el in enumerate(preorder(doc.root).elements):
         if normalized_outer_html(el) == target:
-            found.append(NodeLocator(i, serialize_node(el)))
+            found.append(NodeLocator(i, snippet(el)))
     return found
 
 

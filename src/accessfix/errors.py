@@ -10,7 +10,13 @@ class InvalidSnippetError(AccessfixError):
 
 
 class InvalidFragmentError(AccessfixError):
-    """A replacement fragment did not parse to exactly one element."""
+    """A replacement fragment did not parse to exactly one element;
+    ``elements`` is how many top-level elements it parsed to, when it
+    holds nothing else (else 0)."""
+
+    def __init__(self, message: str = "", elements: int = 0):
+        super().__init__(message)
+        self.elements = elements
 
 
 class StaleLocatorError(AccessfixError):

@@ -17,13 +17,13 @@ from typing import Callable, Optional
 
 from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
                   parse_fragment_element, parses_alike, replace_node,
-                  serialize_node, split_element)
+                  split_element, split_start, start_tag)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
     UnparseableResponseError,
 )
-from .rules import Violation
+from .rules import Violation, main_wrap
 
 STRATEGIES = ("react", "few_shot", "chain_of_thought")
 
@@ -76,7 +76,10 @@ class _TagEdit:
     """An edit made with one start tag. ``attrs`` holds (name, value) pairs;
     each element it is applied to gets an ``attrs`` dict of its own. Edits
     of two kinds never compare equal. The kinds subclass this one frozen
-    dataclass, so importing the module sets up one dataclass, not three."""
+    dataclass, so importing the module sets up one dataclass, not four.
+
+    ``opening(snippet)`` is the answer that makes the edit of a snippet cut
+    to its start tag, which ``parse_fix`` reads back as this edit."""
 
     tag: str
     attrs: tuple
@@ -90,6 +93,9 @@ class StartTag(_TagEdit):
         el.tag = self.tag
         el.attrs = dict(self.attrs)
 
+    def opening(self, snippet: str) -> str:
+        return start_tag(self.tag, self.attrs)
+
 
 class WrapChildren(_TagEdit):
     """An edit that puts an element's children into a new element with
@@ -97,6 +103,9 @@ class WrapChildren(_TagEdit):
 
     def __call__(self, el: Element) -> None:
         el.children = [Element(self.tag, dict(self.attrs), el.children)]
+
+    def opening(self, snippet: str) -> str:
+        return snippet + start_tag(self.tag, self.attrs)
 
 
 class WrapSelf(_TagEdit):
@@ -107,6 +116,21 @@ class WrapSelf(_TagEdit):
     def __call__(self, el: Element) -> None:
         el.tag, el.attrs, el.children = (
             self.tag, dict(self.attrs), [Element(el.tag, el.attrs, el.children)])
+
+    def opening(self, snippet: str) -> str:
+        return start_tag(self.tag, self.attrs) + snippet
+
+
+class WrapBody(_TagEdit):
+    """An edit of a page's root that wraps the content of its body in a new
+    ``main`` with these attributes (``rules.main_wrap``), unless the page
+    has a main landmark; ``tag`` is "main"."""
+
+    def __call__(self, el: Element) -> None:
+        main_wrap(el, self.attrs)
+
+    def opening(self, snippet: str) -> str:
+        return snippet + "<body>" + start_tag(self.tag, self.attrs)
 
 
 @dataclass(frozen=True)
@@ -148,10 +172,11 @@ class Replace:
 @dataclass
 class FixProposal:
     """A fix: the corrected element as text, and the ``edit`` that makes it
-    of the element it was asked for. The edit is one of ``StartTag``,
-    ``WrapChildren``, ``WrapSelf`` and ``AppendText``, a heuristic recipe
-    that reads the page (the root ``landmark-one-main`` wrap), or
-    ``Replace``, which parses ``corrected_html``: the default."""
+    of the element it was asked for. For a snippet cut to its start tag
+    the text is the edit's ``opening`` form. The edit is one of
+    ``StartTag``, ``WrapChildren``, ``WrapSelf``, ``WrapBody`` (the root
+    ``landmark-one-main`` wrap) and ``AppendText``, or ``Replace``, which
+    parses ``corrected_html``: the default."""
 
     corrected_html: str
     thought: Optional[str]
@@ -171,13 +196,12 @@ class FixProposal:
         self.edit(el)
 
     @classmethod
-    def answer(cls, el: Element, thought: str, provider_id: str,
+    def answer(cls, corrected: str, thought: str, provider_id: str,
                edit: Callable) -> "FixProposal":
-        """The ``Thought:`` / ``CORRECTED:`` response that offers ``el``, in
-        the form ``parse_fix`` reads back; the fence has one backtick more
-        than the longest run inside it. ``edit`` makes on the element it is
-        given the change that made ``el``."""
-        corrected = serialize_node(el)
+        """The ``Thought:`` / ``CORRECTED:`` response that offers
+        ``corrected``, in the form ``parse_fix`` reads back; the fence has
+        one backtick more than the longest run inside it. ``edit`` makes on
+        the element it is given the change that ``corrected`` shows."""
         fence = "`"
         while fence in corrected:
             fence += "`"
@@ -225,7 +249,8 @@ _TAG_RE = re.compile(r"<(/?)([a-zA-Z][a-zA-Z0-9-]*+)([\s/>]?)")
 
 
 def _balanced_elements(text: str) -> list:
-    """Each balanced element in ``text``, in the order of its start tags.
+    """The (start, end) span of each balanced element in ``text``, in the
+    order of its start tags.
 
     A tag runs from its "<" to the first ">" after it. A void or "/>"
     start tag is an element of its own. Any other start tag, from itself
@@ -273,19 +298,21 @@ def _balanced_elements(text: str) -> list:
             else:
                 key = (name, count[name] - step)
                 waiting.setdefault(key, []).append(start)
-    return [text[start:ends[start]] for start in starts if start in ends]
+    return [(start, ends[start]) for start in starts if start in ends]
 
 
-def _candidates(text: str):
-    """Candidate fragments in priority order: the fragment between equal
-    backtick runs after a CORRECTED: label, each fenced code block's body,
-    then each balanced element anywhere in the text."""
+def _spans(text: str):
+    """(start, end, fenced) of each candidate fragment in priority order:
+    the fragment between equal backtick runs after a CORRECTED: label and
+    each fenced code block's body (fenced), then each balanced element
+    anywhere in the text."""
     m = _CORRECTED_RE.search(text)
     if m:
-        yield m.group(2).strip()
+        yield (*m.span(2), True)
     for fence in _FENCE_RE.finditer(text):
-        yield fence.group(1).strip()
-    yield from _balanced_elements(text)
+        yield (*fence.span(1), True)
+    for start, end in _balanced_elements(text):
+        yield start, end, False
 
 
 def _classify(answer: str, snippet: str, old: Element):
@@ -305,10 +332,13 @@ def _classify(answer: str, snippet: str, old: Element):
 
     A wrapper ``dom.parses_alike``, and so does a snippet whose children
     are wrapped. So each edit, run on the element, gives the element that
-    parsing ``answer`` gives, which is exactly one.
+    parsing ``answer`` gives, which is exactly one. A snippet cut to its
+    start tag is read by ``_classify_opening``.
     """
+    if old.children is None:
+        return _classify_opening(answer, snippet, old)
     new = split_element(answer)
-    if new is None:
+    if new is None or new.children is None:
         return None
     [content], [inner] = old.children, new.children
     attrs = tuple(new.attrs.items())
@@ -325,9 +355,52 @@ def _classify(answer: str, snippet: str, old: Element):
                 and old.tag not in RAW_TEXT_ELEMENTS):
             return AppendText(unescape(rest))
         wrapper = split_element(inner)
-        if (wrapper is not None and wrapper.children[0] == content
+        if (wrapper is not None and wrapper.children == [content]
                 and parses_alike(wrapper.tag) and parses_alike(old.tag)):
             return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
+    return None
+
+
+def _classify_opening(answer: str, snippet: str, old: Element):
+    """The edit that ``answer`` makes of a snippet cut to its start tag
+    (``old``, whose ``children`` are None), None if there is none. The
+    model saw no content, so it changes none: the answer opens with one
+    canonical start tag, and the ``opening`` forms of the edits read as
+
+    - a new start tag, then the snippet: a ``WrapSelf``, if the new tag
+      ``dom.parses_alike``;
+    - the snippet, then one start tag: a ``WrapChildren``, if the new tag
+      ``dom.parses_alike`` and the snippet's is neither a ``p``, which the
+      new start tag would close, nor raw text. Nothing is parsed here, so
+      the snippet's tag need not parse alike: the page that the edit gives
+      reads back;
+    - the snippet of an ``html`` element, ``<body>``, then a ``main`` start
+      tag: a ``WrapBody``;
+    - else a ``StartTag`` of the answer's start tag, whatever follows it,
+      if the tag is kept or both tags ``dom.parses_alike``.
+    """
+    split = split_start(answer)
+    if split is None:
+        return None
+    new, opened = split
+    rest = answer[opened:]
+    attrs = tuple(new.attrs.items())
+    if rest == snippet and parses_alike(new.tag):
+        return WrapSelf(new.tag, attrs)
+    inner = split_start(rest) if answer[:opened] == snippet else None
+    if inner is not None:
+        wrapper, stop = inner
+        if stop == len(rest):
+            if (parses_alike(wrapper.tag) and old.tag != "p"
+                    and old.tag not in RAW_TEXT_ELEMENTS):
+                return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
+        elif old.tag == "html" and rest[:stop] == "<body>":
+            main = split_start(rest, stop)
+            if main is not None and main[1] == len(rest) \
+                    and main[0].tag == "main":
+                return WrapBody("main", tuple(main[0].attrs.items()))
+    if new.tag == old.tag or (parses_alike(new.tag) and parses_alike(old.tag)):
+        return StartTag(new.tag, attrs)
     return None
 
 
@@ -335,23 +408,38 @@ def parse_fix(raw_response: str, provider_id: str = "",
               snippet: Optional[str] = None) -> FixProposal:
     """Extract the corrected tag from a response.
 
-    The first candidate (see ``_candidates``) that is an edit of
+    The first candidate (see ``_spans``; each is stripped) that is an edit of
     ``snippet``, the element the prompt carried (see ``_classify``), or
     that parses as exactly one element wins. An edit is applied without a
     parse; a parsed answer is a ``Replace`` that holds its parse. Without
-    a snippet every candidate is parsed. A candidate that is an edit would
-    have parsed, so the snippet changes no winner. Never raises on
+    a snippet every candidate is parsed. A candidate that is an edit of a
+    whole element would have parsed, so such a snippet changes no winner.
+    An answer to a snippet cut to its start tag is never parsed: it would
+    hand over an element without the children that the model did not see.
+    A fragment after ``CORRECTED:`` or in a fence that parses as more than
+    one element, and nothing else, holds no candidate: a balanced element
+    inside it would drop the rest of the model's answer. Never raises on
     arbitrary text except the typed unparseable-response error.
     """
     tm = _THOUGHT_RE.search(raw_response)
     thought = tm.group(1).strip() if tm else None
     old = split_element(snippet) if snippet is not None else None
-    for candidate in _candidates(raw_response):
+    cut = old is not None and old.children is None
+    several = None  # marks the offsets inside a fragment of several elements
+    for start, end, fenced in _spans(raw_response):
+        if several is not None and several[start] and not fenced:
+            continue
+        candidate = raw_response[start:end].strip()
         edit = _classify(candidate, snippet, old) if old is not None else None
         if edit is None:
+            if cut:
+                continue
             try:
                 edit = Replace(candidate, parse_fragment_element(candidate))
-            except InvalidFragmentError:
+            except InvalidFragmentError as exc:
+                if fenced and exc.elements > 1:
+                    several = several or bytearray(len(raw_response))
+                    several[start:end] = b"\1" * (end - start)
                 continue
         return FixProposal(candidate, thought, raw_response, provider_id,
                            edit)

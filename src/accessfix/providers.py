@@ -10,11 +10,11 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .colors import LINEAR, RgbColor, relative_luminance
 from .dom import (P_CLOSERS, RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element,
-                  Text, parse_fragment_element, split_element)
+                  Text, parse_fragment_element, serialize_node, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -22,7 +22,7 @@ from .errors import (
     ReplayMissError,
 )
 from .prompts import (AppendText, FixProposal, PromptBundle, StartTag,
-                      WrapChildren, WrapSelf, parse_fix)
+                      WrapBody, WrapChildren, WrapSelf, parse_fix)
 from .rules import Violation, blocks_zoom, main_wrap, viewport_items
 
 
@@ -263,10 +263,11 @@ def _fix_link_name(el, v):
 
 def _fix_empty_heading(el, v):
     if (el.tag in VOID_ELEMENTS or el.tag in RAW_TEXT_ELEMENTS
-            or el.tag == "html"):
+            or el.tag == "html" or el.children is None):
         # Text in a void element is never serialized, raw text is not a
-        # heading's text, and text after an <html>'s body is read back
-        # into the body: name it instead.
+        # heading's text, text after an <html>'s body is read back into
+        # the body, and the template of a snippet cut to its start tag has
+        # no content to add text to: name it instead.
         el.attrs["aria-label"] = "section heading"
         return "named the heading with a placeholder aria-label"
     AppendText("section heading")(el)
@@ -459,8 +460,9 @@ _RECIPES = {
 def _content_edit(el: Element, content: list, snippet: str):
     """The edit value that wrapped the children of ``el`` or ``el`` itself,
     or appended text to its children, where ``content`` were its children
-    and ``snippet`` was ``el`` serialized before; None (the answer is
-    parsed) if no edit value did."""
+    (None for a snippet cut to its start tag) and ``snippet`` was the
+    snippet of ``el`` before; None (the answer is parsed) if no edit value
+    did."""
     old = split_element(snippet) or parse_fragment_element(snippet)
     start = (old.tag, list(old.attrs.items()))
     kids = el.children
@@ -480,8 +482,8 @@ def _content_edit(el: Element, content: list, snippet: str):
 def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
-    ``v.html_snippet`` is a canonical serialization, as the audit gives. The
-    recipe runs once, on the snippet's template (``dom.split_element``),
+    ``v.html_snippet`` is a snippet, as the audit gives (``dom.snippet``).
+    The recipe runs once, on the snippet's template (``dom.split_element``),
     whose one ``str`` child stands for the content byte for byte; it edits
     the start tag, wraps the content or the element, or adds text. That
     gives what parsing the snippet, running the recipe and serializing
@@ -492,25 +494,34 @@ def heuristic_fix(v: Violation) -> FixProposal:
     The proposal's ``edit``, which ``FixProposal.apply_to`` runs on the
     live element, is read from the shape the recipe left: a ``StartTag``
     if the content is as it was, else a ``WrapChildren``, ``WrapSelf`` or
-    ``AppendText``. Only the ``landmark-one-main`` wrap of the root
-    (pre-order index 0) reads the body's children: it runs on the parsed
-    snippet, and again on the live element.
+    ``AppendText``. The ``landmark-one-main`` wrap of the root (pre-order
+    index 0) is a ``WrapBody``; its text is the recipe run on the parsed
+    snippet. On a snippet cut to its start tag, whose template's
+    ``children`` are None, the text is the edit's ``opening`` form.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
+    snippet = v.html_snippet
+    el = split_element(snippet)
+    cut = el is not None and el.children is None
     if v.rule_id == "landmark-one-main" and v.index == 0:
-        el = parse_fragment_element(v.html_snippet)
+        edit = WrapBody("main", ())
+        if cut:
+            return FixProposal.answer(
+                edit.opening(snippet), "wrapped the body content in a main "
+                "landmark unless the page has one", "heuristic", edit)
+        el = parse_fragment_element(snippet)
         thought = recipe(el, v)
-        return FixProposal.answer(el, thought, "heuristic",
-                                  partial(recipe, v=v))
-    el = split_element(v.html_snippet)
+        return FixProposal.answer(serialize_node(el), thought, "heuristic",
+                                  edit)
     if el is None:
-        el = parse_fragment_element(v.html_snippet)
-    content = el.children[:]
+        el = parse_fragment_element(snippet)
+    content = None if cut else el.children[:]
     thought = recipe(el, v)
     if el.children == content:
         edit = StartTag(el.tag, tuple(el.attrs.items()))
     else:
-        edit = _content_edit(el, content, v.html_snippet)
-    return FixProposal.answer(el, thought, "heuristic", edit)
+        edit = _content_edit(el, content, snippet)
+    corrected = edit.opening(snippet) if cut else serialize_node(el)
+    return FixProposal.answer(corrected, thought, "heuristic", edit)

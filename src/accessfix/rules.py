@@ -21,7 +21,7 @@ from .dom import (
     Element,
     Text,
     preorder,
-    serialize_node,
+    snippet,
 )
 from .errors import NoRecipeError, UnknownRuleError
 
@@ -128,7 +128,8 @@ class Violation:
     impact: str
     description: str
     help: str
-    html_snippet: str  # serialize_node of the element when audited
+    html_snippet: str  # dom.snippet of the element when audited: its outer
+    # HTML up to 300 characters, else its start tag
     index: int  # pre-order position of the element in the document
     web_url: str
     data: dict = field(default_factory=dict)  # fix parameters, per rule
@@ -153,18 +154,30 @@ def _text_of(el: Element) -> str:
     return "".join(parts)
 
 
-def _accessible_name(el: Element, ids: dict) -> str:
+class _Refs(dict):
+    """id -> the text that an ``aria-labelledby`` reference to it names: the
+    text of the first element carrying the id, whitespace collapsed, "" if
+    none does. Each id's text is computed once, on its first reference."""
+
+    def __init__(self, ids: dict):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, ref: str) -> str:
+        target = self.ids.get(ref)
+        text = "" if target is None else " ".join(_text_of(target).split())
+        self[ref] = text
+        return text
+
+
+def _accessible_name(el: Element, refs: _Refs) -> str:
     label = el.attrs.get("aria-label")
     if label and label.strip():
         return label.strip()
     labelledby = el.attrs.get("aria-labelledby")
     if labelledby:
-        texts = []
-        for ref in labelledby.split():
-            target = ids.get(ref)
-            if target is not None:
-                texts.append(" ".join(_text_of(target).split()))
-        joined = " ".join(t for t in texts if t)
+        joined = " ".join(text for text in map(refs.__getitem__,
+                                               labelledby.split()) if text)
         if joined:
             return joined
     title = el.attrs.get("title")
@@ -173,10 +186,10 @@ def _accessible_name(el: Element, ids: dict) -> str:
     return ""
 
 
-def _landmark_role(el: Element, role: str, ids: dict) -> Optional[str]:
+def _landmark_role(el: Element, role: str, refs: _Refs) -> Optional[str]:
     if role:
         if role in LANDMARK_ROLES:
-            if role in _NAME_REQUIRED_ROLES and not _accessible_name(el, ids):
+            if role in _NAME_REQUIRED_ROLES and not _accessible_name(el, refs):
                 return None
             return role
         return None
@@ -184,7 +197,7 @@ def _landmark_role(el: Element, role: str, ids: dict) -> Optional[str]:
     if implicit:
         return implicit
     if el.tag in ("section", "form"):
-        if _accessible_name(el, ids):
+        if _accessible_name(el, refs):
             return "region" if el.tag == "section" else "form"
     return None
 
@@ -226,6 +239,7 @@ class _Index:
     text: list  # the subtree holds non-blank text outside script and style
     described_img: list  # an <img> with a non-blank alt lies below
     ids: dict  # id value -> first element carrying it
+    refs: _Refs  # id value -> the text a reference to it names
     landmark: list  # _landmark_role of each element
     thresholds: dict
 
@@ -255,10 +269,11 @@ class _Index:
                 text[up] = True
             if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
                 img[up] = True
-        landmark = [_landmark_role(el, r, ids) if r or el.tag in _LANDMARK_TAGS
+        refs = _Refs(ids)
+        landmark = [_landmark_role(el, r, refs) if r or el.tag in _LANDMARK_TAGS
                     else None for el, r in zip(elements, role)]
         return cls(elements, parent, slot, end, role, has_text, text, img,
-                   ids, landmark, thresholds)
+                   ids, refs, landmark, thresholds)
 
     @cached_property
     def mains(self) -> list:
@@ -292,7 +307,7 @@ class _Index:
     @cached_property
     def new_label(self) -> _Names:
         """Labels that no landmark on the page is named yet."""
-        return _Names({_accessible_name(el, self.ids)
+        return _Names({_accessible_name(el, self.refs)
                        for el, role in zip(self.elements, self.landmark)
                        if role is not None})
 
@@ -310,10 +325,11 @@ class _Index:
                 i += 1
 
 
-def main_wrap(root: Element) -> Optional[Element]:
-    """Wrap the body content under ``root`` in a new ``<main>``, with the
-    target of a dangling skip link as its id, and return it; None if the
-    page has a main landmark. Leading banners and trailing contentinfos
+def main_wrap(root: Element, attrs=()) -> Optional[Element]:
+    """Wrap the body content under ``root`` in a new ``<main>`` with
+    ``attrs``, (name, value) pairs, and return it; None if the page has a
+    main landmark. The target of a dangling skip link is the main's id
+    unless ``attrs`` give one. Leading banners and trailing contentinfos
     (and blank text and comments among them) stay outside, as they would
     nest in the main. Raises NoRecipeError if ``root`` has no body."""
     ix = _Index.build(DomDocument(root), {})
@@ -339,7 +355,9 @@ def main_wrap(root: Element) -> Optional[Element]:
             stop = k
         elif not blank[k]:
             break
-    attrs = {"id": ix.skip_target[1]} if ix.skip_target else {}
+    attrs = dict(attrs)
+    if ix.skip_target:
+        attrs.setdefault("id", ix.skip_target[1])
     main = Element("main", attrs, kids[start:stop])
     ix.elements[body].children = kids[:start] + [main] + kids[stop:]
     return main
@@ -368,7 +386,7 @@ def check_link_name(ix):
     for i, el in enumerate(ix.elements):
         if el.tag != "a" or el.attrs.get("href") is None:
             continue
-        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
+        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.refs):
             continue
         findings.append(_Finding(i))
     return findings
@@ -391,7 +409,7 @@ def check_label(ix):
                 continue
         elif el.tag not in ("select", "textarea"):
             continue
-        if _accessible_name(el, ix.ids):
+        if _accessible_name(el, ix.refs):
             continue
         if el.attrs.get("id") and el.attrs.get("id") in label_for:
             continue
@@ -457,7 +475,7 @@ def check_empty_heading(ix):
     for i, el in enumerate(ix.elements):
         if _heading_level(el, ix.role[i]) is None:
             continue
-        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.ids):
+        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.refs):
             continue
         findings.append(_Finding(i))
     return findings
@@ -527,16 +545,30 @@ def check_landmark_one_main(ix):
     return findings
 
 
+_STEM_LIMIT = 40  # longest label stem copied from a name
+
+
+def _stem(name: str) -> str:
+    """``name`` cut to at most ``_STEM_LIMIT`` characters: at its last space
+    there, so no word is cut, or within a word longer than the limit."""
+    if len(name) <= _STEM_LIMIT:
+        return name
+    return name[:_STEM_LIMIT + 1].rpartition(" ")[0].rstrip() \
+        or name[:_STEM_LIMIT]
+
+
 def check_landmark_unique(ix):
+    """A label stem is the name cut by ``_stem``, so the help, the
+    ``label`` and the fix stay short whatever the name."""
     seen = set()
     findings = []
     for i, el in enumerate(ix.elements):
         role = ix.landmark[i]
         if role is None:
             continue
-        name = _accessible_name(el, ix.ids)
+        name = _accessible_name(el, ix.refs)
         if (role, name) in seen:
-            label = ix.new_label(f"{name or el.tag} ")
+            label = ix.new_label(_stem(name or el.tag) + " ")
             findings.append(_Finding(
                 i, f'Add the distinguishing aria-label "{label}" to this '
                 "landmark.", {"label": label}))
@@ -828,7 +860,7 @@ def audit(
             continue
         seen.add((index, rule_id))
         if index not in snippets:
-            snippets[index] = serialize_node(ix.elements[index])
+            snippets[index] = snippet(ix.elements[index])
         violations.append(Violation(
             rule_id=rule_id,
             impact=impact_map[rule_id],

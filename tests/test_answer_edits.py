@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from accessfix import dom, providers, rules
-from accessfix.corrector import APPLIED, correct_document
+from accessfix.corrector import APPLIED, PARSE_FAILED, correct_document
+from accessfix.errors import UnparseableResponseError
 from accessfix.dom import parse_fragment_element, serialize_node, start_tag
 from accessfix.prompts import (AppendText, FixProposal, Replace, StartTag,
                                WrapChildren, WrapSelf, parse_fix)
@@ -98,8 +99,11 @@ def check_answers(snippet: str) -> list:
 
 
 def audited_snippets(html: str) -> list:
+    """The page's whole snippets; ``test_bounded_snippets`` reads answers
+    to snippets cut to their start tag."""
     return list(dict.fromkeys(
-        v.html_snippet for v in rules.audit(dom.parse_html(html), web_url="f")))
+        v.html_snippet for v in rules.audit(dom.parse_html(html), web_url="f")
+        if dom.split_element(v.html_snippet).children is not None))
 
 
 def test_corpus_answers_apply_as_their_parse(corpus_paths):
@@ -158,6 +162,27 @@ def test_answers_that_are_parsed(snippet, answer):
     assert proposal.corrected_html == answer
     assert isinstance(proposal.edit, Replace)
     assert proposal.edit.element is not None
+
+
+def test_a_fragment_of_several_elements_drops_no_wrapper():
+    """``<p class="w"><h1></h1></p>`` parses as ``<p class="w"></p>`` and
+    ``<h1></h1>``. No balanced element inside that fragment is taken for
+    the answer, which would drop the model's wrapper without a trace: the
+    fix is recorded as parse_failed. One outside it still counts."""
+    answer = respond('<p class="w"><h1></h1></p>')
+    with pytest.raises(UnparseableResponseError):
+        parse_fix(answer, snippet="<h1></h1>")
+    after = parse_fix(answer + "\nor <h1>x</h1>", snippet="<h1></h1>")
+    assert after.edit == AppendText("x")
+    doc = dom.parse_html(
+        '<html lang="en"><body><main><h1></h1></main></body></html>')
+    [v] = rules.audit(doc, web_url="f")
+    provider = RemoteProvider(
+        ProviderConfig(kind="remote", endpoint_url="https://example.test/v1",
+                       model_name="m"),
+        post_json=lambda *a: {"choices": [{"message": {"content": answer}}]})
+    _, [record] = correct_document(doc, [v], provider)
+    assert record.outcome == PARSE_FAILED
 
 
 def test_appended_text_is_unescaped_and_merged():
@@ -246,14 +271,18 @@ def test_remote_answers_are_edits_parsed_outside_the_slot(monkeypatch):
 def assert_snippets_read_back(doc):
     for v in rules.audit(doc, web_url="f"):
         el = parse_fragment_element(v.html_snippet)
-        assert serialize_node(el) == v.html_snippet
+        if dom.split_element(v.html_snippet).children is None:
+            assert start_tag(el.tag, el.attrs.items()) == v.html_snippet
+        else:
+            assert serialize_node(el) == v.html_snippet
 
 
 @settings(max_examples=150, deadline=None)
 @given(tag_soup)
 def test_audited_snippets_parse_back_to_themselves(html):
     """Every snippet that the audit emits, before and after heuristic
-    correction, is one element that serializes to itself: ``parse_fix``
+    correction, is one element that serializes to itself, or to the
+    snippet's start tag if that is all the snippet holds: ``parse_fix``
     relies on it when it reads an answer against the snippet."""
     assert_snippets_read_back(dom.parse_html(html))
     assert_snippets_read_back(corrected(html))

@@ -3,6 +3,8 @@ layout of the ``BENCH_<n>.json`` file it writes, on canned run outputs."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -137,3 +139,57 @@ def test_spread_of_one_run_or_a_zero_median(bench_pairs):
     assert bench_pairs.spread([5.0]) == 0.0
     assert bench_pairs.spread([0.0, 0.0, 0.0]) == 0.0
     assert bench_pairs.spread([-1.0, 0.0, 1.0]) == float("inf")
+
+
+def git(root, *args):
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
+def test_the_working_tree_copy_holds_what_git_would_commit(bench_pairs,
+                                                          tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "pkg").mkdir(parents=True)
+    (tree / ".gitignore").write_text("out/\n", "utf-8")
+    (tree / "pkg" / "kept.py").write_text("committed\n", "utf-8")
+    (tree / "gone.py").write_text("deleted after commit\n", "utf-8")
+    git(tree, "init", "-q")
+    git(tree, "add", "-A")
+    git(tree, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm",
+        "c")
+    (tree / "pkg" / "kept.py").write_text("edited\n", "utf-8")
+    (tree / "gone.py").unlink()
+    (tree / "new.py").write_text("untracked\n", "utf-8")
+    (tree / "out").mkdir()
+    (tree / "out" / "trace.jsonl").write_text("ignored\n", "utf-8")
+    bench_pairs.copy_worktree(str(tmp_path / "copy"), root=str(tree))
+    copied = sorted(str(p.relative_to(tmp_path / "copy")).replace(os.sep, "/")
+                    for p in (tmp_path / "copy").rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/kept.py"]
+    assert (tmp_path / "copy" / "pkg" / "kept.py").read_text("utf-8") == \
+        "edited\n"
+
+
+def test_both_sides_run_from_siblings_under_one_directory(bench_pairs,
+                                                          tmp_path,
+                                                          monkeypatch):
+    seen = {}
+
+    def fake_pairs(roots, workloads, runs, seed, seconds):
+        seen.update(roots)
+        for side, root in roots.items():
+            seen[side + "_has_runner"] = os.path.isfile(
+                os.path.join(root, "perfbench", "run.py"))
+        return {side: {w: [result(100.0)] * runs for w in workloads}
+                for side in roots}
+
+    monkeypatch.setattr(bench_pairs, "run_pairs", fake_pairs)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out),
+                             "--runs", "1", "--workload", "wide_fix"]) == 0
+    parent, change = Path(seen["parent"]), Path(seen["change"])
+    assert parent.parent == change.parent and parent != change
+    assert REPO not in (parent, change) and REPO not in parent.parents
+    assert seen["parent_has_runner"] and seen["change_has_runner"]
+    assert not parent.parent.exists()  # removed after the runs
+    written = json.loads(out.read_text("utf-8"))
+    assert written["parent"]["medians"]["wide_fix"]["pages_per_s"] == 100.0

@@ -284,15 +284,24 @@ def test_replay_renders_one_user_message_per_request(corpus_paths,
     assert len(calls) == requests
 
 
-def dependent_targets(paths) -> set:
-    """Positions of the violations, given their elements' paths, that another
-    one's fix can reach first: a later one on the same element, or one on an
-    element inside it."""
+def dependent_targets(paths, cut) -> set:
+    """Positions of the violations, given their elements' paths and whether
+    each one's snippet is its start tag alone, that another one's fix can
+    reach first: a later one on the same element, or one on an element
+    inside it unless the snippet is cut (no such fix changes a start
+    tag)."""
     return {
         i for i, p in enumerate(paths)
         if any(q[:len(p)] == p and (q != p or j > i)
+               and (q == p or not cut[i])
                for j, q in enumerate(paths) if j != i)
     }
+
+
+def cut_snippets(violations) -> list:
+    """Whether each violation's snippet is its element's start tag alone."""
+    return [not dom.split_element(v.html_snippet).children
+            for v in violations]
 
 
 def test_independent_targets_are_those_outside_every_other_fix(
@@ -304,15 +313,17 @@ def test_independent_targets_are_those_outside_every_other_fix(
         pre = dom.preorder(doc.root)
         targets = [(pre.elements[v.index], v) for v in violations]
         paths = [path_of(pre, v.index) for v in violations]
-        assert _independent(targets, pre.end) == \
-            set(range(len(violations))) - dependent_targets(paths), name
+        assert _independent(targets, pre.end) == set(range(len(violations))) \
+            - dependent_targets(paths, cut_snippets(violations)), name
 
 
 def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
         corpus_paths, perfbench_pages, monkeypatch, path_of):
     """``correct_document`` locates each distinct target once, and
     serializes again, at its turn, only a target that another fix can
-    reach; every other prompt shows the audited snippet."""
+    reach and whose snippet is not cut to its start tag, which is written
+    without ``_serialize``; every other prompt shows the audited
+    snippet."""
     pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
     pages += [(name, html) for name, html in perfbench_pages
               if name == "wide_fix:1:0000-wide.html"]
@@ -335,5 +346,6 @@ def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
         _, records = correct_document(doc, violations, replay)
         assert {r.outcome for r in records} == {APPLIED}, name
         located = {(v.index, v.html_snippet) for v in violations}
-        assert len(calls) == len(located) + len(dependent_targets(paths)), \
-            name
+        cut = cut_snippets(violations)
+        again = {i for i in dependent_targets(paths, cut) if not cut[i]}
+        assert len(calls) == len(located) + len(again), name

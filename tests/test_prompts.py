@@ -12,7 +12,7 @@ from accessfix.prompts import (
     _CORRECTED_RE,
     _FENCE_RE,
     STRATEGIES,
-    _candidates,
+    _spans,
     build_prompt,
     parse_fix,
 )
@@ -217,7 +217,8 @@ _pieces = st.sampled_from([
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_pieces, max_size=16).map("".join))
 def test_candidates_match_reference_scan(text):
-    assert list(_candidates(text)) == list(reference_candidates(text))
+    candidates = [text[start:end].strip() for start, end, _ in _spans(text)]
+    assert candidates == list(reference_candidates(text))
 
 
 def test_parse_fix_is_linear_on_unclosed_tags():

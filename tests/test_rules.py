@@ -131,6 +131,55 @@ def test_landmark_unique_label_skips_the_names_on_the_page(body, labels):
     assert data_of(page, "landmark-unique", "label") == labels
 
 
+@pytest.mark.parametrize("name, stem", [
+    ("word " * 20, "word word word word word word word word"),
+    ("a" * 50 + " b", "a" * 40),
+    ("x" * 40, "x" * 40),
+    ("short name", "short name"),
+], ids=["words", "one-long-word", "at-the-limit", "short"])
+def test_landmark_unique_label_stem_is_cut_at_a_word(name, stem):
+    """The stem that help, ``data`` and the fix copy from a name is at most
+    40 characters, cut at a space unless one word is longer."""
+    page = ('<html lang="en"><body><main>'
+            + f'<nav aria-label="{name}">a</nav>' * 2 + "</main></body></html>")
+    [v] = [v for v in rules.audit(dom.parse_html(page))
+           if v.rule_id == "landmark-unique"]
+    assert v.data["label"] == f"{stem} 2"
+    assert v.help == f'Add the distinguishing aria-label "{stem} 2" to this ' \
+        "landmark."
+
+
+def multiref_page(k: int, label: str = "label " * 341) -> str:
+    """A 2 KB labelling paragraph and three <nav>s that each reference it
+    ``k`` times."""
+    refs = " ".join(["L"] * k)
+    return ('<html lang="en"><body><main>' + f'<p id="L">{label}</p>'
+            + f'<nav aria-labelledby="{refs}">x</nav>' * 3
+            + "</main></body></html>")
+
+
+def test_a_referenced_text_is_read_once_per_audit(monkeypatch):
+    calls = []
+    text_of = rules._text_of
+
+    def counting(el):
+        calls.append(el)
+        return text_of(el)
+
+    monkeypatch.setattr(rules, "_text_of", counting)
+    violations = rules.audit(dom.parse_html(multiref_page(50)))
+    assert [v.rule_id for v in violations] == ["landmark-unique"] * 2
+    assert len(calls) == 1
+
+
+def test_long_names_do_not_amplify_the_corrected_page():
+    html = multiref_page(4000)
+    [page] = harness.run_pages([harness.CorpusEntry("p.html", html)],
+                               HeuristicProvider())
+    assert len(page.records) == 2 and page.final.violations == []
+    assert len(page.corrected_html) <= 2 * len(html) + 100 * len(page.records)
+
+
 def test_section_labels_skip_the_names_of_landmarks():
     page = ('<html lang="en"><body><main>a</main>'
             '<section aria-label="region-2">b</section>'
@@ -381,9 +430,11 @@ def test_audit_never_raises_on_any_inline_style(style):
 
 # SHA-256 of every reported field of every violation on the bundled pages.
 # Any change to a field or to the order changes them; update them only for a
-# deliberate change of audit output.
+# deliberate change of audit output. The corpus digest changed when
+# snippets became bounded: the 18 html-has-lang snippets on a whole page
+# longer than 300 characters are now its <html> start tag.
 CORPUS_AUDIT_SHA256 = (
-    "664835c73abe6b81cee211834fc2b19f96ce532f10f5cfb5a8d22355c59841d3"
+    "24442452243b03d41d83d358787099b9c9681c8734e7a5b464217d4a54b60c7f"
 )
 RULES_AUDIT_SHA256 = (
     "1325d97af12928f7dae1ed371045c76bad610fcb937d84f3b694ec4319b3bed6"
@@ -444,9 +495,9 @@ def test_audit_serializes_each_flagged_element_once(
     calls = []
     serialize = dom._serialize
 
-    def counting(node, normalized):
+    def counting(node, normalized, limit=None):
         calls.append(node)
-        return serialize(node, normalized)
+        return serialize(node, normalized, limit)
 
     monkeypatch.setattr(dom, "_serialize", counting)
     pages = [(name, (corpus_dir / name).read_text("utf-8"))
@@ -556,8 +607,8 @@ def test_index_facts_match_the_subtree_walks(
 
 
 def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
-    """Snippets of nested violations are still quadratic, so serialization
-    is stubbed out; what is counted is the rules' own text walks."""
+    """What is counted is the rules' own text walks; snippets are bounded
+    (``dom.snippet``), so serialization need not be stubbed out."""
     calls = []
     text_of = rules._text_of
 
@@ -566,7 +617,6 @@ def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
         return text_of(el)
 
     monkeypatch.setattr(rules, "_text_of", counting)
-    monkeypatch.setattr(rules, "serialize_node", lambda el: el.tag)
     for opener in NESTED.values():
         violations = rules.audit(dom.parse_html(nested_page(opener, 2000)))
         assert len(violations) >= 2000

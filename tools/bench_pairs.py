@@ -4,8 +4,11 @@ write the trajectory file ``BENCH_<n>.json``.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_23.json
 
-The parent is extracted with ``git archive`` into a temporary directory.
-Each side runs its own ``perfbench/run.py --trace 0`` from its own root,
+Both sides run from sibling directories under one temporary directory: the
+parent extracted with ``git archive``, and a copy of the working tree (its
+tracked and untracked files, not the ignored ones), so that where a tree
+lies does not tell the two apart. Each side runs its own
+``perfbench/run.py --trace 0`` from its own root,
 ``--runs`` times per workload; for each run the two sides alternate which
 goes first. The file holds each side's runs and their medians, per workload
 and end-to-end metric, with the interpreter and the machine they ran on.
@@ -25,6 +28,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +52,31 @@ def extract(rev: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def copy_worktree(dest: str, root: str = ROOT) -> None:
+    """Copy the files of the working tree at ``root`` that git tracks or
+    would track (untracked, not ignored) to ``dest``, as they are on disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout.decode("utf-8")
+    for path in filter(None, listed.split("\0")):
+        source = os.path.join(root, path)
+        if os.path.isfile(source):  # a deleted tracked file is skipped
+            target = os.path.join(dest, path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def checkouts(rev: str, scratch: str) -> tuple:
+    """(roots, parent commit): ``rev`` extracted to ``scratch/parent`` and
+    the working tree copied to ``scratch/change``."""
+    roots = {side: os.path.join(scratch, side)
+             for side in ("parent", "change")}
+    commit = extract(rev, roots["parent"])
+    copy_worktree(roots["change"])
+    return roots, commit
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -200,11 +229,10 @@ def main(argv=None) -> int:
     change_commit = git("rev-parse", "HEAD")
     if git("status", "--porcelain"):
         change_commit += "-dirty"
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        parent_commit = extract(args.parent, parent_root)
-        results = run_pairs({"parent": parent_root, "change": ROOT},
-                            args.workload or WORKLOADS, args.runs, args.seed,
-                            args.seconds)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        roots, parent_commit = checkouts(args.parent, scratch)
+        results = run_pairs(roots, args.workload or WORKLOADS, args.runs,
+                            args.seed, args.seconds)
     document = layout(side_summary(parent_commit, results["parent"]),
                       side_summary(change_commit, results["change"]),
                       args.runs, args.seed, args.seconds)
