@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -349,3 +350,43 @@ def test_each_target_is_serialized_once_unless_a_fix_can_reach_it(
         cut = cut_snippets(violations)
         again = {i for i in dependent_targets(paths, cut) if not cut[i]}
         assert len(calls) == len(located) + len(again), name
+
+
+FIX_OUTPUT_SHA256 = (
+    "b21b5f9db3e80598aa33e93aca680b4640d892e750c79cd6c1734fb00d673839"
+)
+
+
+def fix_digest(pages) -> str:
+    """SHA-256 over a heuristic run of ``pages``, (name, html) pairs: each
+    proposal's text, response and edit, each record's outcome and detail,
+    and each corrected page."""
+    digest = hashlib.sha256()
+    for page in run_pages([CorpusEntry(name, html) for name, html in pages],
+                          HeuristicProvider()):
+        assert not page.error, (page.source_id, page.error)
+        digest.update(page.source_id.encode("utf-8"))
+        for r in page.records:
+            p = r.proposal
+            digest.update(repr((
+                r.violation.rule_id, r.outcome, r.detail,
+                p and (p.corrected_html, p.raw_response, repr(p.edit)),
+            )).encode("utf-8"))
+        digest.update(page.corrected_html.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_fix_output_pinned(corpus_dir, corpus_manifest, rules_dir,
+                           rules_manifest):
+    """The heuristic fix stage on the corpus and the rule fixtures, and the
+    corpus replay transcript, byte for byte."""
+    corpus = [(f"corpus/{name}", (corpus_dir / name).read_text("utf-8"))
+              for name in sorted(corpus_manifest)]
+    fixtures = [(f"rules/{name}", (rules_dir / name).read_text("utf-8"))
+                for name in sorted(rules_manifest)]
+    digest = hashlib.sha256(fix_digest(corpus + fixtures).encode("ascii"))
+    transcript = build_replay_transcript(
+        [CorpusEntry(name, html) for name, html in corpus])
+    for key, raw in sorted(transcript.entries.items()):
+        digest.update(f"{key}\0{raw}\0".encode("utf-8"))
+    assert digest.hexdigest() == FIX_OUTPUT_SHA256
