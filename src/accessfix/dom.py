@@ -336,36 +336,28 @@ def split_start(html: str, pos: int = 0) -> Optional[tuple]:
     return Element(tag, attrs, []), opened
 
 
-def split_element(html: str) -> Optional[Element]:
-    """The template of ``html``, a snippet (see ``snippet``).
-
-    For the canonical serialization of one element it is that element with
-    one ``str`` child, the text of its content byte for byte, so
-    ``serialize_node`` gives ``html`` back. For the canonical start tag
-    alone of a non-void element, a snippet cut to its start tag, it is that
-    element with ``children`` None: its content is not known.
+def split_element(html: str) -> Optional[tuple]:
+    """(start, content) of ``html``, a snippet (see ``snippet``): its start
+    tag as an element with no children, and the text of its content byte
+    for byte, "" for a void element and None for a snippet cut to its
+    start tag, the canonical start tag alone of a non-void element.
 
     Only the start tag is parsed; the content is the text between it and
-    the end tag, none for a void element. None unless ``html`` is a
-    canonical start tag, alone or followed by content and the matching end
-    tag (for a void element, alone). The content is not checked: it is
-    canonical when ``html`` is a serialization.
+    the end tag. None unless ``html`` is a canonical start tag, alone or
+    followed by content and the matching end tag (for a void element,
+    alone). The content is not checked: it is canonical when ``html`` is a
+    serialization.
     """
     split = split_start(html)
     if split is None:
         return None
     el, opened = split
     if len(html) == opened:
-        if el.tag in VOID_ELEMENTS:
-            el.children.append("")
-        else:
-            el.children = None
-        return el
+        return el, "" if el.tag in VOID_ELEMENTS else None
     close = f"</{el.tag}>"
     if el.tag in VOID_ELEMENTS or not html.endswith(close, opened):
         return None
-    el.children.append(html[opened:-len(close)])
-    return el
+    return el, html[opened:-len(close)]
 
 
 def serialize_node(node: Node) -> str:
@@ -385,13 +377,26 @@ def snippet(el: Element) -> str:
     return start_tag(el.tag, el.attrs.items()) if html is None else html
 
 
+def snippet_parts(html: str) -> tuple:
+    """(start tag, content, end tag) of ``html``, a snippet, by string work
+    alone: a canonical start tag ends at its first ">", which attribute
+    values escape. A void element's content and end tag are ""; a snippet
+    cut to its start tag has content None and end tag "". Only the snippet
+    is read, so a fix that renamed the element since changes nothing."""
+    opened = html.find(">") + 1
+    tag = html[1:opened - 1].partition(" ")[0]
+    if tag in VOID_ELEMENTS:
+        return html, "", ""
+    close = f"</{tag}>"
+    if not html.endswith(close):
+        return html, None, ""
+    return html[:opened], html[opened:-len(close)], close
+
+
 def is_cut(html: str) -> bool:
     """Whether ``html``, a snippet, is its element's start tag alone: the
-    whole snippet of a non-void element ends with its end tag. Only the
-    snippet is read, so a fix that renamed the element since changes
-    nothing."""
-    tag = html[1:html.find(">")].partition(" ")[0]
-    return tag not in VOID_ELEMENTS and not html.endswith(f"</{tag}>")
+    whole snippet of a non-void element ends with its end tag."""
+    return snippet_parts(html)[1] is None
 
 
 _NODE_TYPES = frozenset((Element, Text, str, Comment, Doctype))

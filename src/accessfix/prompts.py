@@ -15,9 +15,10 @@ from html import unescape
 from importlib import resources
 from typing import Callable, Optional
 
-from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
+from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text, is_cut,
                   parse_fragment_element, parses_alike, replace_node,
-                  split_element, split_start, start_tag)
+                  serialize_node, snippet_parts, split_element, split_start,
+                  start_tag)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -78,8 +79,9 @@ class _TagEdit:
     of two kinds never compare equal. The kinds subclass this one frozen
     dataclass, so importing the module sets up one dataclass, not four.
 
-    ``opening(snippet)`` is the answer that makes the edit of a snippet cut
-    to its start tag, which ``parse_fix`` reads back as this edit."""
+    ``render(snippet)`` is the answer that makes the edit of ``snippet``,
+    which ``parse_fix`` reads back as this edit: string work on a whole
+    snippet or on one cut to its start tag (``dom.snippet_parts``)."""
 
     tag: str
     attrs: tuple
@@ -93,8 +95,12 @@ class StartTag(_TagEdit):
         el.tag = self.tag
         el.attrs = dict(self.attrs)
 
-    def opening(self, snippet: str) -> str:
-        return start_tag(self.tag, self.attrs)
+    def render(self, snippet: str) -> str:
+        content = snippet_parts(snippet)[1]
+        tag = start_tag(self.tag, self.attrs)
+        if content is None or self.tag in VOID_ELEMENTS:
+            return tag
+        return f"{tag}{content}</{self.tag}>"
 
 
 class WrapChildren(_TagEdit):
@@ -104,8 +110,12 @@ class WrapChildren(_TagEdit):
     def __call__(self, el: Element) -> None:
         el.children = [Element(self.tag, dict(self.attrs), el.children)]
 
-    def opening(self, snippet: str) -> str:
-        return snippet + start_tag(self.tag, self.attrs)
+    def render(self, snippet: str) -> str:
+        head, content, end = snippet_parts(snippet)
+        tag = start_tag(self.tag, self.attrs)
+        if content is None:
+            return snippet + tag
+        return f"{head}{tag}{content}</{self.tag}>{end}"
 
 
 class WrapSelf(_TagEdit):
@@ -117,8 +127,11 @@ class WrapSelf(_TagEdit):
         el.tag, el.attrs, el.children = (
             self.tag, dict(self.attrs), [Element(el.tag, el.attrs, el.children)])
 
-    def opening(self, snippet: str) -> str:
-        return start_tag(self.tag, self.attrs) + snippet
+    def render(self, snippet: str) -> str:
+        tag = start_tag(self.tag, self.attrs)
+        if is_cut(snippet):
+            return tag + snippet
+        return f"{tag}{snippet}</{self.tag}>"
 
 
 class WrapBody(_TagEdit):
@@ -129,8 +142,14 @@ class WrapBody(_TagEdit):
     def __call__(self, el: Element) -> None:
         main_wrap(el, self.attrs)
 
-    def opening(self, snippet: str) -> str:
-        return snippet + "<body>" + start_tag(self.tag, self.attrs)
+    def render(self, snippet: str) -> str:
+        """A whole snippet, a page of at most ``dom.SNIPPET_LIMIT``
+        characters, is parsed for ``main_wrap`` to run on."""
+        if is_cut(snippet):
+            return snippet + "<body>" + start_tag(self.tag, self.attrs)
+        root = parse_fragment_element(snippet)
+        self(root)
+        return serialize_node(root)
 
 
 @dataclass(frozen=True)
@@ -146,6 +165,12 @@ class AppendText:
             kids[-1] = Text(kids[-1].data + self.data)
         else:
             kids.append(Text(self.data))
+
+    def render(self, snippet: str) -> str:
+        """Of a whole snippet only: one cut to its start tag shows no
+        content to add text to."""
+        head, content, end = snippet_parts(snippet)
+        return head + content + serialize_node(Text(self.data)) + end
 
 
 @dataclass(eq=False)
@@ -172,8 +197,8 @@ class Replace:
 @dataclass
 class FixProposal:
     """A fix: the corrected element as text, and the ``edit`` that makes it
-    of the element it was asked for. For a snippet cut to its start tag
-    the text is the edit's ``opening`` form. The edit is one of
+    of the element it was asked for. A recipe's text is its edit's
+    ``render`` of the snippet. The edit is one of
     ``StartTag``, ``WrapChildren``, ``WrapSelf``, ``WrapBody`` (the root
     ``landmark-one-main`` wrap) and ``AppendText``, or ``Replace``, which
     parses ``corrected_html``: the default."""
@@ -315,10 +340,11 @@ def _spans(text: str):
         yield start, end, False
 
 
-def _classify(answer: str, snippet: str, old: Element):
+def _classify(answer: str, snippet: str, old: Element, content):
     """The edit that makes ``answer`` of the element that ``snippet``
     serializes, found by comparing strings; None if there is none. ``old``
-    is ``dom.split_element(snippet)``. Only the start tags are parsed:
+    and ``content`` are ``dom.split_element(snippet)``. Only the start tags
+    are parsed:
 
     - a canonical start tag, the snippet's content and its end tag is a
       ``StartTag``, if the tag is kept or both tags ``dom.parses_alike``;
@@ -335,12 +361,11 @@ def _classify(answer: str, snippet: str, old: Element):
     parsing ``answer`` gives, which is exactly one. A snippet cut to its
     start tag is read by ``_classify_opening``.
     """
-    if old.children is None:
+    if content is None:
         return _classify_opening(answer, snippet, old)
-    new = split_element(answer)
-    if new is None or new.children is None:
+    new, inner = split_element(answer) or (None, None)
+    if inner is None:
         return None
-    [content], [inner] = old.children, new.children
     attrs = tuple(new.attrs.items())
     if inner == content:
         if new.tag == old.tag or (parses_alike(new.tag)
@@ -354,18 +379,18 @@ def _classify(answer: str, snippet: str, old: Element):
         if (inner.startswith(content) and "<" not in rest
                 and old.tag not in RAW_TEXT_ELEMENTS):
             return AppendText(unescape(rest))
-        wrapper = split_element(inner)
-        if (wrapper is not None and wrapper.children == [content]
-                and parses_alike(wrapper.tag) and parses_alike(old.tag)):
+        wrapper, wrapped = split_element(inner) or (None, None)
+        if (wrapped == content and parses_alike(wrapper.tag)
+                and parses_alike(old.tag)):
             return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
     return None
 
 
 def _classify_opening(answer: str, snippet: str, old: Element):
-    """The edit that ``answer`` makes of a snippet cut to its start tag
-    (``old``, whose ``children`` are None), None if there is none. The
-    model saw no content, so it changes none: the answer opens with one
-    canonical start tag, and the ``opening`` forms of the edits read as
+    """The edit that ``answer`` makes of a snippet cut to its start tag,
+    whose start tag is ``old``; None if there is none. The model saw no
+    content, so it changes none: the answer opens with one canonical start
+    tag, and the ``render`` forms of the edits read as
 
     - a new start tag, then the snippet: a ``WrapSelf``, if the new tag
       ``dom.parses_alike``;
@@ -424,13 +449,13 @@ def parse_fix(raw_response: str, provider_id: str = "",
     tm = _THOUGHT_RE.search(raw_response)
     thought = tm.group(1).strip() if tm else None
     old = split_element(snippet) if snippet is not None else None
-    cut = old is not None and old.children is None
+    cut = old is not None and old[1] is None
     several = None  # marks the offsets inside a fragment of several elements
     for start, end, fenced in _spans(raw_response):
         if several is not None and several[start] and not fenced:
             continue
         candidate = raw_response[start:end].strip()
-        edit = _classify(candidate, snippet, old) if old is not None else None
+        edit = _classify(candidate, snippet, *old) if old is not None else None
         if edit is None:
             if cut:
                 continue

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .colors import LINEAR, RgbColor, relative_luminance
 from .dom import (P_CLOSERS, RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element,
-                  Text, parse_fragment_element, serialize_node, split_element)
+                  is_cut, split_element)
 from .errors import (
     ConfigError,
     NoRecipeError,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .prompts import (AppendText, FixProposal, PromptBundle, StartTag,
                       WrapBody, WrapChildren, WrapSelf, parse_fix)
-from .rules import Violation, blocks_zoom, main_wrap, viewport_items
+from .rules import Violation, blocks_zoom, viewport_items
 
 
 @dataclass
@@ -246,43 +246,49 @@ def _words_from(value: str) -> str:
     return re.sub(r"[-_]+", " ", value).strip()
 
 
+def _tag_edit(el: Element) -> StartTag:
+    """The start tag that a recipe left ``el`` with, as an edit."""
+    return StartTag(el.tag, tuple(el.attrs.items()))
+
+
 def _fix_image_alt(el, v):
     src = el.attrs.get("src", "")
     stem = src.rsplit("/", 1)[-1].split("?")[0].rsplit(".", 1)[0]
     alt = _words_from(stem) or "decorative image"
     el.attrs["alt"] = alt
-    return f'added alt text "{alt}" derived from the image filename'
+    return (_tag_edit(el),
+            f'added alt text "{alt}" derived from the image filename')
 
 
 def _fix_link_name(el, v):
     # A name, not text: new text outside every landmark would be a new
     # region violation.
     el.attrs["aria-label"] = "link"
-    return "named the link with a placeholder aria-label"
+    return _tag_edit(el), "named the link with a placeholder aria-label"
 
 
 def _fix_empty_heading(el, v):
     if (el.tag in VOID_ELEMENTS or el.tag in RAW_TEXT_ELEMENTS
-            or el.tag == "html" or el.children is None):
+            or el.tag == "html" or is_cut(v.html_snippet)):
         # Text in a void element is never serialized, raw text is not a
         # heading's text, text after an <html>'s body is read back into
-        # the body, and the template of a snippet cut to its start tag has
-        # no content to add text to: name it instead.
+        # the body, and a snippet cut to its start tag shows no content to
+        # add text to: name it instead.
         el.attrs["aria-label"] = "section heading"
-        return "named the heading with a placeholder aria-label"
-    AppendText("section heading")(el)
-    return "inserted placeholder heading text"
+        return (_tag_edit(el),
+                "named the heading with a placeholder aria-label")
+    return AppendText("section heading"), "inserted placeholder heading text"
 
 
 def _fix_html_has_lang(el, v):
     el.attrs["lang"] = "en"
-    return 'added lang="en" to the html element'
+    return _tag_edit(el), 'added lang="en" to the html element'
 
 
 def _fix_duplicate_id(el, v):
     new_id = _param(v, "rename_to")
     el.attrs["id"] = new_id
-    return f'renamed the duplicate id to "{new_id}"'
+    return _tag_edit(el), f'renamed the duplicate id to "{new_id}"'
 
 
 # A recipe renames an element only from a tag in ``P_CLOSERS`` to another:
@@ -295,16 +301,16 @@ def _fix_heading_order(el, v):
     level = min(max(_param(v, "previous_level") + 1, 1), 6)
     if el.tag not in P_CLOSERS:
         el.attrs["aria-level"] = str(level)
-        return f"lowered the heading to aria-level {level}"
+        return _tag_edit(el), f"lowered the heading to aria-level {level}"
     el.tag = f"h{level}"
-    return f"lowered the heading to h{level}"
+    return _tag_edit(el), f"lowered the heading to h{level}"
 
 
 def _fix_label(el, v):
     label = _words_from(el.attrs.get("name") or el.attrs.get("placeholder", ""))
     label = label or "input field"
     el.attrs["aria-label"] = label
-    return f'added aria-label "{label}"'
+    return _tag_edit(el), f'added aria-label "{label}"'
 
 
 def _fix_region(el, v):
@@ -312,19 +318,23 @@ def _fix_region(el, v):
     # whole: wrapping its children would not re-parse as one element.
     wrap = WrapSelf if el.tag == "p" else WrapChildren
     if _param(v, "wrap_in") == "main":
-        wrap("main", ())(el)
-        return "wrapped the stray content in a main landmark"
+        return wrap("main", ()), "wrapped the stray content in a main landmark"
     label = _param(v, "label")
-    wrap("section", (("aria-label", label),))(el)
-    return f'wrapped the stray content in a section labeled "{label}"'
+    return (wrap("section", (("aria-label", label),)),
+            f'wrapped the stray content in a section labeled "{label}"')
 
 
 def _fix_landmark_one_main(el, v):
     if v.index == 0:  # the page has no main: the root is flagged
+        edit = WrapBody("main", ())
+        if is_cut(v.html_snippet):
+            return edit, ("wrapped the body content in a main landmark "
+                          "unless the page has one")
         # An earlier region fix may have added the main landmark already.
-        if main_wrap(el) is None:
-            return "left the page as it is: it already has a main landmark"
-        return "wrapped the body content in a main landmark"
+        if edit.render(v.html_snippet) == v.html_snippet:
+            return edit, ("left the page as it is: it already has a main "
+                          "landmark")
+        return edit, "wrapped the body content in a main landmark"
     if el.tag in P_CLOSERS:
         el.tag = "section"
         el.attrs.pop("role", None)
@@ -334,27 +344,27 @@ def _fix_landmark_one_main(el, v):
         done = "turned the extra main into a labeled region"
     if not el.attrs.get("aria-label", "").strip():
         el.attrs["aria-label"] = _param(v, "label")
-    return done
+    return _tag_edit(el), done
 
 
 def _fix_landmark_unique(el, v):
     label = _param(v, "label")
     el.attrs["aria-label"] = label
-    return f'added the distinguishing aria-label "{label}"'
+    return _tag_edit(el), f'added the distinguishing aria-label "{label}"'
 
 
 def _fix_landmark_content(el, v):
     el.attrs.pop("role", None)
     if el.tag not in P_CLOSERS:
-        return "dropped the nested landmark's role"
+        return _tag_edit(el), "dropped the nested landmark's role"
     el.tag = "div"
-    return "re-tagged the nested landmark to a plain div"
+    return _tag_edit(el), "re-tagged the nested landmark to a plain div"
 
 
 def _fix_skip_link(el, v):
     target = v.data.get("target", "main-content")
     el.attrs["href"] = f"#{target}"
-    return f'retargeted the skip link at "#{target}"'
+    return _tag_edit(el), f'retargeted the skip link at "#{target}"'
 
 
 _ARIA_DEFAULTS = {
@@ -370,7 +380,7 @@ def _fix_aria_required_attr(el, v):
     missing = _param(v, "missing")
     for attr in missing:
         el.attrs[attr] = _ARIA_DEFAULTS[attr]
-    return "added default values for " + ", ".join(missing)
+    return _tag_edit(el), "added default values for " + ", ".join(missing)
 
 
 def _fix_meta_viewport(el, v):
@@ -382,7 +392,8 @@ def _fix_meta_viewport(el, v):
             value = "5"  # a maximum-scale below 2
         parts.append(f"{name}={value}")
     el.attrs["content"] = ", ".join(parts)
-    return "removed the zoom restrictions from the viewport meta tag"
+    return (_tag_edit(el),
+            "removed the zoom restrictions from the viewport meta tag")
 
 
 @lru_cache(maxsize=256)
@@ -435,7 +446,8 @@ def _fix_color_contrast(el, v):
     ]
     decls.insert(0, f"color:{fixed.to_hex()}")
     el.attrs["style"] = "; ".join(decls)
-    return f"darkened or lightened the text color to {fixed.to_hex()}"
+    return (_tag_edit(el),
+            f"darkened or lightened the text color to {fixed.to_hex()}")
 
 
 _RECIPES = {
@@ -457,71 +469,24 @@ _RECIPES = {
 }
 
 
-def _content_edit(el: Element, content: list, snippet: str):
-    """The edit value that wrapped the children of ``el`` or ``el`` itself,
-    or appended text to its children, where ``content`` were its children
-    (None for a snippet cut to its start tag) and ``snippet`` was the
-    snippet of ``el`` before; None (the answer is parsed) if no edit value
-    did."""
-    old = split_element(snippet) or parse_fragment_element(snippet)
-    start = (old.tag, list(old.attrs.items()))
-    kids = el.children
-    kept = (el.tag, list(el.attrs.items())) == start
-    if kept and kids[:-1] == content and isinstance(kids[-1], Text):
-        return AppendText(kids[-1].data)
-    if (len(kids) == 1 and isinstance(kids[0], Element)
-            and kids[0].children == content):
-        inner = kids[0]
-        if kept:
-            return WrapChildren(inner.tag, tuple(inner.attrs.items()))
-        if (inner.tag, list(inner.attrs.items())) == start:
-            return WrapSelf(el.tag, tuple(el.attrs.items()))
-    return None
-
-
 def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
     ``v.html_snippet`` is a snippet, as the audit gives (``dom.snippet``).
-    The recipe runs once, on the snippet's template (``dom.split_element``),
-    whose one ``str`` child stands for the content byte for byte; it edits
-    the start tag, wraps the content or the element, or adds text. That
-    gives what parsing the snippet, running the recipe and serializing
-    give, because canonical content parses back to the children it came
-    from. A snippet that does not open with a canonical start tag is
-    parsed instead.
-
-    The proposal's ``edit``, which ``FixProposal.apply_to`` runs on the
-    live element, is read from the shape the recipe left: a ``StartTag``
-    if the content is as it was, else a ``WrapChildren``, ``WrapSelf`` or
-    ``AppendText``. The ``landmark-one-main`` wrap of the root (pre-order
-    index 0) is a ``WrapBody``; its text is the recipe run on the parsed
-    snippet. On a snippet cut to its start tag, whose template's
-    ``children`` are None, the text is the edit's ``opening`` form.
+    The recipe runs once, on a fresh element made from the snippet's start
+    tag, and gives its edit: a ``StartTag`` of the start tag as it left
+    it, a ``WrapChildren``, ``WrapSelf`` or ``AppendText``, or the root
+    ``landmark-one-main`` wrap, a ``WrapBody``. ``FixProposal.apply_to``
+    runs the edit on the live element, and the answer text is the edit's
+    ``render`` of the snippet. A snippet that is not a canonical start tag,
+    alone or with its content and end tag, has no recipe.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
-    snippet = v.html_snippet
-    el = split_element(snippet)
-    cut = el is not None and el.children is None
-    if v.rule_id == "landmark-one-main" and v.index == 0:
-        edit = WrapBody("main", ())
-        if cut:
-            return FixProposal.answer(
-                edit.opening(snippet), "wrapped the body content in a main "
-                "landmark unless the page has one", "heuristic", edit)
-        el = parse_fragment_element(snippet)
-        thought = recipe(el, v)
-        return FixProposal.answer(serialize_node(el), thought, "heuristic",
-                                  edit)
-    if el is None:
-        el = parse_fragment_element(snippet)
-    content = None if cut else el.children[:]
-    thought = recipe(el, v)
-    if el.children == content:
-        edit = StartTag(el.tag, tuple(el.attrs.items()))
-    else:
-        edit = _content_edit(el, content, snippet)
-    corrected = edit.opening(snippet) if cut else serialize_node(el)
-    return FixProposal.answer(corrected, thought, "heuristic", edit)
+    split = split_element(v.html_snippet)
+    if split is None:
+        raise NoRecipeError(f"{v.rule_id} snippet is not canonical")
+    edit, thought = recipe(split[0], v)
+    return FixProposal.answer(edit.render(v.html_snippet), thought,
+                              "heuristic", edit)

@@ -305,11 +305,15 @@ class _Index:
         return _Names(self.ids)
 
     @cached_property
+    def names(self) -> dict:
+        """Index -> accessible name of each landmark."""
+        return {i: _accessible_name(self.elements[i], self.refs)
+                for i, role in enumerate(self.landmark) if role is not None}
+
+    @cached_property
     def new_label(self) -> _Names:
         """Labels that no landmark on the page is named yet."""
-        return _Names({_accessible_name(el, self.refs)
-                       for el, role in zip(self.elements, self.landmark)
-                       if role is not None})
+        return _Names(set(self.names.values()))
 
     def rendered_body(self):
         """Indices of the elements of the root's first body child, skipping
@@ -562,13 +566,10 @@ def check_landmark_unique(ix):
     ``label`` and the fix stay short whatever the name."""
     seen = set()
     findings = []
-    for i, el in enumerate(ix.elements):
+    for i, name in ix.names.items():
         role = ix.landmark[i]
-        if role is None:
-            continue
-        name = _accessible_name(el, ix.refs)
         if (role, name) in seen:
-            label = ix.new_label(_stem(name or el.tag) + " ")
+            label = ix.new_label(_stem(name or ix.elements[i].tag) + " ")
             findings.append(_Finding(
                 i, f'Add the distinguishing aria-label "{label}" to this '
                 "landmark.", {"label": label}))

@@ -48,8 +48,8 @@ def answers(snippet: str) -> list:
     """Answers built from a canonical ``snippet``: attribute edits, renames
     into every tag above, wraps of its children and of itself in each, and
     appended text."""
-    old = dom.split_element(snippet)
-    tag, attrs, [content] = old.tag, list(old.attrs.items()), old.children
+    old, content = dom.split_element(snippet)
+    tag, attrs = old.tag, list(old.attrs.items())
     close = end_tag(tag)
     edited = [attrs + [("data-fix", 'a "q" & <b>')], attrs[1:],
               [(name, value + "x") for name, value in attrs]]
@@ -103,7 +103,7 @@ def audited_snippets(html: str) -> list:
     to snippets cut to their start tag."""
     return list(dict.fromkeys(
         v.html_snippet for v in rules.audit(dom.parse_html(html), web_url="f")
-        if dom.split_element(v.html_snippet).children is not None))
+        if not dom.is_cut(v.html_snippet)))
 
 
 def test_corpus_answers_apply_as_their_parse(corpus_paths):
@@ -271,7 +271,7 @@ def test_remote_answers_are_edits_parsed_outside_the_slot(monkeypatch):
 def assert_snippets_read_back(doc):
     for v in rules.audit(doc, web_url="f"):
         el = parse_fragment_element(v.html_snippet)
-        if dom.split_element(v.html_snippet).children is None:
+        if dom.is_cut(v.html_snippet):
             assert start_tag(el.tag, el.attrs.items()) == v.html_snippet
         else:
             assert serialize_node(el) == v.html_snippet

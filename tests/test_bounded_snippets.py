@@ -3,8 +3,8 @@ when that is at most 300 characters, else the start tag alone.
 
 A target whose snippet is its start tag can be reached only by a fix on its
 own element, so it is asked up front unless another violation on the same
-element comes after it. Its answers are edits read from opening-only forms,
-never a parse. Serialization work per audit and per correction is linear in
+element comes after it. Its answers are edits read from the forms that
+``render`` gives such a snippet, never a parse. Serialization work per audit and per correction is linear in
 the page on nested shapes, where whole snippets made it quadratic.
 """
 
@@ -20,8 +20,8 @@ from accessfix import dom, rules
 from accessfix.corrector import APPLIED, correct_document
 from accessfix.errors import UnparseableResponseError
 from accessfix.harness import CorpusEntry, build_replay_transcript, run_pages
-from accessfix.prompts import (StartTag, WrapBody, WrapChildren, WrapSelf,
-                               build_prompt, parse_fix)
+from accessfix.prompts import (AppendText, StartTag, WrapBody, WrapChildren,
+                               WrapSelf, build_prompt, parse_fix)
 from accessfix.providers import (HeuristicProvider, ProviderConfig,
                                  RemoteProvider, ReplayProvider, heuristic_fix,
                                  request_hash)
@@ -41,7 +41,7 @@ def shapes():
 
 
 def cut(snippet: str) -> bool:
-    return dom.split_element(snippet).children is None
+    return dom.is_cut(snippet)
 
 
 def respond(answer: str) -> str:
@@ -190,13 +190,27 @@ def test_an_answer_to_a_start_tag_is_never_parsed(snippet, answer):
         parse_fix(respond(answer), snippet=snippet)
 
 
+WHOLE = '<div id="k" class="c">t <b>x</b></div>'
+
+
 @pytest.mark.parametrize("edit", [
     StartTag("div", ATTRS + (("role", "none"),)), StartTag("span", ()),
     WrapChildren("section", (("aria-label", 'a "b"'),)),
     WrapSelf("main", (("id", "m"),)),
+    AppendText("a < b & c"),
 ])
 def test_each_opening_form_reads_back_as_its_edit(edit):
-    assert parse_fix(respond(edit.opening(CUT)), snippet=CUT).edit == edit
+    """An edit's ``render`` of a snippet cut to its start tag (its opening
+    form) and of a whole snippet reads back as the edit, and the edit run
+    on the snippet parsed gives the answer parsed. Appended text has no
+    opening form: a cut snippet shows no content."""
+    snippets = [WHOLE] if isinstance(edit, AppendText) else [CUT, WHOLE]
+    for snippet in snippets:
+        answer = edit.render(snippet)
+        assert parse_fix(respond(answer), snippet=snippet).edit == edit
+        el = dom.parse_fragment_element(snippet)
+        edit(el)
+        assert el == dom.parse_fragment_element(answer), snippet
 
 
 def test_the_root_wrap_of_a_long_page_reads_back():

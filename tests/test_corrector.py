@@ -301,8 +301,7 @@ def dependent_targets(paths, cut) -> set:
 
 def cut_snippets(violations) -> list:
     """Whether each violation's snippet is its element's start tag alone."""
-    return [not dom.split_element(v.html_snippet).children
-            for v in violations]
+    return [dom.is_cut(v.html_snippet) for v in violations]
 
 
 def test_independent_targets_are_those_outside_every_other_fix(

@@ -82,11 +82,15 @@ def test_split_element_reads_only_the_start_tag(corpus_dir, corpus_manifest):
         doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
         for el in dom.preorder(doc.root).elements:
             snippet = dom.serialize_node(el)
-            template = dom.split_element(snippet)
-            content = template.children[0]
+            start, content = dom.split_element(snippet)
             assert isinstance(content, str)
-            assert template == dom.Element(el.tag, el.attrs, [content])
-            assert dom.serialize_node(template) == snippet
+            assert start == dom.Element(el.tag, el.attrs, [])
+            end = "" if el.tag in dom.VOID_ELEMENTS else f"</{el.tag}>"
+            assert dom.start_tag(start.tag, start.attrs.items()) + content \
+                + end == snippet
+            assert dom.snippet_parts(snippet) == (
+                snippet[:len(snippet) - len(content) - len(end)], content,
+                end)
             split += 1
     assert split > 600
 

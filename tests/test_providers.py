@@ -307,7 +307,7 @@ def test_heuristic_proposal_round_trips_through_parse_fix():
 
 def test_applied_heuristic_fix_is_its_corrected_html_parsed(
         corpus_paths, rules_dir, rules_manifest, composed_pages, monkeypatch):
-    """A recipe's answer is applied by running the recipe on the live
+    """A recipe's answer is applied by running the recipe's edit on the live
     element instead of the corrector parsing the answer; that is only sound
     while the element that the fix leaves equals the answer parsed. An
     answer to a snippet cut to its start tag is never parsed: there,
@@ -325,7 +325,7 @@ def test_applied_heuristic_fix_is_its_corrected_html_parsed(
     def checked(self, el):
         apply_to(self, el)
         snippet = snippets[id(self)]
-        if dom.split_element(snippet).children is None:
+        if dom.is_cut(snippet):
             read = parse_fix(self.raw_response, snippet=snippet)
             compared.append(read.edit == self.edit)
         else:

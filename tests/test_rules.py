@@ -131,6 +131,24 @@ def test_landmark_unique_label_skips_the_names_on_the_page(body, labels):
     assert data_of(page, "landmark-unique", "label") == labels
 
 
+def test_each_landmark_name_is_computed_once_per_audit(monkeypatch):
+    """``check_landmark_unique`` and the fresh labels read one name per
+    landmark."""
+    calls = []
+    name = rules._accessible_name
+
+    def counting(el, refs):
+        calls.append(el.tag)
+        return name(el, refs)
+
+    monkeypatch.setattr(rules, "_accessible_name", counting)
+    violations = rules.audit(dom.parse_html(
+        "<main>m</main><nav>a</nav><nav>b</nav><nav>c</nav>"))
+    assert [v.data["label"] for v in violations
+            if v.rule_id == "landmark-unique"] == ["nav 2", "nav 3"]
+    assert sorted(calls) == ["main", "nav", "nav", "nav"]
+
+
 @pytest.mark.parametrize("name, stem", [
     ("word " * 20, "word word word word word word word word"),
     ("a" * 50 + " b", "a" * 40),

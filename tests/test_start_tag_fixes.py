@@ -1,11 +1,12 @@
-"""The heuristic fixer's template answers against the route they replace.
+"""The heuristic fixer's rendered answers against the route they replace.
 
-``heuristic_fix`` renders each answer by running the recipe once on the
-snippet's template, its start tag with the content kept byte for byte. The
-corrector makes the recipe's edit (a start tag, a wrap or appended text) on
-the live element, instead of parsing the answer. ``oracle_fix`` is
-the whole-snippet route: parse the snippet, run the recipe, serialize the
-element.
+``heuristic_fix`` runs each recipe once, on a fresh element made from the
+snippet's start tag, and the recipe returns its edit (a start tag, a wrap
+or appended text). The answer is that edit's ``render`` of the snippet,
+string work that keeps the content byte for byte, and the corrector runs
+the edit on the live element instead of parsing the answer. ``oracle_fix``
+is the whole-snippet route: parse the snippet, run the recipe's edit on
+it, serialize the element.
 """
 
 import copy
@@ -26,11 +27,14 @@ from accessfix.providers import HeuristicProvider, heuristic_fix
 
 
 def oracle_fix(v):
-    """(corrected_html, raw_response) of parse -> recipe -> serialize_node,
-    or the type of the error it raises."""
+    """(corrected_html, raw_response) of parse -> the recipe's edit ->
+    serialize_node, or the type of the error it raises. The recipe is given
+    a copy of the parsed element's start tag."""
     el = dom.parse_fragment_element(v.html_snippet)
     try:
-        thought = providers._RECIPES[v.rule_id](el, v)
+        edit, thought = providers._RECIPES[v.rule_id](
+            dom.Element(el.tag, dict(el.attrs)), v)
+        edit(el)
     except NoRecipeError:
         return NoRecipeError
     corrected = dom.serialize_node(el)
@@ -53,7 +57,7 @@ def assert_routes_agree(html):
     """On each whole snippet; a snippet cut to its start tag has no parse
     route (``test_bounded_snippets`` reads those answers back)."""
     for v in rules.audit(dom.parse_html(html), web_url="f"):
-        if dom.split_element(v.html_snippet).children is not None:
+        if not dom.is_cut(v.html_snippet):
             assert fixed(v) == oracle_fix(v), (v.rule_id, v.html_snippet)
 
 
@@ -111,8 +115,8 @@ def test_routes_agree_on_tag_soup(html):
 ], ids=["extra-main", "heading-order", "nested-landmark"])
 def test_renamed_raw_text_is_escaped(html):
     """No recipe renames a script or style, which may sit in an open <p>,
-    so its raw content is never escaped under a new tag: the template
-    writes it as it stands, as the parsed snippet does."""
+    so its raw content is never escaped under a new tag: ``render`` writes
+    it as it stands, as the parsed snippet does."""
     assert_routes_agree(html)
 
     def raw_text_tags(doc):
@@ -202,8 +206,8 @@ def test_nested_checkbox_fixes_parse_nothing(monkeypatch):
     "<main></main>" + "<div><p>t</p>" * 500 + "</div>" * 500,
 ], ids=["empty-headings", "region-divs", "region-paragraphs"])
 def test_nested_content_fixes_parse_nothing(monkeypatch, body):
-    """The content recipes (an appended heading text, a section around an
-    element's children or around a <p>) run on the snippet's template too."""
+    """The content edits (an appended heading text, a section around an
+    element's children or around a <p>) are rendered on the snippet too."""
     doc = dom.parse_html('<html lang="en"><body>' + body + "</body></html>")
     violations = rules.audit(doc, web_url="f")
     assert len(violations) == 500
@@ -261,11 +265,10 @@ def test_start_tag_edit_is_a_value():
 
 def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
                                                  perfbench_pages):
-    """Every recipe runs once, on the snippet's template, and the live
-    element gets the edit value read from what it did there. The root
-    ``landmark-one-main`` wrap is a ``WrapBody``: its recipe runs once on
-    the parsed snippet, and not at all on a snippet cut to its start
-    tag."""
+    """Every recipe runs once per fix, on a fresh start tag, and the live
+    element gets the edit value it returns. The root ``landmark-one-main``
+    wrap is a ``WrapBody``, of a whole page and of one cut to its start
+    tag alike."""
     calls = []
     for rule_id, recipe in providers._RECIPES.items():
         def counting(el, v, recipe=recipe):
@@ -275,8 +278,9 @@ def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
     pages = [Path(path).read_text("utf-8") for path in corpus_paths]
     pages += [html for name, html in perfbench_pages
               if name.endswith("wide.html")]
-    pages += ["<p>stray</p><p>more</p>", "<p>no main</p>"]
-    expected, start_tags, kinds = [], set(), set()
+    pages += ["<p>stray</p><p>more</p>", "<p>no main</p>",
+              "<p>" + "long " * 100 + "</p>"]
+    expected, start_tags, kinds, cut_roots = [], set(), set(), 0
     for html in pages:
         doc = dom.parse_html(html)
         _, records = correct_document(doc, rules.audit(doc, web_url="f"),
@@ -284,16 +288,16 @@ def test_each_start_tag_fix_runs_its_recipe_once(monkeypatch, corpus_paths,
         for r in records:
             assert r.outcome == APPLIED
             edit = r.proposal.edit
-            cut = dom.split_element(r.violation.html_snippet).children is None
             if isinstance(edit, WrapBody):
                 assert (r.violation.rule_id, r.violation.index) == (
                     "landmark-one-main", 0)
-            expected += [r.violation.rule_id] * (
-                0 if cut and isinstance(edit, WrapBody) else 1)
+                cut_roots += dom.is_cut(r.violation.html_snippet)
+            expected.append(r.violation.rule_id)
             kinds.add(type(edit))
             if isinstance(edit, StartTag):
                 start_tags.add(r.violation.rule_id)
     assert sorted(calls) == sorted(expected)
+    assert cut_roots == 1
     assert len(start_tags) >= 10
     assert kinds == {StartTag, WrapChildren, WrapSelf, AppendText, WrapBody}
 
