@@ -4,8 +4,9 @@ when that is at most 300 characters, else the start tag alone.
 A target whose snippet is its start tag can be reached only by a fix on its
 own element, so it is asked up front unless another violation on the same
 element comes after it. Its answers are edits read from the forms that
-``render`` gives such a snippet, never a parse. Serialization work per audit and per correction is linear in
-the page on nested shapes, where whole snippets made it quadratic.
+``render`` gives such a snippet, never a parse. Serialization work per
+audit and per correction is linear in the page on nested shapes, where
+whole snippets made it quadratic.
 """
 
 import importlib.util

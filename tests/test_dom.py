@@ -88,9 +88,7 @@ def test_split_element_reads_only_the_start_tag(corpus_dir, corpus_manifest):
             end = "" if el.tag in dom.VOID_ELEMENTS else f"</{el.tag}>"
             assert dom.start_tag(start.tag, start.attrs.items()) + content \
                 + end == snippet
-            assert dom.snippet_parts(snippet) == (
-                snippet[:len(snippet) - len(content) - len(end)], content,
-                end)
+            assert dom.snippet_parts(snippet)[1:] == (content, end)
             split += 1
     assert split > 600
 
