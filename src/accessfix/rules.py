@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .colors import RgbColor, composite_over, contrast_ratio, parse_color
@@ -103,6 +104,8 @@ _IMPLICIT_LANDMARK_TAGS = {
 }
 # Tags that may be a landmark without an explicit role.
 _LANDMARK_TAGS = {*_IMPLICIT_LANDMARK_TAGS, "section", "form"}
+_HEADING_TAGS = ("h1", "h2", "h3", "h4", "h5", "h6")
+_HIDDEN = ("script", "style")  # tags whose content is not rendered
 
 ARIA_REQUIRED_ATTRS = {
     "checkbox": ("aria-checked",),
@@ -221,13 +224,13 @@ class _Names:
 
 @dataclass
 class _Index:
-    """The document's ``dom.preorder`` walk and per-element facts, read by
-    every checker.
+    """The document's ``dom.preorder`` walk, per-element facts and each
+    checker's candidates, read by every checker.
 
     A forward loop over element ``i``'s subtree, ``range(i + 1, end[i])``,
     visits every element after its parent. An explicit role is the first
     token of ``role``, lowercased, or ""; the full rule takes the first token
-    the user agent recognises.
+    the user agent recognises. Every list of indices is in document order.
     """
 
     elements: list  # elements, parent, slot, end: as in dom.Preorder
@@ -241,58 +244,91 @@ class _Index:
     ids: dict  # id value -> first element carrying it
     refs: _Refs  # id value -> the text a reference to it names
     landmark: list  # _landmark_role of each element
+    tags: dict  # tag -> indices of the elements with that tag
+    id_carriers: list  # indices of the elements with a non-empty id
+    role_carriers: list  # indices of the elements with an explicit role
+    landmarks: list  # indices of the elements whose landmark is not None
     thresholds: dict
 
     @classmethod
     def build(cls, doc: DomDocument, thresholds: dict) -> "_Index":
         elements, parent, slot, end = preorder(doc.root)
-        role, has_text, ids = [], [], {}
-        for el in elements:
-            attrs = el.attrs
+        role, has_text, text, ids = [], [], [], {}
+        tags, id_carriers, role_carriers = {}, [], []
+        for i, el in enumerate(elements):
+            attrs, tag = el.attrs, el.tag
+            bucket = tags.get(tag)
+            if bucket is None:
+                tags[tag] = [i]
+            else:
+                bucket.append(i)
             words = attrs["role"].split() if "role" in attrs else None
-            role.append(words[0].lower() if words else "")
+            if words:
+                role.append(words[0].lower())
+                role_carriers.append(i)
+            else:
+                role.append("")
             value = attrs.get("id")
-            if value and value not in ids:
-                ids[value] = el
+            if value:
+                id_carriers.append(i)
+                if value not in ids:
+                    ids[value] = el
             for child in el.children:
                 if isinstance(child, Text) and child.data.strip():
                     has_text.append(True)
+                    text.append(tag not in _HIDDEN)
                     break
             else:
                 has_text.append(False)
-        shown = [el.tag not in ("script", "style") for el in elements]
-        text = [t and s for t, s in zip(has_text, shown)]
+                text.append(False)
         img = [False] * len(elements)
+        for i in tags.get("img", ()):
+            if i and elements[i].attrs.get("alt", "").strip():
+                img[parent[i]] = True
         for i in range(len(elements) - 1, 0, -1):
-            up, el = parent[i], elements[i]
-            if text[i] and shown[up]:
+            up = parent[i]
+            if text[i] and not text[up] and elements[up].tag not in _HIDDEN:
                 text[up] = True
-            if img[i] or el.tag == "img" and el.attrs.get("alt", "").strip():
+            if img[i]:
                 img[up] = True
         refs = _Refs(ids)
-        landmark = [_landmark_role(el, r, refs) if r or el.tag in _LANDMARK_TAGS
-                    else None for el, r in zip(elements, role)]
+        landmark = [None] * len(elements)
+        landmarks = []
+        for i in _tagged(tags, _LANDMARK_TAGS, role_carriers):
+            landmark[i] = _landmark_role(elements[i], role[i], refs)
+            if landmark[i] is not None:
+                landmarks.append(i)
         return cls(elements, parent, slot, end, role, has_text, text, img,
-                   ids, refs, landmark, thresholds)
+                   ids, refs, landmark, tags, id_carriers, role_carriers,
+                   landmarks, thresholds)
 
     @cached_property
     def mains(self) -> list:
         """Indices of the main landmarks, by ``landmark``: one role each."""
-        return [i for i, role in enumerate(self.landmark) if role == "main"]
+        return [i for i in self.landmarks if self.landmark[i] == "main"]
 
     @cached_property
     def body(self) -> Optional[int]:
         """Index of the root's first body child, None if it has none."""
-        return next((i for i, up in enumerate(self.parent)
-                     if up == 0 and self.elements[i].tag == "body"), None)
+        return next((i for i in self.tags.get("body", ())
+                     if self.parent[i] == 0), None)
+
+    @cached_property
+    def headings(self) -> list:
+        """(index, level) of each heading: h1 to h6, and the elements whose
+        explicit role is heading."""
+        role = self.role
+        found = _tagged(self.tags, _HEADING_TAGS,
+                        [i for i in self.role_carriers if role[i] == "heading"])
+        return [(i, _heading_level(self.elements[i], role[i])) for i in found]
 
     @cached_property
     def skip_target(self) -> Optional[tuple]:
         """(index, target) of the page's first link when its href is
         ``#target`` and no element has that id, else None."""
-        for i, el in enumerate(self.elements):
-            href = el.attrs.get("href")
-            if el.tag == "a" and href is not None:
+        for i in self.tags.get("a", ()):
+            href = self.elements[i].attrs.get("href")
+            if href is not None:
                 target = href[1:]
                 if href[:1] == "#" and target and target not in self.ids:
                     return i, target
@@ -308,25 +344,39 @@ class _Index:
     def names(self) -> dict:
         """Index -> accessible name of each landmark."""
         return {i: _accessible_name(self.elements[i], self.refs)
-                for i, role in enumerate(self.landmark) if role is not None}
+                for i in self.landmarks}
 
     @cached_property
     def new_label(self) -> _Names:
         """Labels that no landmark on the page is named yet."""
         return _Names(set(self.names.values()))
 
-    def rendered_body(self):
+    @cached_property
+    def rendered_body(self) -> list:
         """Indices of the elements of the root's first body child, skipping
-        script and style subtrees, in document order."""
-        body = i = self.body
+        script and style subtrees."""
+        body = self.body
         if body is None:
-            return
-        while i < self.end[body]:
-            if self.elements[i].tag in ("script", "style"):
-                i = self.end[i]
-            else:
-                yield i
-                i += 1
+            return []
+        shown, start, stop = [], body, self.end[body]
+        for i in _tagged(self.tags, _HIDDEN):
+            if i >= stop:
+                break
+            if i >= start:
+                shown.extend(range(start, i))
+                start = self.end[i]
+        shown.extend(range(start, stop))
+        return shown
+
+
+def _tagged(tags: dict, names, extra=()) -> list:
+    """The indices in ``tags`` under any of ``names``, with ``extra``, each
+    once and in document order."""
+    found = set(extra)
+    for name in names:
+        if name in tags:
+            found.update(tags[name])
+    return sorted(found)
 
 
 def main_wrap(root: Element, attrs=()) -> Optional[Element]:
@@ -344,7 +394,7 @@ def main_wrap(root: Element, attrs=()) -> Optional[Element]:
         raise NoRecipeError("document has no body to wrap")
     kids = ix.elements[body].children
     role = {ix.slot[i]: ix.landmark[i]
-            for i in range(body + 1, ix.end[body]) if ix.parent[i] == body}
+            for i in ix.landmarks if ix.parent[i] == body}
     blank = [isinstance(node, Comment) or (
         isinstance(node, Text) and not node.data.strip()) for node in kids]
     start = 0
@@ -373,10 +423,8 @@ def main_wrap(root: Element, attrs=()) -> Optional[Element]:
 def check_image_alt(ix):
     """Full rule also accepts aria-label; we require alt or presentation role."""
     findings = []
-    for i, el in enumerate(ix.elements):
-        if el.tag != "img":
-            continue
-        alt = el.attrs.get("alt")
+    for i in ix.tags.get("img", ()):
+        alt = ix.elements[i].attrs.get("alt")
         if alt is not None and alt.strip():
             continue
         if alt == "" and ix.role[i] in ("presentation", "none"):
@@ -387,8 +435,9 @@ def check_image_alt(ix):
 
 def check_link_name(ix):
     findings = []
-    for i, el in enumerate(ix.elements):
-        if el.tag != "a" or el.attrs.get("href") is None:
+    for i in ix.tags.get("a", ()):
+        el = ix.elements[i]
+        if el.attrs.get("href") is None:
             continue
         if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.refs):
             continue
@@ -399,20 +448,22 @@ def check_link_name(ix):
 def check_label(ix):
     """Simplified: title/aria-label/label[for]/wrapping label all count."""
     label_for = set()
-    for el in ix.elements:
-        if el.tag == "label" and el.attrs.get("for"):
-            label_for.add(el.attrs.get("for"))
+    for i in ix.tags.get("label", ()):
+        target = ix.elements[i].attrs.get("for")
+        if target:
+            label_for.add(target)
     findings = []
     inside = 0  # end of the subtree of the outermost <label> seen so far
-    for i, el in enumerate(ix.elements):
-        if el.tag == "label" and i >= inside:
-            inside = ix.end[i]
+    for i in _tagged(ix.tags, ("label", "input", "select", "textarea")):
+        el = ix.elements[i]
+        if el.tag == "label":
+            if i >= inside:
+                inside = ix.end[i]
+            continue
         if el.tag == "input":
             input_type = (el.attrs.get("type") or "text").lower()
             if input_type in _UNLABELED_INPUT_TYPES_EXEMPT:
                 continue
-        elif el.tag not in ("select", "textarea"):
-            continue
         if _accessible_name(el, ix.refs):
             continue
         if el.attrs.get("id") and el.attrs.get("id") in label_for:
@@ -433,9 +484,10 @@ def check_html_has_lang(ix):
 
 def check_duplicate_id(ix):
     findings = []
-    for i, el in enumerate(ix.elements):
-        value = el.attrs.get("id")
-        if not value or ix.ids[value] is el:
+    for i in ix.id_carriers:
+        el = ix.elements[i]
+        value = el.attrs["id"]
+        if ix.ids[value] is el:
             continue
         candidate = ix.new_id(f"{value}-")
         findings.append(_Finding(
@@ -460,10 +512,7 @@ def _heading_level(el: Element, role: str) -> Optional[int]:
 def check_heading_order(ix):
     findings = []
     previous = None
-    for i, el in enumerate(ix.elements):
-        level = _heading_level(el, ix.role[i])
-        if level is None:
-            continue
+    for i, level in ix.headings:
         if previous is not None and level > previous + 1:
             findings.append(_Finding(
                 i, f"Heading levels should increase by one; "
@@ -476,10 +525,9 @@ def check_heading_order(ix):
 
 def check_empty_heading(ix):
     findings = []
-    for i, el in enumerate(ix.elements):
-        if _heading_level(el, ix.role[i]) is None:
-            continue
-        if ix.text[i] or ix.described_img[i] or _accessible_name(el, ix.refs):
+    for i, _ in ix.headings:
+        if ix.text[i] or ix.described_img[i] or _accessible_name(
+                ix.elements[i], ix.refs):
             continue
         findings.append(_Finding(i))
     return findings
@@ -494,7 +542,7 @@ def check_region(ix):
     # parent is the root, never covered.
     covered = [False] * len(ix.elements)
     by_parent = {}  # parent index -> flagged children, in document order
-    for i in ix.rendered_body():
+    for i in ix.rendered_body:
         covered[i] = covered[ix.parent[i]] or ix.landmark[i] is not None
         if not covered[i] and ix.has_text[i]:
             by_parent.setdefault(ix.parent[i], []).append(i)
@@ -582,11 +630,9 @@ def check_landmark_no_duplicate_content(ix):
     """Simplified: header/footer map to banner/contentinfo regardless of depth."""
     findings = []
     inside = 0  # end of the subtree of the outermost landmark seen so far
-    for i, role in enumerate(ix.landmark):
-        if role is None:
-            continue
+    for i in ix.landmarks:
         if i < inside:
-            if role in ("banner", "contentinfo"):
+            if ix.landmark[i] in ("banner", "contentinfo"):
                 findings.append(_Finding(i))
         else:
             inside = ix.end[i]
@@ -605,12 +651,13 @@ def check_skip_link(ix):
 
 def check_aria_required_attr(ix):
     findings = []
-    for i, el in enumerate(ix.elements):
+    for i in ix.role_carriers:
         role = ix.role[i]
         required = ARIA_REQUIRED_ATTRS.get(role)
         if not required:
             continue
-        missing = [a for a in required if not el.attrs.get(a, "").strip()]
+        attrs = ix.elements[i].attrs
+        missing = [a for a in required if not attrs.get(a, "").strip()]
         if missing:
             findings.append(_Finding(
                 i, f'The role "{role}" requires the attributes: '
@@ -642,8 +689,9 @@ def blocks_zoom(name: str, value: str) -> bool:
 def check_meta_viewport(ix):
     """Of items that share a name, the last counts."""
     findings = []
-    for i, el in enumerate(ix.elements):
-        if el.tag != "meta" or el.attrs.get("name", "").lower() != "viewport":
+    for i in ix.tags.get("meta", ()):
+        el = ix.elements[i]
+        if el.attrs.get("name", "").lower() != "viewport":
             continue
         last = {name.lower(): (name, value) for name, value
                 in viewport_items(el.attrs.get("content", ""))}
@@ -748,7 +796,7 @@ def check_color_contrast(ix):
     # body's parent is the root.
     state = [None] * len(elements)
     state[0] = (None, None, 16.0, False)
-    for i in ix.rendered_body():
+    for i in ix.rendered_body:
         el = elements[i]
         attrs = el.attrs
         style = attrs.get("style")
@@ -836,7 +884,7 @@ def audit(
     thresholds=None,
 ) -> list:
     """Run the rule catalog over a document, returning violations in document
-    order (ties broken by catalog order)."""
+    order (ties broken by ruleset order; a repeated rule id runs once)."""
     ruleset = check_ruleset(ruleset)
     impact_map = dict(DEFAULT_IMPACTS)
     if impacts:
@@ -846,30 +894,29 @@ def audit(
         threshold_map.update(thresholds)
 
     ix = _Index.build(doc, threshold_map)
+    run = []  # (rule id, impact, description, default help) per rule run
     collected = []
-    for rule_index, rule_id in enumerate(ruleset):
+    for rule_id in dict.fromkeys(ruleset):
+        rule_index = len(run)
+        run.append((rule_id, impact_map[rule_id], RULE_DESCRIPTIONS[rule_id],
+                    RULE_HELP[rule_id]))
         for finding in RULE_CATALOG[rule_id](ix):
-            collected.append((finding.index, rule_index, rule_id, finding))
-    # Pre-order index order is document order.
-    collected.sort(key=lambda item: (item[0], item[1]))
+            collected.append((finding.index, rule_index, finding))
+    # Pre-order index order is document order. The sort is stable, so a
+    # rule's repeated findings on one element stay adjacent, first first.
+    collected.sort(key=itemgetter(0, 1))
 
     violations = []
-    seen = set()
+    last = None
     snippets = {}  # index -> snippet, shared by every rule flagging it
-    for index, _, rule_id, finding in collected:
-        if (index, rule_id) in seen:
+    for index, rule_index, finding in collected:
+        if (index, rule_index) == last:
             continue
-        seen.add((index, rule_id))
+        last = index, rule_index
         if index not in snippets:
             snippets[index] = snippet(ix.elements[index])
+        rule_id, impact, description, help_text = run[rule_index]
         violations.append(Violation(
-            rule_id=rule_id,
-            impact=impact_map[rule_id],
-            description=RULE_DESCRIPTIONS[rule_id],
-            help=finding.help or RULE_HELP[rule_id],
-            html_snippet=snippets[index],
-            index=index,
-            web_url=web_url,
-            data=finding.data,
-        ))
+            rule_id, impact, description, finding.help or help_text,
+            snippets[index], index, web_url, finding.data))
     return violations

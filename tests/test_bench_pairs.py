@@ -193,3 +193,36 @@ def test_both_sides_run_from_siblings_under_one_directory(bench_pairs,
     assert not parent.parent.exists()  # removed after the runs
     written = json.loads(out.read_text("utf-8"))
     assert written["parent"]["medians"]["wide_fix"]["pages_per_s"] == 100.0
+
+
+def test_medians_split_by_which_side_ran_first(bench_pairs):
+    """A stub run that is faster when it goes first in its pair: the split
+    shows the same gap on both sides, which the plain medians hide."""
+    calls = []
+
+    def run(root, workload, seed, seconds):
+        first = len(calls) % 2 == 0
+        calls.append(root)
+        return result((120.0 if first else 100.0) + (root == "c"))
+
+    results = bench_pairs.run_pairs({"parent": "p", "change": "c"},
+                                    ["corpus_replay"], 4, seed=1, seconds=0.5,
+                                    run=run)
+    runs = [bench_pairs.side_summary(side, results[side])["runs"]
+            for side in ("parent", "change")]
+    assert runs[0]["corpus_replay"]["pages_per_s"] == [120.0, 100.0] * 2
+    assert runs[1]["corpus_replay"]["pages_per_s"] == [101.0, 121.0] * 2
+    rows = bench_pairs.order_split(*runs, END_TO_END)
+    assert [(r["workload"], r["metric"]) for r in rows] == \
+        [("corpus_replay", "pages_per_s")]
+    assert {k: v for k, v in rows[0].items() if k in
+            bench_pairs.SPLIT_COLUMNS} == {
+        "parent_first": 120.0, "parent_second": 100.0,
+        "change_first": 121.0, "change_second": 101.0}
+    # One run: the change never ran first.
+    [one] = bench_pairs.order_split({"w": {"pages_per_s": [5.0]}},
+                                    {"w": {"pages_per_s": [6.0]}}, END_TO_END)
+    assert (one["parent_first"], one["change_first"],
+            one["change_second"]) == (5.0, None, 6.0)
+    table = bench_pairs.render_order_split(rows + [one]).splitlines()
+    assert len(table) == 3 and table[2].split()[-3:] == ["-", "-", "6"]

@@ -296,3 +296,14 @@ def test_nested_checkboxes_run_in_linear_time_and_bounded_memory(shapes):
         tracemalloc.stop()
     assert page.final.violations == []
     assert peak < 50e6 / 8
+
+
+def test_the_size_exponent_is_fitted_over_every_size(shapes):
+    """A power law gives its exponent; two sizes give the two-point slope;
+    a third size moves the fit."""
+    sizes = [1000, 2000, 4000, 8000]
+    assert shapes.exponent([3e-6 * n ** 1.5 for n in sizes], sizes) == \
+        pytest.approx(1.5)
+    assert shapes.exponent([0.1, 0.4], [1000, 2000]) == pytest.approx(2.0)
+    assert shapes.exponent([0.1, 0.2, 0.8], [1000, 2000, 4000]) == \
+        pytest.approx(1.5)

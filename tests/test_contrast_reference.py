@@ -86,7 +86,7 @@ def reference_check_color_contrast(ix):
     findings = []
     state = [None] * len(ix.elements)
     state[0] = (None, None, 16.0, False)
-    for i in ix.rendered_body():
+    for i in ix.rendered_body:
         el = ix.elements[i]
         fg, bg, size, bold = state[ix.parent[i]]
         decls = rules._parse_style(el.attrs.get("style", ""))

@@ -5,7 +5,8 @@ the serializer, the pre-order walk and the audit index build as they were
 before their per-node loops were rewritten, copied verbatim apart from the
 names they call. Every output must stay byte for byte the same: both
 serialization forms of each element, every ``Preorder`` list, and every
-``_Index`` fact.
+``_Index`` fact. Each checker's candidate list in the index is checked
+against the filter of every element that it replaced.
 """
 
 from pathlib import Path
@@ -114,6 +115,38 @@ def reference_index(doc):
             landmark)
 
 
+def reference_rendered_body(ix):
+    """The walk of the body that the rendered-body list replaced."""
+    body = i = next((i for i, up in enumerate(ix.parent)
+                     if up == 0 and ix.elements[i].tag == "body"), None)
+    if body is None:
+        return
+    while i < ix.end[body]:
+        if ix.elements[i].tag in ("script", "style"):
+            i = ix.end[i]
+        else:
+            yield i
+            i += 1
+
+
+def assert_candidates_agree(ix):
+    """Each checker's candidate list against the filter of every element."""
+    every = list(enumerate(ix.elements))
+    tags = {}
+    for i, el in every:
+        tags.setdefault(el.tag, []).append(i)
+    assert ix.tags == tags
+    assert ix.id_carriers == [i for i, el in every if el.attrs.get("id")]
+    assert ix.role_carriers == [
+        i for i, el in every if el.attrs.get("role", "").split()]
+    assert ix.landmarks == [i for i, role in enumerate(ix.landmark)
+                            if role is not None]
+    assert ix.headings == [
+        (i, rules._heading_level(el, ix.role[i])) for i, el in every
+        if rules._heading_level(el, ix.role[i]) is not None]
+    assert ix.rendered_body == list(reference_rendered_body(ix))
+
+
 def identities(value):
     """``value`` with every node replaced by its id, so lists of nodes
     compare by identity."""
@@ -137,6 +170,7 @@ def assert_kernels_agree(doc):
     fields = (ix.elements, ix.parent, ix.slot, ix.end, ix.role, ix.has_text,
               ix.text, ix.described_img, ix.ids, ix.landmark)
     assert identities(list(fields)) == identities(list(reference_index(doc)))
+    assert_candidates_agree(ix)
     for i, el in enumerate(pre.elements):
         if i and pre.end[i] - i > SUBTREE_LIMIT:
             continue  # deep pages would cost the square of their depth
@@ -198,6 +232,26 @@ def test_kernels_agree_on_hand_built_trees():
     out = doc.serialize()
     assert '<p title="&amp;&lt;&gt;&quot;"><b>kept</b> as &amp; is</p>' in out
     assert "<script" in out and " a <b> && c <!--in script-->" in out
+
+
+@pytest.mark.parametrize("html, roles, headings", [
+    ('<h1 role="">a</h1><div role="">b</div><p role="  ">c</p>',
+     [], [("h1", 1)]),
+    ('<div role="  Heading x" aria-level="3">a</div><p role="x Heading">',
+     [("div", "heading"), ("p", "x")], [("div", 3)]),
+    ('<h1 role="checkbox">a</h1><h3 role="heading" aria-level="1">b</h3>',
+     [("h1", "checkbox"), ("h3", "heading")], [("h1", 1), ("h3", 3)]),
+    ('<script role="heading">x</script><nav role="">n</nav>',
+     [("script", "heading")], [("script", 2)]),
+])
+def test_candidates_agree_on_role_edge_cases(html, roles, headings):
+    doc = dom.parse_html(f'<html lang="en"><body><main>{html}</main></body>'
+                         "</html>")
+    assert_kernels_agree(doc)
+    ix = rules._Index.build(doc, {})
+    tag = [el.tag for el in ix.elements]
+    assert [(tag[i], ix.role[i]) for i in ix.role_carriers] == roles
+    assert [(tag[i], level) for i, level in ix.headings] == headings
 
 
 class Para(Element):

@@ -11,6 +11,7 @@ from accessfix import dom, harness, rules
 from accessfix.corrector import APPLIED, correct_document
 from accessfix.errors import UnknownRuleError
 from accessfix.providers import HeuristicProvider
+from test_start_tag_fixes import tag_soup
 
 
 def audit_counts(html, **kwargs):
@@ -285,6 +286,22 @@ def test_unknown_rule_is_configuration_error():
         rules.audit(dom.parse_html("<p>x</p>"), ruleset=("no-such-rule",))
     with pytest.raises(UnknownRuleError):
         rules.audit(dom.parse_html("<p>x</p>"), ruleset=())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag_soup, st.lists(st.sampled_from(rules.ALL_RULES), min_size=1,
+                          unique=True))
+def test_a_ruleset_runs_each_rule_once_and_breaks_ties_in_its_order(html,
+                                                                    ruleset):
+    """A repeated rule id runs once, and a ruleset in catalog order gives
+    the full audit's violations of its rules: no rule's findings depend on
+    which other rules run."""
+    doc = dom.parse_html(html)
+    ruleset = tuple(ruleset)
+    assert rules.audit(doc, ruleset + ruleset) == rules.audit(doc, ruleset)
+    in_order = tuple(r for r in rules.ALL_RULES if r in ruleset)
+    assert rules.audit(doc, in_order) == [
+        v for v in rules.audit(doc) if v.rule_id in ruleset]
 
 
 def test_impact_override():
@@ -639,6 +656,50 @@ def test_audit_walks_no_subtree_per_link_or_heading(monkeypatch):
         violations = rules.audit(dom.parse_html(nested_page(opener, 2000)))
         assert len(violations) >= 2000
     assert calls == []
+
+
+class CountingList(list):
+    """A list that counts the items read from it, by index or iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += len(range(*key.indices(len(self)))) \
+            if isinstance(key, slice) else 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+# Per-element lists of the index, as a checker may read them.
+PER_ELEMENT = ("elements", "parent", "slot", "end", "role", "has_text", "text",
+               "described_img", "landmark")
+
+
+def test_checkers_read_only_their_candidates_on_a_deep_chain():
+    """Every checker but the two that walk the rendered body reads a few
+    elements of a 4000-deep ``<div>`` chain with three violations, not the
+    chain: each one iterates its own candidates."""
+    html = ('<!DOCTYPE html><html lang="en"><head><title>t</title>'
+            '<meta name="viewport" content="width=device-width"></head>'
+            "<body><main><h1>Deep</h1>" + "<div>" * 4000
+            + '<p style="color:#777777; background-color:#ffffff">x</p>'
+            '<img src="d.png"><a href="/d"></a></main></body></html>')
+    doc = dom.parse_html(html)
+    assert Counter(v.rule_id for v in rules.audit(doc)) == Counter(
+        ["color-contrast", "image-alt", "link-name"])
+    ix = rules._Index.build(doc, rules.DEFAULT_THRESHOLDS)
+    counted = {name: CountingList(getattr(ix, name)) for name in PER_ELEMENT}
+    for name, values in counted.items():
+        setattr(ix, name, values)
+    for rule_id, check in rules.RULE_CATALOG.items():
+        if rule_id not in ("region", "color-contrast"):
+            check(ix)
+    reads = {name: values.reads for name, values in counted.items()}
+    assert sum(reads.values()) < 50, reads
 
 
 # Pages of n flagged elements, nested up to n deep, inside <main>.

@@ -18,6 +18,9 @@ Afterwards it prints, per workload and end-to-end metric of
 how many pairs the change won. A metric whose range is wider than its bound
 is marked ``unresolved``, unless every change run beats every parent run:
 such a comparison cannot tell a change within the bound from one beyond it.
+Then it prints each side's medians split by whether that side ran first or
+second in its pair, so that a gap which follows the order of the runs, not
+the commit, shows.
 """
 
 from __future__ import annotations
@@ -182,6 +185,43 @@ def render_resolution(rows) -> str:
     return "\n".join(lines)
 
 
+def order_split(parent: dict, change: dict, end_to_end) -> list:
+    """One row per workload and end-to-end metric that both sides ran: each
+    side's median over the pairs in which it ran first, and over those in
+    which it ran second, None where there are none. ``parent`` and
+    ``change`` are ``side_summary(...)["runs"]``; as in ``run_pairs``, the
+    parent runs first in even runs and the change in odd ones."""
+    rows = []
+    for workload, runs in parent.items():
+        for metric in end_to_end:
+            name = metric["name"]
+            if name not in runs or name not in change.get(workload, {}):
+                continue
+            row = {"workload": workload, "metric": name}
+            for side, values, first in (("parent", runs[name], 0),
+                                        ("change", change[workload][name], 1)):
+                for order, picked in (("first", values[first::2]),
+                                      ("second", values[1 - first::2])):
+                    row[f"{side}_{order}"] = (statistics.median(picked)
+                                              if picked else None)
+            rows.append(row)
+    return rows
+
+
+SPLIT_COLUMNS = ("parent_first", "parent_second", "change_first",
+                 "change_second")
+
+
+def render_order_split(rows) -> str:
+    lines = [f"{'workload':<14} {'metric':<13}"
+             + "".join(f"{column:>15}" for column in SPLIT_COLUMNS)]
+    for row in rows:
+        lines.append(f"{row['workload']:<14} {row['metric']:<13}" + "".join(
+            f"{'-':>15}" if row[column] is None else f"{row[column]:>15.4g}"
+            for column in SPLIT_COLUMNS))
+    return "\n".join(lines)
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as info:
@@ -241,9 +281,10 @@ def main(argv=None) -> int:
         out.write("\n")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as spec:
         end_to_end = json.load(spec)["end_to_end"]
-    print(render_resolution(resolution(document["parent"]["runs"],
-                                       document["change"]["runs"],
-                                       end_to_end)))
+    runs = document["parent"]["runs"], document["change"]["runs"]
+    print(render_resolution(resolution(*runs, end_to_end)))
+    print()
+    print(render_order_split(order_split(*runs, end_to_end)))
     return 0
 
 

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run generated page shapes through parse, audit, correct and re-audit at
-two sizes, and print how each stage's time grows with the size.
+two or more sizes, and print how each stage's time grows with the size.
 
-    python3 tools/shapes.py                      # every shape, n = 4000, 16000
-    python3 tools/shapes.py --sizes 8000 16000 --shape checkbox
+    python3 tools/shapes.py              # every shape, n = 4000, 8000, 16000
+    python3 tools/shapes.py --sizes 2000 4000 8000 16000 --shape checkbox
 
 A shape is one construct repeated n times, nested (each copy inside the
 last) or wide (side by side). For each shape and stage it prints the size
-exponent, log(t2 / t1) / log(n2 / n1) of the best of ``--repeat`` timings,
-the two sizes taking turns:
+exponent: the least-squares slope of log t over log n, across every size,
+of the best of ``--repeat`` timings, the sizes taking turns:
 1 is linear, 2 quadratic. Below a few thousand copies a page still fits
-the processor's caches, which makes the smaller size look cheap per copy,
-so the default sizes start above that. It also prints, at the smaller
+the processor's caches, which makes a small size look cheap per copy,
+so the default sizes start above that. It also prints, at the smallest
 size, the peak memory of the whole pipeline (``tracemalloc``, which slows
 the run about tenfold), the corrected page's size over the input's, and
 whether the corrected page holds at most twice the input plus 100 bytes
@@ -118,25 +118,31 @@ def best(pages, repeat: int) -> list:
             for k in range(len(pages))]
 
 
-def exponent(t1: float, t2: float, n1: int, n2: int) -> float:
-    return math.log(max(t2, 1e-6) / max(t1, 1e-6)) / math.log(n2 / n1)
+def exponent(times, sizes) -> float:
+    """The least-squares slope of log time over log size."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(max(t, 1e-6)) for t in times]
+    x0, y0 = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - x0) * (y - y0) for x, y in zip(xs, ys))
+            / sum((x - x0) ** 2 for x in xs))
 
 
 def measure(name: str, sizes, repeat: int) -> dict:
     """One shape's row: exponents per stage, the seconds of all stages at
-    the larger size, and at the smaller size the peak memory, the byte
+    the largest size, and at the smallest size the peak memory, the byte
     ratio and the output bound."""
-    small, large = sizes
-    html = SHAPES[name](small)
-    t1, t2 = best([html, SHAPES[name](large)], repeat)
+    pages = [SHAPES[name](n) for n in sizes]
+    times = best(pages, repeat)
+    html = pages[0]
     tracemalloc.start()
     _, violations, out = run(html)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
         "shape": name,
-        "exponent": {s: exponent(t1[s], t2[s], small, large) for s in STAGES},
-        "seconds": sum(t2.values()),
+        "exponent": {s: exponent([t[s] for t in times], sizes)
+                     for s in STAGES},
+        "seconds": sum(times[-1].values()),
         "peak_mb": peak / 1e6,
         "ratio": len(out) / len(html),
         "bounded": len(out) <= 2 * len(html) + 100 * violations,
@@ -145,7 +151,7 @@ def measure(name: str, sizes, repeat: int) -> dict:
 
 def render(rows, sizes) -> str:
     lines = [f"{'shape':<19}" + "".join(f"{s:>9}" for s in STAGES)
-             + f"{'s at ' + str(sizes[1]):>12}"
+             + f"{'s at ' + str(sizes[-1]):>12}"
              + f"{'MB at ' + str(sizes[0]):>12}{'out/in':>8}"
              + "  bounded"]
     for row in rows:
@@ -159,14 +165,15 @@ def render(rows, sizes) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs=2, default=[4000, 16000],
-                        metavar=("N1", "N2"))
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        default=[4000, 8000, 16000], metavar="N")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--shape", action="append", choices=SHAPES,
                         help="a shape to run (repeatable; default all)")
     args = parser.parse_args(argv)
-    if not 0 < args.sizes[0] < args.sizes[1]:
-        parser.error("--sizes must be two increasing positive sizes")
+    sizes = args.sizes
+    if len(sizes) < 2 or not all(0 < a < b for a, b in zip(sizes, sizes[1:])):
+        parser.error("--sizes must be two or more increasing positive sizes")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     rows = []
