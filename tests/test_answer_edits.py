@@ -7,6 +7,7 @@ element the snippet serializes, must give what handing over the parsed
 answer gives.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,68 @@ def audited_snippets(html: str) -> list:
     return list(dict.fromkeys(
         v.html_snippet for v in rules.audit(dom.parse_html(html), web_url="f")
         if not dom.is_cut(v.html_snippet)))
+
+
+def openings(snippet: str) -> list:
+    """Answers built from ``snippet``, a start tag cut from its content:
+    attribute edits, renames into every tag above, wraps of the element
+    and of its children in each, the root's body wrap, content after a
+    start tag, and text."""
+    old, _ = dom.split_element(snippet)
+    tag, attrs = old.tag, list(old.attrs.items())
+    edited = attrs + [("data-fix", 'a "q" & <b>')]
+    built = [start_tag(tag, a) for a in
+             (edited, attrs[1:], [(name, value + "x") for name, value in attrs])]
+    for new in ALIKE + UNALIKE:
+        built.append(start_tag(new, attrs))
+        built.append(start_tag(new, [("class", "w")]) + snippet)
+        built.append(snippet + start_tag(new, [("class", "w")]))
+    built += [snippet + '<body><main id="m">', snippet + "<b>x</b>",
+              snippet + end_tag(tag), start_tag(tag, edited) + "<b>x</b>",
+              "text"]
+    return built
+
+
+def answer_rows(pages) -> list:
+    """(snippet, answer, read) for the answers built from every snippet
+    that the audit of ``pages`` emits: ``answers`` of a whole snippet,
+    ``openings`` of one cut to its start tag. ``read`` is the repr of the
+    edit that ``parse_fix`` reads with the snippet, or the name of the
+    error it raises."""
+    rows = []
+    for html in pages:
+        snippets = dict.fromkeys(
+            v.html_snippet
+            for v in rules.audit(dom.parse_html(html), web_url="f"))
+        for snippet in snippets:
+            built = openings if dom.is_cut(snippet) else answers
+            for answer in built(snippet):
+                try:
+                    read = repr(parse_fix(respond(answer),
+                                          snippet=snippet).edit)
+                except Exception as exc:  # noqa: BLE001 - pinned by name
+                    read = type(exc).__name__
+                rows.append((snippet, answer, read))
+    return rows
+
+
+ANSWERS_READ_SHA256 = (
+    "ea97a8c4c403f076b34983255cbcbf288a5391fb5c0498b25ddf6ecd24eb9eb1"
+)
+
+
+def test_answers_read_as_pinned(corpus_dir, corpus_manifest, rules_dir,
+                                rules_manifest):
+    """What ``parse_fix`` reads from every answer built from the snippets
+    of the corpus and the rule fixtures, row by row."""
+    pages = [(corpus_dir / name).read_text("utf-8")
+             for name in sorted(corpus_manifest)]
+    pages += [(rules_dir / name).read_text("utf-8")
+              for name in sorted(rules_manifest)]
+    digest = hashlib.sha256()
+    for row in answer_rows(pages):
+        digest.update(repr(row).encode("utf-8"))
+    assert digest.hexdigest() == ANSWERS_READ_SHA256
 
 
 def test_corpus_answers_apply_as_their_parse(corpus_paths):
