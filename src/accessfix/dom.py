@@ -294,7 +294,8 @@ def parse_html(text: str) -> DomDocument:
     return DomDocument(_normalize_document(_tokenize(text)))
 
 
-def _escape_text(data: str) -> str:
+def escape_text(data: str) -> str:
+    """``data`` as the canonical serialization writes text."""
     return data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -441,7 +442,7 @@ def _serialize(node: Node, normalized: bool,
                 else:
                     push(reversed(node.children))
             elif kind is Text:
-                append(_escape_text(" ".join(node.data.split())))
+                append(escape_text(" ".join(node.data.split())))
             elif kind is str:
                 append(node)
         return "".join(parts)
@@ -470,7 +471,7 @@ def _serialize(node: Node, normalized: bool,
             if limit is not None:  # no more than may still be written
                 piece = piece[:limit - size + 1]
             if "&" in piece or "<" in piece or ">" in piece:
-                piece = _escape_text(piece)
+                piece = escape_text(piece)
         elif kind is str:
             piece = node
         elif kind is Comment:

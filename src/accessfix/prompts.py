@@ -15,10 +15,10 @@ from html import unescape
 from importlib import resources
 from typing import Callable, Optional
 
-from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text, is_cut,
-                  parse_fragment_element, parses_alike, replace_node,
-                  serialize_node, snippet_parts, split_element, split_start,
-                  start_tag)
+from .dom import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element, Text,
+                  escape_text, is_cut, parse_fragment_element, parses_alike,
+                  replace_node, serialize_node, snippet_parts, split_element,
+                  split_start, start_tag)
 from .errors import (
     IncompleteViolationError,
     InvalidFragmentError,
@@ -170,7 +170,7 @@ class AppendText:
         """Of a whole snippet only: one cut to its start tag shows no
         content to add text to."""
         head, content, end = snippet_parts(snippet)
-        return head + content + serialize_node(Text(self.data)) + end
+        return head + content + escape_text(self.data) + end
 
 
 @dataclass(eq=False)
@@ -340,93 +340,61 @@ def _spans(text: str):
         yield start, end, False
 
 
-def _classify(answer: str, snippet: str, old: Element, content):
-    """The edit that makes ``answer`` of the element that ``snippet``
-    serializes, found by comparing strings; None if there is none. ``old``
-    and ``content`` are ``dom.split_element(snippet)``. Only the start tags
-    are parsed:
+def _edits(answer: str, snippet: str, old: Element, content):
+    """The edits that may make ``answer`` of the element that ``snippet``
+    serializes, in the order ``parse_fix`` tries them: those that the
+    answer's first one or two canonical start tags name. ``old`` and
+    ``content`` are ``dom.split_element(snippet)``. Each edit, run on the
+    element, gives the element that parsing its ``render(snippet)`` gives,
+    so only edits that keep the parse are named:
 
-    - a canonical start tag, the snippet's content and its end tag is a
-      ``StartTag``, if the tag is kept or both tags ``dom.parses_alike``;
-    - one new element around the snippet is a ``WrapSelf``;
-    - the snippet's start tag around one new element that holds its
-      content is a ``WrapChildren``;
-    - the snippet's start tag, its content and then text with no "<" is an
-      ``AppendText`` of that text, unescaped as the parser reads it: the
-      content is canonical, so each character reference in it ends with
-      its ";" before that text starts.
-
-    A wrapper ``dom.parses_alike``, and so does a snippet whose children
-    are wrapped. So each edit, run on the element, gives the element that
-    parsing ``answer`` gives, which is exactly one. A snippet cut to its
-    start tag is read by ``_classify_opening``.
-    """
-    if content is None:
-        return _classify_opening(answer, snippet, old)
-    new, inner = split_element(answer) or (None, None)
-    if inner is None:
-        return None
-    attrs = tuple(new.attrs.items())
-    if inner == content:
-        if new.tag == old.tag or (parses_alike(new.tag)
-                                  and parses_alike(old.tag)):
-            return StartTag(new.tag, attrs)
-    elif inner == snippet:
-        if parses_alike(new.tag):
-            return WrapSelf(new.tag, attrs)
-    elif new.tag == old.tag and attrs == tuple(old.attrs.items()):
-        rest = inner[len(content):]
-        if (inner.startswith(content) and "<" not in rest
-                and old.tag not in RAW_TEXT_ELEMENTS):
-            return AppendText(unescape(rest))
-        wrapper, wrapped = split_element(inner) or (None, None)
-        if (wrapped == content and parses_alike(wrapper.tag)
-                and parses_alike(old.tag)):
-            return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
-    return None
-
-
-def _classify_opening(answer: str, snippet: str, old: Element):
-    """The edit that ``answer`` makes of a snippet cut to its start tag,
-    whose start tag is ``old``; None if there is none. The model saw no
-    content, so it changes none: the answer opens with one canonical start
-    tag, and the ``render`` forms of the edits read as
-
-    - a new start tag, then the snippet: a ``WrapSelf``, if the new tag
+    - a ``StartTag`` of the first tag, if it is kept or both tags
       ``dom.parses_alike``;
-    - the snippet, then one start tag: a ``WrapChildren``, if the new tag
-      ``dom.parses_alike`` and the snippet's is neither a ``p``, which the
-      new start tag would close, nor raw text. Nothing is parsed here, so
-      the snippet's tag need not parse alike: the page that the edit gives
-      reads back;
-    - the snippet of an ``html`` element, ``<body>``, then a ``main`` start
-      tag: a ``WrapBody``;
-    - else a ``StartTag`` of the answer's start tag, whatever follows it,
-      if the tag is kept or both tags ``dom.parses_alike``.
+    - a ``WrapSelf`` in the first tag, if it parses alike;
+    - if the first tag is the snippet's own:
+      - a ``WrapChildren`` in the second tag, if that parses alike and
+        the snippet's tag does too; on a snippet cut to its start tag,
+        whose content is not written, the snippet's tag need only be
+        neither a ``p``, which the new start tag would close, nor raw
+        text;
+      - on an ``html`` snippet cut to its start tag, a ``WrapBody`` of
+        the attributes of the start tag after a ``<body>``;
+      - on a whole snippet of an element neither void nor raw text, an
+        ``AppendText`` of the text between its content and its end tag,
+        unescaped as the parser reads it, if that text holds no "<".
     """
     split = split_start(answer)
     if split is None:
-        return None
+        return
     new, opened = split
-    rest = answer[opened:]
     attrs = tuple(new.attrs.items())
-    if rest == snippet and parses_alike(new.tag):
-        return WrapSelf(new.tag, attrs)
-    inner = split_start(rest) if answer[:opened] == snippet else None
+    if new.tag == old.tag or (parses_alike(new.tag)
+                              and parses_alike(old.tag)):
+        yield StartTag(new.tag, attrs)
+    if parses_alike(new.tag):
+        yield WrapSelf(new.tag, attrs)
+    # The first tag is the snippet's own if the snippet starts with it: a
+    # canonical start tag ends at its one ">".
+    if not snippet.startswith(answer[:opened]):
+        return
+    inner = split_start(answer, opened)
     if inner is not None:
         wrapper, stop = inner
-        if stop == len(rest):
-            if (parses_alike(wrapper.tag) and old.tag != "p"
-                    and old.tag not in RAW_TEXT_ELEMENTS):
-                return WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
-        elif old.tag == "html" and rest[:stop] == "<body>":
-            main = split_start(rest, stop)
-            if main is not None and main[1] == len(rest) \
-                    and main[0].tag == "main":
-                return WrapBody("main", tuple(main[0].attrs.items()))
-    if new.tag == old.tag or (parses_alike(new.tag) and parses_alike(old.tag)):
-        return StartTag(new.tag, attrs)
-    return None
+        if parses_alike(wrapper.tag) and (
+                parses_alike(old.tag) if content is not None
+                else old.tag != "p" and old.tag not in RAW_TEXT_ELEMENTS):
+            yield WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
+        if content is None and old.tag == "html" \
+                and answer[opened:stop] == "<body>":
+            main = split_start(answer, stop)
+            if main is not None:
+                yield WrapBody("main", tuple(main[0].attrs.items()))
+    if content is not None and old.tag not in VOID_ELEMENTS \
+            and old.tag not in RAW_TEXT_ELEMENTS:
+        end = len(old.tag) + 3  # the length of the end tag
+        rest = answer[len(snippet) - end:len(answer) - end]
+        if "<" not in rest:
+            yield AppendText(unescape(rest))
 
 
 def parse_fix(raw_response: str, provider_id: str = "",
@@ -434,13 +402,17 @@ def parse_fix(raw_response: str, provider_id: str = "",
     """Extract the corrected tag from a response.
 
     The first candidate (see ``_spans``; each is stripped) that is an edit of
-    ``snippet``, the element the prompt carried (see ``_classify``), or
-    that parses as exactly one element wins. An edit is applied without a
-    parse; a parsed answer is a ``Replace`` that holds its parse. Without
-    a snippet every candidate is parsed. A candidate that is an edit of a
+    ``snippet``, the element the prompt carried, or that parses as exactly
+    one element wins. The edit is the first of ``_edits`` whose
+    ``render(snippet)`` is the candidate; it is applied without a parse.
+    A parsed answer is a ``Replace`` that holds its parse. Without a
+    snippet every candidate is parsed. A candidate that is an edit of a
     whole element would have parsed, so such a snippet changes no winner.
     An answer to a snippet cut to its start tag is never parsed: it would
     hand over an element without the children that the model did not see.
+    The model saw no content, so its answer changes none: failing a
+    rendered form, it is a ``StartTag`` of its first start tag, whatever
+    follows that.
     A fragment after ``CORRECTED:`` or in a fence that parses as more than
     one element, and nothing else, holds no candidate: a balanced element
     inside it would drop the rest of the model's answer. Never raises on
@@ -455,7 +427,13 @@ def parse_fix(raw_response: str, provider_id: str = "",
         if several is not None and several[start] and not fenced:
             continue
         candidate = raw_response[start:end].strip()
-        edit = _classify(candidate, snippet, *old) if old is not None else None
+        edit = None
+        for option in _edits(candidate, snippet, *old) if old else ():
+            if option.render(snippet) == candidate:
+                edit = option
+                break
+            if cut and type(option) is StartTag:
+                edit = option  # unless a later option renders the answer
         if edit is None:
             if cut:
                 continue

@@ -1,10 +1,10 @@
-"""Model answers classified as edits of the snippet their prompt carried.
+"""Model answers read as edits of the snippet their prompt carried.
 
 ``prompts.parse_fix`` reads an answer that changes only the start tag,
-wraps the content or the element, or appends text as an edit value, found
-by comparing strings; any other answer is parsed. An edit, run on the
-element the snippet serializes, must give what handing over the parsed
-answer gives.
+wraps the content or the element, or appends text as the edit whose
+``render`` of the snippet is the answer; any other answer is parsed. An
+edit, run on the element the snippet serializes, must give what handing
+over the parsed answer gives.
 """
 
 import hashlib
@@ -115,8 +115,8 @@ def openings(snippet: str) -> list:
     old, _ = dom.split_element(snippet)
     tag, attrs = old.tag, list(old.attrs.items())
     edited = attrs + [("data-fix", 'a "q" & <b>')]
-    built = [start_tag(tag, a) for a in
-             (edited, attrs[1:], [(name, value + "x") for name, value in attrs])]
+    changed = [(name, value + "x") for name, value in attrs]
+    built = [start_tag(tag, a) for a in (edited, attrs[1:], changed)]
     for new in ALIKE + UNALIKE:
         built.append(start_tag(new, attrs))
         built.append(start_tag(new, [("class", "w")]) + snippet)
@@ -151,7 +151,7 @@ def answer_rows(pages) -> list:
 
 
 ANSWERS_READ_SHA256 = (
-    "ea97a8c4c403f076b34983255cbcbf288a5391fb5c0498b25ddf6ecd24eb9eb1"
+    "d619571b98d257951d8090fc8e4b9ace388b63613a45fb451c449c18f280f6d1"
 )
 
 
@@ -249,13 +249,21 @@ def test_a_fragment_of_several_elements_drops_no_wrapper():
 
 
 def test_appended_text_is_unescaped_and_merged():
+    """Text written as the serializer writes it is an ``AppendText``. Any
+    other text is no edit's ``render``, so it is parsed: the ``Replace``
+    gives the same element."""
     snippet = "<h2>a &amp; b</h2>"
-    proposal = parse_fix(respond("<h2>a &amp; b &lt;c&gt; &amp &copy</h2>"),
-                         snippet=snippet)
-    assert proposal.edit == AppendText(" <c> & \xa9")
-    el = parse_fragment_element(snippet)
-    proposal.apply_to(el)
-    assert el.children == [dom.Text("a & b <c> & \xa9")]
+    canonical = parse_fix(respond("<h2>a &amp; b &amp; b &lt;c&gt;</h2>"),
+                          snippet=snippet)
+    assert canonical.edit == AppendText(" & b <c>")
+    loose = parse_fix(respond("<h2>a &amp; b &lt;c&gt; &amp &copy</h2>"),
+                      snippet=snippet)
+    assert isinstance(loose.edit, Replace)
+    for proposal, text in [(canonical, "a & b & b <c>"),
+                           (loose, "a & b <c> & \xa9")]:
+        el = parse_fragment_element(snippet)
+        proposal.apply_to(el)
+        assert el.children == [dom.Text(text)]
 
 
 def test_without_a_snippet_every_answer_is_parsed():

@@ -16,6 +16,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from accessfix import dom, rules
 from accessfix.corrector import APPLIED, correct_document
@@ -26,6 +27,7 @@ from accessfix.prompts import (AppendText, StartTag, WrapBody, WrapChildren,
 from accessfix.providers import (HeuristicProvider, ProviderConfig,
                                  RemoteProvider, ReplayProvider, heuristic_fix,
                                  request_hash)
+from test_start_tag_fixes import tag_soup
 
 REPO = Path(__file__).resolve().parents[1]
 LIMIT = dom.SNIPPET_LIMIT
@@ -46,7 +48,10 @@ def cut(snippet: str) -> bool:
 
 
 def respond(answer: str) -> str:
-    return f"Thought: t\nCORRECTED: `{answer}`"
+    fence = "`"
+    while fence in answer:
+        fence += "`"
+    return f"Thought: t\nCORRECTED: {fence}{answer}{fence}"
 
 
 @pytest.mark.parametrize("html, expected", [
@@ -194,24 +199,61 @@ def test_an_answer_to_a_start_tag_is_never_parsed(snippet, answer):
 WHOLE = '<div id="k" class="c">t <b>x</b></div>'
 
 
+def admits(edit, snippet: str) -> bool:
+    """Whether ``parse_fix`` reads ``edit.render(snippet)`` as ``edit``:
+    a rename keeps the tag or goes between tags that parse alike, a
+    wrapper parses alike, and the element whose children are wrapped
+    parses alike, or on a cut snippet is neither a ``p`` nor raw text."""
+    old, content = dom.split_element(snippet)
+    if isinstance(edit, StartTag):
+        return edit.tag == old.tag or (dom.parses_alike(edit.tag)
+                                       and dom.parses_alike(old.tag))
+    if isinstance(edit, WrapSelf):
+        return dom.parses_alike(edit.tag)
+    if isinstance(edit, WrapChildren):
+        return dom.parses_alike(edit.tag) and (
+            dom.parses_alike(old.tag) if content is not None
+            else old.tag != "p" and old.tag not in dom.RAW_TEXT_ELEMENTS)
+    return (old.tag not in dom.VOID_ELEMENTS
+            and old.tag not in dom.RAW_TEXT_ELEMENTS)
+
+
+def whole_and_cut(html: str) -> list:
+    """The whole snippets that the audit of ``html`` emits, and each such
+    snippet of a non-void element cut to its start tag."""
+    whole = [v.html_snippet for v in rules.audit(dom.parse_html(html))
+             if not cut(v.html_snippet)]
+    return whole + [dom.snippet_parts(snippet)[0] for snippet in whole
+                    if dom.snippet_parts(snippet)[2]]
+
+
 @pytest.mark.parametrize("edit", [
     StartTag("div", ATTRS + (("role", "none"),)), StartTag("span", ()),
     WrapChildren("section", (("aria-label", 'a "b"'),)),
     WrapSelf("main", (("id", "m"),)),
     AppendText("a < b & c"),
 ])
-def test_each_opening_form_reads_back_as_its_edit(edit):
-    """An edit's ``render`` of a snippet cut to its start tag (its opening
-    form) and of a whole snippet reads back as the edit, and the edit run
-    on the snippet parsed gives the answer parsed. Appended text has no
-    opening form: a cut snippet shows no content."""
-    snippets = [WHOLE] if isinstance(edit, AppendText) else [CUT, WHOLE]
-    for snippet in snippets:
+@settings(max_examples=100, deadline=None)
+@given(tag_soup)
+def test_each_opening_form_reads_back_as_its_edit(edit, html):
+    """An edit's ``render`` of a snippet, whole or cut to its start tag (its
+    opening form), reads back as the edit exactly where the edit keeps the
+    parse, and the edit run on the snippet parsed then gives the answer
+    parsed. Appended text has no opening form: a cut snippet shows no
+    content."""
+    for snippet in [CUT, WHOLE] + whole_and_cut(html):
+        if isinstance(edit, AppendText) and cut(snippet):
+            continue
         answer = edit.render(snippet)
-        assert parse_fix(respond(answer), snippet=snippet).edit == edit
-        el = dom.parse_fragment_element(snippet)
-        edit(el)
-        assert el == dom.parse_fragment_element(answer), snippet
+        try:
+            read = parse_fix(respond(answer), snippet=snippet).edit
+        except UnparseableResponseError:
+            read = None
+        assert (read == edit) == admits(edit, snippet), (snippet, answer)
+        if read == edit:
+            el = dom.parse_fragment_element(snippet)
+            edit(el)
+            assert el == dom.parse_fragment_element(answer), (snippet, answer)
 
 
 def test_the_root_wrap_of_a_long_page_reads_back():
