@@ -202,8 +202,9 @@ WHOLE = '<div id="k" class="c">t <b>x</b></div>'
 def admits(edit, snippet: str) -> bool:
     """Whether ``parse_fix`` reads ``edit.render(snippet)`` as ``edit``:
     a rename keeps the tag or goes between tags that parse alike, a
-    wrapper parses alike, and the element whose children are wrapped
-    parses alike, or on a cut snippet is neither a ``p`` nor raw text."""
+    wrapper parses alike, the element whose children are wrapped parses
+    alike, or on a cut snippet is neither a ``p`` nor raw text, and text
+    is appended only to an element neither void nor raw text."""
     old, content = dom.split_element(snippet)
     if isinstance(edit, StartTag):
         return edit.tag == old.tag or (dom.parses_alike(edit.tag)
