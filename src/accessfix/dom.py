@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from html import unescape
 from typing import NamedTuple, Optional, Union
 
-from .errors import (InvalidFragmentError, InvalidSnippetError,
-                     StaleLocatorError)
+from .errors import InvalidFragmentError, StaleLocatorError
 
 VOID_ELEMENTS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -363,7 +362,7 @@ def split_element(html: str) -> Optional[tuple]:
 
 def serialize_node(node: Node) -> str:
     """Canonical serialization of a node and its subtree."""
-    return _serialize(node, normalized=False)
+    return _serialize(node)
 
 
 SNIPPET_LIMIT = 300  # longest outer HTML a snippet holds whole
@@ -374,7 +373,7 @@ def snippet(el: Element) -> str:
     canonical outer HTML when that is at most ``SNIPPET_LIMIT`` characters,
     else its start tag alone. Serialization stops once it passes the limit,
     so a snippet costs O(``SNIPPET_LIMIT``) beyond the start tag."""
-    html = _serialize(el, False, SNIPPET_LIMIT)
+    html = _serialize(el, SNIPPET_LIMIT)
     return start_tag(el.tag, el.attrs.items()) if html is None else html
 
 
@@ -411,41 +410,20 @@ def _node_type(node) -> type:
     raise TypeError(f"cannot serialize a {type(node).__name__} node")
 
 
-def _serialize(node: Node, normalized: bool,
-               limit: Optional[int] = None) -> Optional[str]:
-    """Serialize with an explicit stack of nodes and pending end tags; a
-    ``str`` on the stack is written as it is.
+def _serialize(node: Node, limit: Optional[int] = None) -> Optional[str]:
+    """The canonical form of ``node`` and its subtree, written with an
+    explicit stack of nodes and pending end tags; a ``str`` on the stack is
+    written as it is.
 
-    The normalized form sorts attributes, collapses whitespace in text, and
-    drops comments, doctypes and whitespace-only text. Text under script or
-    style is written unescaped. With a ``limit``, the canonical form is
-    None once it is longer than ``limit`` characters, and no node after
-    the one that passed it is visited.
+    Text under script or style is written unescaped, and a void element
+    gets no end tag and no children. With a ``limit``, the result is None
+    once it is longer than ``limit`` characters, and no node after the one
+    that passed it is visited.
     """
     parts = []
     append = parts.append
     stack = [node]
     pop, push = stack.pop, stack.extend
-    if normalized:
-        while stack:
-            node = pop()
-            kind = _node_type(node)
-            if kind is Element:
-                tag = node.tag
-                append(start_tag(tag, sorted(node.attrs.items())))
-                if tag in VOID_ELEMENTS:
-                    continue
-                stack.append(f"</{tag}>")
-                if tag in RAW_TEXT_ELEMENTS:
-                    push([" ".join(kid.data.split()) if isinstance(kid, Text)
-                          else kid for kid in reversed(node.children)])
-                else:
-                    push(reversed(node.children))
-            elif kind is Text:
-                append(escape_text(" ".join(node.data.split())))
-            elif kind is str:
-                append(node)
-        return "".join(parts)
     size = 0  # characters written, counted only with a limit
     while stack:
         node = pop()
@@ -522,11 +500,6 @@ def preorder(root: Element) -> Preorder:
     return Preorder(elements, parent, slot, end)
 
 
-def normalized_outer_html(el: Element) -> str:
-    """Comparison form: sorted attrs, collapsed whitespace, no comments."""
-    return _serialize(el, normalized=True)
-
-
 @dataclass(frozen=True)
 class NodeLocator:
     index: int  # pre-order position of the element in the document
@@ -552,17 +525,12 @@ def resolve(doc: DomDocument, loc: NodeLocator) -> Element:
 
 
 def find_by_snippet(doc: DomDocument, html: str) -> list:
-    """Locate all elements whose normalized outer HTML equals that of the
-    element ``html`` parses to."""
-    try:
-        target = normalized_outer_html(parse_fragment_element(html))
-    except InvalidFragmentError as exc:
-        raise InvalidSnippetError(str(exc)) from exc
-    found = []
-    for i, el in enumerate(preorder(doc.root).elements):
-        if normalized_outer_html(el) == target:
-            found.append(NodeLocator(i, snippet(el)))
-    return found
+    """A ``NodeLocator`` for each element of ``doc`` whose ``snippet`` is
+    exactly ``html``, in document order: ``locate`` at every index of one
+    walk."""
+    elements = preorder(doc.root).elements
+    return [NodeLocator(i, html) for i in range(len(elements))
+            if locate(elements, i, html) is not None]
 
 
 def replace_node(el: Element, replacement: Element) -> None:

@@ -5,10 +5,6 @@ class AccessfixError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidSnippetError(AccessfixError):
-    """A snippet did not parse to exactly one element."""
-
-
 class InvalidFragmentError(AccessfixError):
     """A replacement fragment did not parse to exactly one element;
     ``elements`` is how many top-level elements it parsed to, when it

@@ -3,19 +3,24 @@ functions and methods by name; each must exist, or a traced run breaks."""
 
 import ast
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-from accessfix import harness
+from hypothesis import given, settings
+
+from accessfix import dom, harness, rules
 from accessfix.prompts import FixProposal
 from accessfix.providers import HeuristicProvider, ReplayProvider
+from test_start_tag_fixes import tag_soup
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "perfbench" / "run.py"
 # Kept in ``dom`` only because the tracer names them; nothing else uses them.
-TRACER_ONLY = {"NodeLocator", "resolve", "find_by_snippet",
-               "normalized_outer_html"}
+TRACER_ONLY = {"NodeLocator", "resolve", "find_by_snippet"}
 
 
 def load(monkeypatch, name, path):
@@ -53,6 +58,60 @@ def test_only_dom_uses_the_helpers_kept_for_the_tracer():
             if name in TRACER_ONLY:
                 used.setdefault(path.name, set()).add(name)
     assert used == {}
+
+
+def assert_tracer_names_find_the_audited_elements(html) -> int:
+    """Each violation of ``html``'s audit is found by ``find_by_snippet``
+    with its snippet, and ``resolve`` gives the element that ``locate``
+    gives; the number of violations checked."""
+    doc = dom.parse_html(html)
+    elements = dom.preorder(doc.root).elements
+    violations = rules.audit(doc)
+    for v in violations:
+        found = dom.find_by_snippet(doc, v.html_snippet)
+        assert v.index in [loc.index for loc in found], (v.rule_id, v.index)
+        el = dom.locate(elements, v.index, v.html_snippet)
+        assert el is not None
+        assert dom.resolve(doc, dom.NodeLocator(v.index, v.html_snippet)) is el
+    return len(violations)
+
+
+def test_tracer_names_find_each_audited_element_by_its_snippet(
+        corpus_paths, rules_dir, rules_manifest):
+    """The helpers kept for the tracer and the live path agree on which
+    element a violation names, over the corpus and the rule fixtures."""
+    corpus = sum(assert_tracer_names_find_the_audited_elements(
+        Path(path).read_text("utf-8")) for path in corpus_paths)
+    assert corpus == 171
+    for name in sorted(rules_manifest):
+        assert_tracer_names_find_the_audited_elements(
+            (rules_dir / name).read_text("utf-8"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tag_soup)
+def test_tracer_names_find_each_audited_element_on_tag_soup(html):
+    assert_tracer_names_find_the_audited_elements(html)
+
+
+def test_a_traced_benchmark_run_is_correct(tmp_path):
+    """``perfbench/run.py --trace 1`` on ``wide_fix``, run from a copy of
+    ``src/`` and ``perfbench/`` so that its output stays out of the
+    checkout: it exits 0, is correct, fails no page, and reports the
+    tracer-kept helpers as never run and no locator as stale."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "wide_fix",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    metrics = report["metrics"]
+    assert metrics["dom.find_by_snippet.calls"]["value"] == 0
+    assert metrics["dom.resolve.stale_ratio"]["value"] == 0
 
 
 class Parsed(HeuristicProvider):

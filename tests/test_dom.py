@@ -1,11 +1,7 @@
 import pytest
 
 from accessfix import dom
-from accessfix.errors import (
-    InvalidFragmentError,
-    InvalidSnippetError,
-    StaleLocatorError,
-)
+from accessfix.errors import InvalidFragmentError, StaleLocatorError
 
 
 def test_parse_minimal_document():
@@ -102,10 +98,14 @@ def test_split_element_takes_only_a_canonical_start_tag(html):
     assert dom.split_element(html) is None
 
 
-def test_find_by_snippet_normalizes_case_order_whitespace():
+def test_find_by_snippet_finds_only_the_canonical_snippet():
+    """An element is found by its snippet as written, not by another
+    spelling of the same element."""
     doc = dom.parse_html('<img src="x.png" alt="logo">')
-    found = dom.find_by_snippet(doc, '<IMG ALT="logo"  SRC="x.png" >')
-    assert len(found) == 1
+    found = dom.find_by_snippet(doc, '<img src="x.png" alt="logo">')
+    assert [dom.resolve(doc, loc).tag for loc in found] == ["img"]
+    assert dom.find_by_snippet(doc, '<IMG ALT="logo"  SRC="x.png" >') == []
+    assert dom.find_by_snippet(doc, '<img alt="logo" src="x.png">') == []
 
 
 def test_find_by_snippet_no_match_is_empty():
@@ -124,18 +124,21 @@ def test_find_by_snippet_agrees_with_brute_force(corpus_dir, corpus_manifest):
     name = sorted(corpus_manifest)[0]
     doc = dom.parse_html((corpus_dir / name).read_text("utf-8"))
     snippet = '<a href="/home">Home</a>'
-    target = dom.normalized_outer_html(dom.parse_fragment_element(snippet))
     expected = [
         i for i, el in enumerate(dom.preorder(doc.root).elements)
-        if dom.normalized_outer_html(el) == target
+        if dom.snippet(el) == snippet
     ]
-    assert [loc.index for loc in dom.find_by_snippet(doc, snippet)] == expected
+    assert expected
+    found = dom.find_by_snippet(doc, snippet)
+    assert [loc.index for loc in found] == expected
+    assert {loc.snippet for loc in found} == {snippet}
 
 
 def test_find_by_snippet_rejects_multi_element_snippet():
-    doc = dom.parse_html("<p>hi</p>")
-    with pytest.raises(InvalidSnippetError):
-        dom.find_by_snippet(doc, "<p>a</p><p>b</p>")
+    """No element's snippet is several elements, so none is found."""
+    doc = dom.parse_html("<p>a</p><p>b</p>")
+    assert dom.find_by_snippet(doc, "<p>a</p><p>b</p>") == []
+    assert len(dom.find_by_snippet(doc, "<p>a</p>")) == 1
 
 
 def test_replace_node_changes_only_target_subtree():

@@ -3,8 +3,8 @@
 ``reference_serialize``, ``reference_preorder`` and ``reference_index`` are
 the serializer, the pre-order walk and the audit index build as they were
 before their per-node loops were rewritten, copied verbatim apart from the
-names they call. Every output must stay byte for byte the same: both
-serialization forms of each element, every ``Preorder`` list, and every
+names they call. Every output must stay byte for byte the same: the
+canonical serialization of each element, every ``Preorder`` list, and every
 ``_Index`` fact. Each checker's candidate list in the index is checked
 against the filter of every element that it replaced.
 """
@@ -42,7 +42,7 @@ def reference_start_tag(tag: str, attrs) -> str:
     return text + ">"
 
 
-def reference_serialize(node, normalized: bool) -> str:
+def reference_serialize(node) -> str:
     parts = []
     stack = [(node, False)]  # (node or end tag, parent is raw text)
     while stack:
@@ -50,18 +50,14 @@ def reference_serialize(node, normalized: bool) -> str:
         if isinstance(node, str):
             parts.append(node)
         elif isinstance(node, Text):
-            data = " ".join(node.data.split()) if normalized else node.data
+            data = node.data
             parts.append(data if raw else reference_escape_text(data))
-        elif normalized and isinstance(node, (Comment, Doctype)):
-            continue
         elif isinstance(node, Comment):
             parts.append(f"<!--{node.data}-->")
         elif isinstance(node, Doctype):
             parts.append(f"<!{node.data}>")
         else:
-            attrs = node.attrs.items()
-            parts.append(reference_start_tag(
-                node.tag, sorted(attrs) if normalized else attrs))
+            parts.append(reference_start_tag(node.tag, node.attrs.items()))
             if node.tag in VOID_ELEMENTS:
                 continue
             stack.append((f"</{node.tag}>", False))
@@ -174,9 +170,7 @@ def assert_kernels_agree(doc):
     for i, el in enumerate(pre.elements):
         if i and pre.end[i] - i > SUBTREE_LIMIT:
             continue  # deep pages would cost the square of their depth
-        for normalized in (False, True):
-            assert dom._serialize(el, normalized) == \
-                reference_serialize(el, normalized), (i, normalized)
+        assert dom._serialize(el) == reference_serialize(el), i
 
 
 def test_kernels_agree_on_the_corpus_and_the_rule_fixtures(
@@ -275,11 +269,10 @@ def test_node_subclasses_serialize_and_walk_as_their_base():
     assert rules._Index.build(doc, {}).has_text[2]
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_a_foreign_node_is_a_type_error_naming_it(normalized):
+def test_a_foreign_node_is_a_type_error_naming_it():
     class Widget:
         tag, attrs, children = "w", {}, []
 
     tree = Element("div", {}, [Text("a"), Widget()])
     with pytest.raises(TypeError, match="Widget"):
-        dom._serialize(tree, normalized)
+        dom._serialize(tree)

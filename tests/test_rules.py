@@ -530,9 +530,9 @@ def test_audit_serializes_each_flagged_element_once(
     calls = []
     serialize = dom._serialize
 
-    def counting(node, normalized, limit=None):
+    def counting(node, limit=None):
         calls.append(node)
-        return serialize(node, normalized, limit)
+        return serialize(node, limit)
 
     monkeypatch.setattr(dom, "_serialize", counting)
     pages = [(name, (corpus_dir / name).read_text("utf-8"))
