@@ -84,19 +84,10 @@ def _linearize(channel: int) -> float:
     return s / 12.92 if s <= 0.03928 else ((s + 0.055) / 1.055) ** 2.4
 
 
-# _linearize of every 8-bit channel value, read by relative_luminance and by
-# the contrast fix's search.
-LINEAR = tuple(_linearize(channel) for channel in range(256))
-
-
 def relative_luminance(c: RgbColor) -> float:
-    """WCAG 2 relative luminance; 0.0 for black, 1.0 for white. Integer
-    channels read ``LINEAR``; any other channel value is linearized."""
-    r, g, b = c.r, c.g, c.b
-    if type(r) is int and type(g) is int and type(b) is int:
-        return 0.2126 * LINEAR[r] + 0.7152 * LINEAR[g] + 0.0722 * LINEAR[b]
-    return (0.2126 * _linearize(r) + 0.7152 * _linearize(g)
-            + 0.0722 * _linearize(b))
+    """WCAG 2 relative luminance; 0.0 for black, 1.0 for white."""
+    return (0.2126 * _linearize(c.r) + 0.7152 * _linearize(c.g)
+            + 0.0722 * _linearize(c.b))
 
 
 def composite_over(fg: RgbColor, bg: RgbColor) -> RgbColor:

@@ -49,6 +49,8 @@ def apply_fix(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
         p.apply_to(el)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
+    except NoRecipeError as exc:
+        return CorrectionRecord(v, p, NO_RECIPE, str(exc))
     return CorrectionRecord(v, p, APPLIED)
 
 

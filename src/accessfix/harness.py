@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import corrector, dom, rules, scoring
+from . import corrector, dom, prompts, rules, scoring
 from .errors import ConfigError, SchemaError
 from .providers import HeuristicProvider, Transcript, request_hash
 from .scoring import AuditReport, BenchmarkResult, fmt2, fmt3
@@ -152,12 +152,14 @@ class PageRun:
 def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
               impacts=None, thresholds=None, weights=None, workers: int = 1):
     """Yield a PageRun per entry, in entry order, as each is done; without a
-    provider a page is only audited and scored. A bad ruleset or a worker
-    count below 1 raises before the first page; a page that fails yields a
-    PageRun with ``error`` set."""
+    provider a page is only audited and scored. A bad ruleset, a worker
+    count below 1 or, with a provider, an unknown strategy raises before
+    the first page; a page that fails yields a PageRun with ``error`` set."""
     ruleset = rules.check_ruleset(ruleset)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if provider is not None and strategy not in prompts.STRATEGIES:
+        raise ValueError(f"unknown strategy: {strategy}")
 
     def audit(doc, source_id):
         violations = rules.audit(doc, ruleset, web_url=source_id,

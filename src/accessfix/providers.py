@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .colors import LINEAR, RgbColor, relative_luminance
+from .colors import RgbColor, contrast_ratio, relative_luminance
 from .dom import (P_CLOSERS, RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element,
                   is_cut, split_element)
 from .errors import (
@@ -401,36 +401,25 @@ def rescale_for_contrast(fg: RgbColor, bg: RgbColor, threshold: float) -> RgbCol
     """Move the foreground toward black or white (whichever can reach a higher
     ratio) until the contrast exceeds threshold + 0.05; hue is preserved by
     scaling all channels uniformly. Binary search, <= 20 iterations, run once
-    per (fg, bg, threshold) among the last 256: the result is immutable.
-
-    Each step works on the rounded channel integers and reads their
-    luminance from ``colors.LINEAR``; the float operations and their order
-    are those of ``contrast_ratio`` on an ``RgbColor``, so the result is the
-    same colour."""
+    per (fg, bg, threshold) among the last 256: the result is immutable."""
     target = threshold + 0.05
     bg_lum = relative_luminance(bg)
     toward_white = (1.05 / (bg_lum + 0.05)) > ((bg_lum + 0.05) / 0.05)
-    r, g, b = fg.r, fg.g, fg.b
+    channels = fg.r, fg.g, fg.b
 
     def scaled(t):
         if toward_white:
-            return (round(r + (255 - r) * t), round(g + (255 - g) * t),
-                    round(b + (255 - b) * t))
-        return round(r * (1 - t)), round(g * (1 - t)), round(b * (1 - t))
-
-    def ratio(channels):
-        cr, cg, cb = channels
-        lum = 0.2126 * LINEAR[cr] + 0.7152 * LINEAR[cg] + 0.0722 * LINEAR[cb]
-        return (max(lum, bg_lum) + 0.05) / (min(lum, bg_lum) + 0.05)
+            return RgbColor(*(round(c + (255 - c) * t) for c in channels))
+        return RgbColor(*(round(c * (1 - t)) for c in channels))
 
     lo, hi = 0.0, 1.0
     for _ in range(20):
         mid = (lo + hi) / 2
-        if ratio(scaled(mid)) >= target:
+        if contrast_ratio(scaled(mid), bg) >= target:
             hi = mid
         else:
             lo = mid
-    return RgbColor(*scaled(hi))
+    return scaled(hi)
 
 
 def _fix_color_contrast(el, v):

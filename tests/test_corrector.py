@@ -180,6 +180,35 @@ def test_fragment_error_while_proposing_fails_only_that_fix():
     assert "exactly one element" in page.records[-1].detail
 
 
+def test_an_edit_without_a_recipe_at_its_turn_fails_only_that_fix():
+    """An earlier fix renamed the body, so the root's main wrap finds no
+    body when it is applied: that fix is recorded as no_recipe, and the
+    rest of the page is corrected. The page is over 300 characters, so the
+    root and body snippets are cut to their start tags and the wrap runs
+    only when it is applied."""
+    page = ("<html><body>" + "".join(f"<p>para {i} text</p>" for i in range(30))
+            + "</body></html>")
+
+    class RenamesBody:
+        provider_id = "stub"
+
+        def propose(self, bundle, violation=None):
+            if violation.rule_id == "region":
+                assert violation.html_snippet == "<body>"
+                return prompts.parse_fix("CORRECTED: `<div>`", self.provider_id,
+                                         violation.html_snippet)
+            return heuristic_fix(violation)
+
+    [run] = run_pages([CorpusEntry("f", page)], RenamesBody())
+    assert run.error == ""
+    assert [(r.violation.rule_id, r.outcome, r.detail) for r in run.records] \
+        == [("html-has-lang", APPLIED, ""),
+            ("landmark-one-main", NO_RECIPE, "document has no body to wrap"),
+            ("region", APPLIED, "")]
+    assert run.corrected_html.startswith('<html lang="en"><head></head><div>')
+    assert "<main" not in run.corrected_html
+
+
 @pytest.mark.parametrize("html", [
     # An extra main with role="main" became a section that is still a main.
     '<main>a</main><div role="main">b</div>',

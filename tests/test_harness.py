@@ -253,6 +253,16 @@ def test_run_benchmark_rejects_an_unknown_rule_before_any_page(corpus_paths):
         run_benchmark(entries, HeuristicProvider(), ruleset=("nope",))
 
 
+def test_run_pages_rejects_an_unknown_strategy_before_any_page():
+    pages = run_pages([CorpusEntry("f", "<p>x</p>")], HeuristicProvider(),
+                      strategy="zero_shot")
+    with pytest.raises(ValueError, match="unknown strategy: zero_shot"):
+        next(pages)
+    # Without a provider no prompt is built, so the strategy is not read.
+    [run] = run_pages([CorpusEntry("f", "<p>x</p>")], strategy="zero_shot")
+    assert run.error == ""
+
+
 def test_link_name_fix_adds_no_region_violation():
     # Text added to the link would sit outside every landmark.
     page = '<html lang="en"><body><div>intro</div><a href="/x"></a></body></html>'
