@@ -59,10 +59,10 @@ _CONTEXT_TAGS = (VOID_ELEMENTS | RAW_TEXT_ELEMENTS | {"textarea", "title", "p"}
 
 
 def parses_alike(tag: str) -> bool:
-    """Whether ``tag`` parses any canonical content to the same children as
-    every other such tag does, and no such tag's start tag closes it. A
-    canonical element may then be renamed between such tags, or wrapped in
-    one, as a string."""
+    """Whether ``tag`` reads the serialized children of any element that a
+    parse gave, raw text aside, as a ``<div>`` does, and none of their
+    start tags closes it: an element may be renamed into such a tag, or
+    wrapped in one, as a string (``prompts._edits``)."""
     return tag not in _CONTEXT_TAGS
 
 

@@ -346,17 +346,17 @@ def _edits(answer: str, snippet: str, old: Element, content):
     answer's first one or two canonical start tags name. ``old`` and
     ``content`` are ``dom.split_element(snippet)``. Each edit, run on the
     element, gives the element that parsing its ``render(snippet)`` gives,
-    so only edits that keep the parse are named:
+    so only edits that keep the parse are named. ``dom.parses_alike`` is
+    asked only of a tag that the answer writes; the snippet's tag, itself
+    a parse, is checked only for what it is:
 
-    - a ``StartTag`` of the first tag, if it is kept or both tags
-      ``dom.parses_alike``;
+    - a ``StartTag`` of the first tag, if it is kept, or if it parses
+      alike and the snippet's tag is not raw text;
     - a ``WrapSelf`` in the first tag, if it parses alike;
     - if the first tag is the snippet's own:
       - a ``WrapChildren`` in the second tag, if that parses alike and
-        the snippet's tag does too; on a snippet cut to its start tag,
-        whose content is not written, the snippet's tag need only be
-        neither a ``p``, which the new start tag would close, nor raw
-        text;
+        the snippet's tag is neither a ``p``, which the new start tag
+        would close, raw text nor void;
       - on an ``html`` snippet cut to its start tag, a ``WrapBody`` of
         the attributes of the start tag after a ``<body>``;
       - on a whole snippet of an element neither void nor raw text, an
@@ -368,8 +368,8 @@ def _edits(answer: str, snippet: str, old: Element, content):
         return
     new, opened = split
     attrs = tuple(new.attrs.items())
-    if new.tag == old.tag or (parses_alike(new.tag)
-                              and parses_alike(old.tag)):
+    markup = old.tag not in RAW_TEXT_ELEMENTS
+    if new.tag == old.tag or (parses_alike(new.tag) and markup):
         yield StartTag(new.tag, attrs)
     if parses_alike(new.tag):
         yield WrapSelf(new.tag, attrs)
@@ -377,20 +377,18 @@ def _edits(answer: str, snippet: str, old: Element, content):
     # canonical start tag ends at its one ">".
     if not snippet.startswith(answer[:opened]):
         return
+    holds = markup and old.tag not in VOID_ELEMENTS
     inner = split_start(answer, opened)
     if inner is not None:
         wrapper, stop = inner
-        if parses_alike(wrapper.tag) and (
-                parses_alike(old.tag) if content is not None
-                else old.tag != "p" and old.tag not in RAW_TEXT_ELEMENTS):
+        if holds and old.tag != "p" and parses_alike(wrapper.tag):
             yield WrapChildren(wrapper.tag, tuple(wrapper.attrs.items()))
         if content is None and old.tag == "html" \
                 and answer[opened:stop] == "<body>":
             main = split_start(answer, stop)
             if main is not None:
                 yield WrapBody("main", tuple(main[0].attrs.items()))
-    if content is not None and old.tag not in VOID_ELEMENTS \
-            and old.tag not in RAW_TEXT_ELEMENTS:
+    if content is not None and holds:
         end = len(old.tag) + 3  # the length of the end tag
         rest = answer[len(snippet) - end:len(answer) - end]
         if "<" not in rest:
@@ -412,7 +410,8 @@ def parse_fix(raw_response: str, provider_id: str = "",
     hand over an element without the children that the model did not see.
     The model saw no content, so its answer changes none: failing a
     rendered form, it is a ``StartTag`` of its first start tag, whatever
-    follows that.
+    follows that, if ``_edits`` names one: a cut ``<script>`` renamed, or
+    a rename into ``li``, is still refused.
     A fragment after ``CORRECTED:`` or in a fence that parses as more than
     one element, and nothing else, holds no candidate: a balanced element
     inside it would drop the rest of the model's answer. Never raises on

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -47,8 +48,15 @@ class ProviderConfig:
             raise ConfigError("remote provider requires endpoint_url and model_name")
         if self.kind == "replay" and not self.transcript_path:
             raise ConfigError("replay provider requires a transcript path")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        # Each comparison is False for NaN.
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be a finite number >= 0")
+        if not 0 < self.request_timeout < math.inf:
+            raise ConfigError("request_timeout must be a finite number > 0")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        if not math.isfinite(self.min_interval):
+            raise ConfigError("min_interval must be a finite number")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.max_in_flight < 1:

@@ -152,7 +152,7 @@ def _text_of(el: Element) -> str:
         node = stack.pop()
         if isinstance(node, Text):
             parts.append(node.data)
-        elif isinstance(node, Element) and node.tag not in ("script", "style"):
+        elif isinstance(node, Element) and node.tag not in _HIDDEN:
             stack.extend(reversed(node.children))
     return "".join(parts)
 

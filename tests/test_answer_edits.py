@@ -14,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 
 from accessfix import dom, providers, rules
-from accessfix.corrector import APPLIED, PARSE_FAILED, correct_document
+from accessfix.corrector import (APPLIED, PARSE_FAILED, PROVIDER_FAILED,
+                                 correct_document)
 from accessfix.errors import UnparseableResponseError
 from accessfix.dom import parse_fragment_element, serialize_node, start_tag
+from accessfix.harness import CorpusEntry, build_replay_transcript, run_pages
 from accessfix.prompts import (AppendText, FixProposal, Replace, StartTag,
                                WrapChildren, WrapSelf, parse_fix)
-from accessfix.providers import ProviderConfig, RemoteProvider, heuristic_fix
+from accessfix.providers import (HeuristicProvider, ProviderConfig,
+                                 RemoteProvider, ReplayProvider, heuristic_fix)
 from test_start_tag_fixes import corrected, tag_soup
 
 # Tags that parse their content alike, and tags that do not: void, raw
@@ -151,7 +154,7 @@ def answer_rows(pages) -> list:
 
 
 ANSWERS_READ_SHA256 = (
-    "d619571b98d257951d8090fc8e4b9ace388b63613a45fb451c449c18f280f6d1"
+    "7e67af6bb56fe50091a26683a8f5cf9c33f9d541d5f25ef04e93b1267f6cc818"
 )
 
 
@@ -187,10 +190,13 @@ def test_tag_soup_answers_apply_as_their_parse(html):
 @pytest.mark.parametrize("new", ALIKE + UNALIKE)
 @pytest.mark.parametrize("old", ["div", "section", "p", "li", "td"])
 def test_a_rename_is_an_edit_when_both_tags_parse_alike(old, new):
+    """Or when the new tag does: the old one is only the element's own
+    parse, whose content a tag that parses alike reads as a ``<div>``
+    does."""
     snippet = f'<{old} id="k">a<b>b</b></{old}>'
     answer = f'<{new} id="k">a<b>b</b>{end_tag(new)}'
     edit = parse_fix(respond(answer), snippet=snippet).edit
-    alike = old == new or (dom.parses_alike(old) and dom.parses_alike(new))
+    alike = old == new or dom.parses_alike(new)
     assert isinstance(edit, StartTag) == alike
     assert alike or isinstance(edit, Replace)
 
@@ -213,7 +219,7 @@ SNIPPET = '<div id="k">x<b>y</b></div>'
     (SNIPPET, '<div id="k">x<b>y</b>tail<i>i</i></div>'),
     (SNIPPET, '<div id="k"><p>x<b>y</b></p></div>'),
     ('<span id="k">x</span>', '<p><span id="k">x</span></p>'),
-    ('<li id="k">x</li>', '<li id="k"><span>x</span></li>'),
+    ('<li id="k">x</li>', '<li id="k"><td>x</td></li>'),
     ("<script>x<y</script>", "<script>x<y z</script>"),
 ], ids=["into-p", "into-li", "into-td", "into-option", "into-script",
         "into-textarea", "spaced-start-tag", "single-quotes", "upper-case",
@@ -225,6 +231,26 @@ def test_answers_that_are_parsed(snippet, answer):
     assert proposal.corrected_html == answer
     assert isinstance(proposal.edit, Replace)
     assert proposal.edit.element is not None
+
+
+@pytest.mark.parametrize(
+    "old", [tag for tag in ALIKE + UNALIKE if tag not in dom.VOID_ELEMENTS])
+def test_a_children_wrap_is_an_edit_unless_a_p_or_raw_text_is_wrapped(old):
+    """A wrapper that parses alike reads the element's content as its own;
+    only a ``<p>``, which the wrapper's start tag closes, and raw text,
+    which is not markup, read it otherwise."""
+    snippet = f'<{old} id="k">a<b>b</b></{old}>'
+    answer = f'<{old} id="k"><section>a<b>b</b></section></{old}>'
+    try:
+        edit = parse_fix(respond(answer), snippet=snippet).edit
+    except UnparseableResponseError:
+        edit = None
+    wraps = old != "p" and old not in dom.RAW_TEXT_ELEMENTS
+    assert (edit == WrapChildren("section", ())) == wraps
+    if wraps:
+        el = parse_fragment_element(snippet)
+        edit(el)
+        assert el == parse_fragment_element(answer)
 
 
 def test_a_fragment_of_several_elements_drops_no_wrapper():
@@ -292,23 +318,71 @@ def test_a_proposal_made_without_an_edit_replaces():
     assert el == dom.Element("img", {"alt": "a"})
 
 
+# Pages whose heuristic answers rename a <p> (an extra main, a landmark
+# nested in <main>, a heading out of order) or wrap the children of an <li>,
+# a <td> or an <option> (stray text), each with a whole snippet and with one
+# cut to its start tag by a text longer than dom.SNIPPET_LIMIT.
+RENAMED_OR_WRAPPED = [
+    '<html lang="en"><head><title>t</title></head><body>'
+    + body.format(text) + "</body></html>"
+    for body in [
+        '<main>a</main><p role="main">{}</p>',
+        '<main><p role="banner">{}</p></main>',
+        '<main><h1>a</h1><p role="heading" aria-level="4">{}</p></main>',
+        "<main>m</main><ul><li>{}</li></ul>",
+        "<main>m</main><table><tr><td>{}</td></tr></table>",
+        '<main>m</main><select aria-label="s"><option>{}</option></select>',
+    ]
+    for text in ["x", "w" * dom.SNIPPET_LIMIT]
+]
+
+
 def test_heuristic_answers_replay_as_the_same_edits(corpus_paths,
                                                     composed_pages):
     """A heuristic answer, read back by ``parse_fix`` with its snippet, is
-    the edit value that the recipe made, except for the root wrap."""
+    the edit value that the recipe made, except for the root wrap of a
+    whole page, which is rendered by a parse."""
     pages = [Path(path).read_text("utf-8") for path in corpus_paths]
-    pages += [html for _, html in composed_pages]
-    compared = 0
+    pages += [html for _, html in composed_pages] + RENAMED_OR_WRAPPED
+    compared, shapes = 0, set()
     for html in pages:
         for v in rules.audit(dom.parse_html(html), web_url="f"):
             fix = heuristic_fix(v)
-            if (v.rule_id, v.index) == ("landmark-one-main", 0):
+            cut = dom.is_cut(v.html_snippet)
+            if (v.rule_id, v.index) == ("landmark-one-main", 0) and not cut:
                 continue
             read = parse_fix(fix.raw_response, snippet=v.html_snippet)
-            if not isinstance(read.edit, Replace):
-                assert read.edit == fix.edit, v.html_snippet
-                compared += 1
+            assert read.edit == fix.edit, v.html_snippet
+            compared += 1
+            if html in RENAMED_OR_WRAPPED:
+                shapes.add((cut, type(fix.edit)))
     assert compared > 1000
+    assert shapes == {(cut, kind) for cut in (False, True)
+                      for kind in (StartTag, WrapChildren)}
+
+
+def assert_replay_runs_as_the_heuristic(pages):
+    """Replaying the heuristic's own transcript corrects each page as the
+    heuristic run did, and no answer fails to read."""
+    entries = [CorpusEntry(f"page-{i}.html", html)
+               for i, html in enumerate(pages)]
+    replay = ReplayProvider(build_replay_transcript(entries))
+    for ran, replayed in zip(run_pages(entries, HeuristicProvider()),
+                             run_pages(entries, replay)):
+        outcomes = [r.outcome for r in replayed.records]
+        assert (replayed.error, replayed.corrected_html, outcomes) == (
+            ran.error, ran.corrected_html, [r.outcome for r in ran.records])
+        assert not {PARSE_FAILED, PROVIDER_FAILED} & set(outcomes)
+
+
+def test_replay_of_renames_and_wraps_runs_as_the_heuristic():
+    assert_replay_runs_as_the_heuristic(RENAMED_OR_WRAPPED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag_soup)
+def test_replay_of_tag_soup_runs_as_the_heuristic(html):
+    assert_replay_runs_as_the_heuristic([html])
 
 
 def test_remote_answers_are_edits_parsed_outside_the_slot(monkeypatch):

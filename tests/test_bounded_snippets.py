@@ -177,6 +177,10 @@ ATTRS = (("id", "k"), ("class", "c"))
     ("<html>", "<html><main>", WrapChildren("main", ())),
     ("<html>", '<html lang="en"><body><main>',
      StartTag("html", (("lang", "en"),))),
+    # Only the tag that the answer writes need parse alike.
+    ('<p role="heading">', '<h3 role="heading">',
+     StartTag("h3", (("role", "heading"),))),
+    ("<li>", "<section>", StartTag("section", ())),
 ])
 def test_an_answer_to_a_start_tag_is_an_edit(snippet, answer, edit):
     assert cut(snippet)
@@ -201,22 +205,20 @@ WHOLE = '<div id="k" class="c">t <b>x</b></div>'
 
 def admits(edit, snippet: str) -> bool:
     """Whether ``parse_fix`` reads ``edit.render(snippet)`` as ``edit``:
-    a rename keeps the tag or goes between tags that parse alike, a
-    wrapper parses alike, the element whose children are wrapped parses
-    alike, or on a cut snippet is neither a ``p`` nor raw text, and text
-    is appended only to an element neither void nor raw text."""
-    old, content = dom.split_element(snippet)
+    the tag that the answer writes parses alike, or a rename keeps the tag;
+    a renamed element is not raw text, an element whose children are
+    wrapped is neither a ``p``, raw text nor void, and text is appended
+    only to an element neither void nor raw text."""
+    old, _ = dom.split_element(snippet)
+    markup = old.tag not in dom.RAW_TEXT_ELEMENTS
     if isinstance(edit, StartTag):
-        return edit.tag == old.tag or (dom.parses_alike(edit.tag)
-                                       and dom.parses_alike(old.tag))
+        return edit.tag == old.tag or (dom.parses_alike(edit.tag) and markup)
     if isinstance(edit, WrapSelf):
         return dom.parses_alike(edit.tag)
+    content = markup and old.tag not in dom.VOID_ELEMENTS
     if isinstance(edit, WrapChildren):
-        return dom.parses_alike(edit.tag) and (
-            dom.parses_alike(old.tag) if content is not None
-            else old.tag != "p" and old.tag not in dom.RAW_TEXT_ELEMENTS)
-    return (old.tag not in dom.VOID_ELEMENTS
-            and old.tag not in dom.RAW_TEXT_ELEMENTS)
+        return dom.parses_alike(edit.tag) and content and old.tag != "p"
+    return content
 
 
 def whole_and_cut(html: str) -> list:

@@ -201,10 +201,12 @@ def test_unwritable_output_exit_code_1(tmp_path, capsys, command):
      "max_retries must be >= 0"),
     (["bench", "--provider", "heuristic"], "[provider]\nmax_in_flight = 0\n",
      "max_in_flight must be >= 1"),
+    (["bench", "--provider", "heuristic"], "[provider]\ntimeout = nan\n",
+     "request_timeout must be a finite number > 0"),
     (["bench", "--provider", "heuristic", "--workers", "0"], "",
      "workers must be >= 1"),
 ], ids=["threshold-typo", "negative-retries", "no-requests-in-flight",
-        "no-workers"])
+        "nan-timeout", "no-workers"])
 def test_unusable_config_exit_code_1(tmp_path, capsys, command, text, message):
     page = write_page(tmp_path)
     cfg = tmp_path / "bad.ini"

@@ -647,6 +647,14 @@ def test_provider_config_validation():
         ProviderConfig(kind="heuristic", temperature=-1).validate()
     with pytest.raises(ConfigError):
         ProviderConfig(kind="heuristic", max_in_flight=0).validate()
+    nan, inf = float("nan"), float("inf")
+    for name, values in [("temperature", (nan, inf)),
+                         ("request_timeout", (0, -1.0, nan, inf)),
+                         ("max_tokens", (0, -5)),
+                         ("min_interval", (nan, inf, -inf))]:
+        for value in values:
+            with pytest.raises(ConfigError, match=f"^{name} "):
+                ProviderConfig(**{name: value}).validate()
 
 
 def test_make_provider_kinds(tmp_path):
