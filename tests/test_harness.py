@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -21,7 +22,7 @@ from accessfix.harness import (
 )
 from accessfix.prompts import Replace
 from accessfix.providers import HeuristicProvider, ReplayProvider
-from accessfix.scoring import fmt3
+from accessfix.scoring import BenchmarkResult, fmt3
 from fixturegen import write_all
 
 
@@ -366,6 +367,63 @@ def test_render_report_other_styles(corpus_paths):
     assert "%" in distribution
     parsed = json.loads(render_report(result, "json"))
     assert parsed["model"] == "m"
+
+
+CORPUS_RATES = "\n".join(
+    ["Error ID                        Percentage Corrected"]
+    + [f"{rule:<32}100%" for rule in (
+        "aria-required-attr", "color-contrast", "duplicate-id",
+        "empty-heading", "heading-order", "html-has-lang", "image-alt",
+        "label", "landmark-no-duplicate-content", "landmark-one-main",
+        "landmark-unique", "link-name", "meta-viewport", "region",
+        "skip-link")])
+CORPUS_DISTRIBUTION = """\
+Error Type                      Percentage
+region                          12.28%
+html-has-lang                   10.53%
+landmark-no-duplicate-content   9.36%
+skip-link                       8.77%
+color-contrast                  7.02%
+label                           7.02%
+landmark-unique                 6.43%
+aria-required-attr              5.85%
+heading-order                   5.85%
+duplicate-id                    5.26%
+link-name                       5.26%
+image-alt                       4.68%
+meta-viewport                   4.68%
+landmark-one-main               4.09%
+empty-heading                   2.92%"""
+
+
+def test_rule_reports_pinned(corpus_paths):
+    """The ``rates`` and ``distribution`` texts byte for byte: rows by
+    falling percentage, ties by rule id, the rule padded to 32 columns."""
+    result = run_benchmark(load_entries(corpus_paths), HeuristicProvider(),
+                           model_name="m")[0]
+    assert render_report(result, "rates") == CORPUS_RATES
+    assert render_report(result, "distribution") == CORPUS_DISTRIBUTION
+    made = BenchmarkResult(
+        m=1, total_initial=0, total_final=0, r_initial=Fraction(0),
+        r_final=Fraction(0), improvement_percent=Fraction(0),
+        per_rule_correction_rate={
+            "region": Fraction(5, 2), "label": Fraction(50),
+            "image-alt": Fraction(50), "link-name": Fraction(1, 2)},
+        rule_distribution={
+            "region": Fraction(1, 3), "label": Fraction(99, 2),
+            "image-alt": Fraction(99, 2), "link-name": Fraction(2, 3)})
+    assert render_report(made, "rates") == (
+        "Error ID                        Percentage Corrected\n"
+        "image-alt                       50%\n"
+        "label                           50%\n"
+        "region                          2%\n"
+        "link-name                       0%")
+    assert render_report(made, "distribution") == (
+        "Error Type                      Percentage\n"
+        "image-alt                       49.50%\n"
+        "label                           49.50%\n"
+        "link-name                       0.67%\n"
+        "region                          0.33%")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
