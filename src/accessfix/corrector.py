@@ -43,10 +43,12 @@ class CorrectionRecord:
 
 
 def apply_fix(el: Element, v: Violation, p: FixProposal) -> CorrectionRecord:
-    """Rewrite ``el`` in place into ``p``'s element (see
-    ``FixProposal.apply_to``); a failure leaves ``el`` as is."""
+    """Rewrite ``el`` in place into ``p``'s element by running ``p.edit``
+    on it. A ``Replace`` raises ``InvalidFragmentError`` unless its answer
+    is exactly one element, and an edit with no recipe at its turn
+    ``NoRecipeError``; either is recorded, and leaves ``el`` as is."""
     try:
-        p.apply_to(el)
+        p.edit(el)
     except InvalidFragmentError as exc:
         return CorrectionRecord(v, p, PARSE_FAILED, str(exc))
     except NoRecipeError as exc:
@@ -99,8 +101,9 @@ def correct_document(
     document and before any fix, and a fix rewrites its element in place,
     so no fix moves a target still waiting for its own. Each proposal is
     applied to the element it was asked for, and a recipe's answer edits
-    that element itself (``FixProposal.apply_to``). Failures are recorded
-    and skipped: one record per violation, in input order.
+    that element itself (``apply_fix`` runs the proposal's ``edit``).
+    Failures are recorded and skipped: one record per violation, in input
+    order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
     with its audited snippet, which locating checked; any other with its

@@ -338,26 +338,21 @@ def split_start(html: str, pos: int = 0) -> Optional[tuple]:
 
 def split_element(html: str) -> Optional[tuple]:
     """(start, content) of ``html``, a snippet (see ``snippet``): its start
-    tag as an element with no children, and the text of its content byte
-    for byte, "" for a void element and None for a snippet cut to its
-    start tag, the canonical start tag alone of a non-void element.
+    tag as an element with no children, and its content as
+    ``snippet_parts`` reads it.
 
-    Only the start tag is parsed; the content is the text between it and
-    the end tag. None unless ``html`` is a canonical start tag, alone or
-    followed by content and the matching end tag (for a void element,
-    alone). The content is not checked: it is canonical when ``html`` is a
+    Only the start tag is parsed. None unless ``html`` is a canonical start
+    tag, alone or followed by content and the matching end tag (for a void
+    element, alone): only then is the start tag ``snippet_parts``' head.
+    The content is not checked: it is canonical when ``html`` is a
     serialization.
     """
     split = split_start(html)
     if split is None:
         return None
     el, opened = split
-    if len(html) == opened:
-        return el, "" if el.tag in VOID_ELEMENTS else None
-    close = f"</{el.tag}>"
-    if el.tag in VOID_ELEMENTS or not html.endswith(close, opened):
-        return None
-    return el, html[opened:-len(close)]
+    head, content, _ = snippet_parts(html)
+    return (el, content) if len(head) == opened else None
 
 
 def serialize_node(node: Node) -> str:

@@ -322,21 +322,17 @@ def render_report(result: BenchmarkResult, style: str = "summary") -> str:
         )
         return header + "\n" + row
     if style == "rates":
-        lines = ["Error ID                        Percentage Corrected"]
-        ordered = sorted(
-            result.per_rule_correction_rate.items(),
-            key=lambda item: (-item[1], item[0]),
-        )
-        for rule, rate in ordered:
-            lines.append(f"{rule:<32}{float(rate):.0f}%")
-        return "\n".join(lines)
+        return _table("Error ID                        Percentage Corrected",
+                      result.per_rule_correction_rate, 0)
     if style == "distribution":
-        lines = ["Error Type                      Percentage"]
-        ordered = sorted(
-            result.rule_distribution.items(),
-            key=lambda item: (-item[1], item[0]),
-        )
-        for rule, share in ordered:
-            lines.append(f"{rule:<32}{float(share):.2f}%")
-        return "\n".join(lines)
+        return _table("Error Type                      Percentage",
+                      result.rule_distribution, 2)
     raise SchemaError(f"unknown report style: {style}")
+
+
+def _table(header: str, percents: dict, digits: int) -> str:
+    """``header`` over one row per rule, by falling percentage and then
+    rule id: the rule padded to 32 columns, then its percentage."""
+    ordered = sorted(percents.items(), key=lambda item: (-item[1], item[0]))
+    return "\n".join([header] + [f"{rule:<32}{float(pct):.{digits}f}%"
+                                  for rule, pct in ordered])

@@ -214,12 +214,6 @@ class FixProposal:
         if self.edit is None:
             self.edit = Replace(self.corrected_html)
 
-    def apply_to(self, el: Element) -> None:
-        """Rewrite ``el`` into the proposed element by running ``edit`` on
-        it; a ``Replace`` raises ``InvalidFragmentError`` (``el``
-        untouched) unless its answer is exactly one element."""
-        self.edit(el)
-
     @classmethod
     def answer(cls, corrected: str, thought: str, provider_id: str,
                edit: Callable) -> "FixProposal":

@@ -473,7 +473,7 @@ def heuristic_fix(v: Violation) -> FixProposal:
     The recipe runs once, on a fresh element made from the snippet's start
     tag, and gives its edit: a ``StartTag`` of the start tag as it left
     it, a ``WrapChildren``, ``WrapSelf`` or ``AppendText``, or the root
-    ``landmark-one-main`` wrap, a ``WrapBody``. ``FixProposal.apply_to``
+    ``landmark-one-main`` wrap, a ``WrapBody``. ``corrector.apply_fix``
     runs the edit on the live element, and the answer text is the edit's
     ``render`` of the snippet. A snippet that is not a canonical start tag,
     alone or with its content and end tag, has no recipe.

@@ -95,7 +95,7 @@ def check_answers(snippet: str) -> list:
             continue
         expected = parse_fragment_element(proposal.corrected_html)
         el = parse_fragment_element(snippet)
-        proposal.apply_to(el)
+        proposal.edit(el)
         assert serialize_node(el) == serialize_node(expected), \
             (snippet, answer)
         assert el == expected, (snippet, answer)
@@ -288,7 +288,7 @@ def test_appended_text_is_unescaped_and_merged():
     for proposal, text in [(canonical, "a & b & b <c>"),
                            (loose, "a & b <c> & \xa9")]:
         el = parse_fragment_element(snippet)
-        proposal.apply_to(el)
+        proposal.edit(el)
         assert el.children == [dom.Text(text)]
 
 
@@ -303,10 +303,10 @@ def test_a_parsed_answer_is_handed_over_once():
     proposal = parse_fix(respond('<p id="k"><b>x</b></p>'))
     parsed = proposal.edit.element
     first, second = dom.Element("p"), dom.Element("p")
-    proposal.apply_to(first)
+    proposal.edit(first)
     assert proposal.edit.element is None
     assert first.children is parsed.children
-    proposal.apply_to(second)
+    proposal.edit(second)
     assert second == first and second.children[0] is not first.children[0]
 
 
@@ -314,7 +314,7 @@ def test_a_proposal_made_without_an_edit_replaces():
     proposal = FixProposal("<img alt=a>", None, "<img alt=a>")
     assert proposal.edit.html == "<img alt=a>"
     el = dom.Element("img", {"src": "x"})
-    proposal.apply_to(el)
+    proposal.edit(el)
     assert el == dom.Element("img", {"alt": "a"})
 
 

@@ -92,10 +92,16 @@ def test_split_element_reads_only_the_start_tag(corpus_dir, corpus_manifest):
 @pytest.mark.parametrize("html", [
     "<P>x</P>", "<p >x</p>", '<img src=x.png>', "<p title='a'></p>",
     '<p id="a" id="b"></p>', "<p>x", "<p>x</div>", "<br>x", "x<p></p>",
-    " <p></p>", "<!-- c --><p></p>", "", "<p",
+    " <p></p>", "<!-- c --><p></p>", "", "<p", "<br></br>",
+    '<img alt="a"></img>',
 ])
 def test_split_element_takes_only_a_canonical_start_tag(html):
     assert dom.split_element(html) is None
+
+
+def test_split_element_of_a_cut_snippet():
+    """A non-void start tag alone is a snippet cut from its content."""
+    assert dom.split_element("<div>") == (dom.Element("div"), None)
 
 
 def test_find_by_snippet_finds_only_the_canonical_snippet():

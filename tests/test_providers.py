@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import accessfix
-from accessfix import dom, harness, providers, rules
+from accessfix import corrector, dom, harness, providers, rules
 from accessfix.colors import RgbColor, contrast_ratio, parse_color
 from accessfix.corrector import apply_fix, correct_document
 from accessfix.errors import (
@@ -29,7 +29,7 @@ from accessfix.harness import (
     run_benchmark,
     run_pages,
 )
-from accessfix.prompts import FixProposal, build_prompt, parse_fix
+from accessfix.prompts import build_prompt, parse_fix
 from accessfix.providers import (
     HeuristicProvider,
     ProviderConfig,
@@ -313,7 +313,7 @@ def test_applied_heuristic_fix_is_its_corrected_html_parsed(
     answer to a snippet cut to its start tag is never parsed: there,
     ``parse_fix`` must read the answer back as the edit that was run."""
     compared = []
-    apply_to = FixProposal.apply_to
+    apply = corrector.apply_fix
     snippets = {}  # id of a proposal -> the snippet it answers
     fix = providers.heuristic_fix
 
@@ -322,18 +322,19 @@ def test_applied_heuristic_fix_is_its_corrected_html_parsed(
         snippets[id(proposal)] = v.html_snippet
         return proposal
 
-    def checked(self, el):
-        apply_to(self, el)
-        snippet = snippets[id(self)]
+    def checked(el, v, proposal):
+        record = apply(el, v, proposal)
+        snippet = snippets[id(proposal)]
         if dom.is_cut(snippet):
-            read = parse_fix(self.raw_response, snippet=snippet)
-            compared.append(read.edit == self.edit)
+            read = parse_fix(proposal.raw_response, snippet=snippet)
+            compared.append(read.edit == proposal.edit)
         else:
             compared.append(
-                el == dom.parse_fragment_element(self.corrected_html))
+                el == dom.parse_fragment_element(proposal.corrected_html))
+        return record
 
     monkeypatch.setattr(providers, "heuristic_fix", recording)
-    monkeypatch.setattr(FixProposal, "apply_to", checked)
+    monkeypatch.setattr(corrector, "apply_fix", checked)
     pages = [(path, Path(path).read_text("utf-8")) for path in corpus_paths]
     pages += [(name, (rules_dir / name).read_text("utf-8"))
               for name in sorted(rules_manifest)]

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from accessfix import dom, providers, rules
@@ -94,12 +94,31 @@ _RAW = st.builds("<{0}{1}>{2}</{0}>".format,
                  st.sampled_from(["", "a<b>&amp;", "x</p>y", "`q`"]))
 _CLOSE = st.builds("</{}>".format, st.sampled_from(
     ["div", "p", "main", "header", "section", "h2", "li", "td"]))
-_TEXT = st.sampled_from(["text", " ", "a &amp; b", "x<y", "``", "<!-- c -->"])
+# The long text cuts the snippet of any element that holds it (see
+# ``dom.SNIPPET_LIMIT``), so the recipes run on cut snippets below the body.
+_TEXT = st.sampled_from(["text", " ", "a &amp; b", "x<y", "``", "<!-- c -->",
+                         "long " * 64])
 tag_soup = st.builds(
     "{}{}".format,
     st.sampled_from(["", "<html>", '<html lang="en">']),
     st.lists(st.one_of(_OPEN, _RAW, _CLOSE, _TEXT), max_size=40).map("".join),
 )
+
+
+def test_tag_soup_reaches_cut_snippets():
+    """Some tag-soup page flags an element inside its body whose snippet is
+    cut to its start tag. Without the long text, 150 pages give cut
+    snippets of the root and the body alone."""
+
+    def cut_below_the_body(html):
+        for v in rules.audit(dom.parse_html(html), web_url="soup"):
+            el, content = dom.split_element(v.html_snippet)
+            if content is None and el.tag not in ("html", "body"):
+                return True
+        return False
+
+    find(tag_soup, cut_below_the_body,
+         settings=settings(max_examples=150, phases=[Phase.generate]))
 
 
 @settings(max_examples=150, deadline=None)
