@@ -93,40 +93,47 @@ def correct_document(
     violations,
     provider,
     strategy: str = "react",
+    walk=None,
 ) -> tuple:
     """Run prompt -> propose -> apply for each violation, from the last in
     document order (the order ``rules.audit`` returns) to the first.
 
-    Each distinct (index, snippet) is located once, after one walk of the
-    document and before any fix, and a fix rewrites its element in place,
-    so no fix moves a target still waiting for its own. Each proposal is
-    applied to the element it was asked for, and a recipe's answer edits
-    that element itself (``apply_fix`` runs the proposal's ``edit``).
+    Violation ``v``'s target is element ``v.index`` of ``walk``, if given:
+    the ``dom.preorder`` walk that ``rules.audit`` found ``violations`` on,
+    of ``doc`` unchanged since. Else each distinct (index, snippet) is
+    located (``dom.locate``) after one walk. A fix rewrites its element in
+    place, so no fix moves a target still waiting for its own; a recipe's
+    answer edits that element (``apply_fix`` runs the proposal's ``edit``).
     Failures are recorded and skipped: one record per violation, in input
     order.
 
     A target that no other fix can reach (see ``_independent``) is prompted
-    with its audited snippet, which locating checked; any other with its
-    element's snippet at its turn, so a fix that landed inside it shows, or
-    with its element's start tag if the audited snippet was the start tag
-    alone. A provider whose ``max_in_flight`` is above 1
+    with its audited snippet; any other with its element's snippet at its
+    turn, so a fix that landed inside it shows, or with its element's start
+    tag if the audited snippet was the start tag alone. The provider gets a
+    copy of the violation whose ``element`` is the target; the record keeps
+    the violation. A provider whose ``max_in_flight`` is above 1
     (``RemoteProvider``) is asked for every independent target up front,
     on a pool of that many threads. The fixes, their order, the prompts and
     the records are those of a provider asked one violation at a time.
     """
-    elements, _, _, end = preorder(doc.root)
-    found = {key: locate(elements, *key)
-             for key in {(v.index, v.html_snippet) for v in violations}}
-    targets = [(found[v.index, v.html_snippet], v) for v in violations]
+    elements, _, _, end = walk or preorder(doc.root)
+    if walk is None:
+        found = {key: locate(elements, *key)
+                 for key in {(v.index, v.html_snippet) for v in violations}}
+        targets = [(found[v.index, v.html_snippet], v) for v in violations]
+    else:
+        targets = [(elements[v.index], v) for v in violations]
     independent = _independent(targets, end)
 
     def ask(i: int) -> FixProposal:
         el, v = targets[i]
+        html = v.html_snippet
         if i not in independent:
             html = (start_tag(el.tag, el.attrs.items())
-                    if is_cut(v.html_snippet) else snippet(el))
-            v = Violation(v.rule_id, v.impact, v.description, v.help,
-                          html, v.index, v.web_url, v.data)
+                    if is_cut(html) else snippet(el))
+        v = Violation(v.rule_id, v.impact, v.description, v.help,
+                      html, v.index, v.web_url, v.data, el)
         return provider.propose(build_prompt(v, strategy), v)
 
     early = {}

@@ -161,9 +161,10 @@ def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
     if provider is not None and strategy not in prompts.STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
 
-    def audit(doc, source_id):
+    def audit(doc, source_id, walk=None):
         violations = rules.audit(doc, ruleset, web_url=source_id,
-                                 impacts=impacts, thresholds=thresholds)
+                                 impacts=impacts, thresholds=thresholds,
+                                 walk=walk)
         return AuditReport.from_violations(violations, weights)
 
     def run_page(entry):
@@ -173,10 +174,11 @@ def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
         try:
             doc = dom.parse_html(entry.html_text)
             dom_text = doc.serialize()
-            page.initial = audit(doc, entry.source_id)
+            walk = dom.preorder(doc.root)
+            page.initial = audit(doc, entry.source_id, walk)
             if provider is not None:
                 corrected, page.records = corrector.correct_document(
-                    doc, page.initial.violations, provider, strategy
+                    doc, page.initial.violations, provider, strategy, walk
                 )
                 page.corrected_html = corrected.serialize()
                 page.final = audit(corrected, entry.source_id)

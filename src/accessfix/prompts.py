@@ -197,11 +197,11 @@ class Replace:
 @dataclass
 class FixProposal:
     """A fix: the corrected element as text, and the ``edit`` that makes it
-    of the element it was asked for. A recipe's text is its edit's
-    ``render`` of the snippet. The edit is one of
-    ``StartTag``, ``WrapChildren``, ``WrapSelf``, ``WrapBody`` (the root
+    of the element it was asked for. The edit is one of ``StartTag``,
+    ``WrapChildren``, ``WrapSelf``, ``WrapBody`` (the root
     ``landmark-one-main`` wrap) and ``AppendText``, or ``Replace``, which
-    parses ``corrected_html``: the default."""
+    parses ``corrected_html``: the default. A recipe's proposal (``answer``)
+    holds its edit, thought and snippet, and renders its texts on read."""
 
     corrected_html: str
     thought: Optional[str]
@@ -215,17 +215,28 @@ class FixProposal:
             self.edit = Replace(self.corrected_html)
 
     @classmethod
-    def answer(cls, corrected: str, thought: str, provider_id: str,
+    def answer(cls, snippet: str, thought: str, provider_id: str,
                edit: Callable) -> "FixProposal":
-        """The ``Thought:`` / ``CORRECTED:`` response that offers
-        ``corrected``, in the form ``parse_fix`` reads back; the fence has
-        one backtick more than the longest run inside it. ``edit`` makes on
-        the element it is given the change that ``corrected`` shows."""
+        """The proposal of ``edit``, whose texts are rendered on first read:
+        the ``Thought:`` / ``CORRECTED:`` response that offers
+        ``edit.render(snippet)``, in the form ``parse_fix`` reads back; the
+        fence has one backtick more than the longest run inside it."""
+        proposal = cls.__new__(cls)
+        proposal.thought, proposal.provider_id = thought, provider_id
+        proposal.edit, proposal._snippet = edit, snippet
+        return proposal
+
+    def __getattr__(self, name: str):
+        if name not in ("corrected_html", "raw_response"):  # see ``answer``
+            raise AttributeError(name)
+        corrected = self.edit.render(self._snippet)
         fence = "`"
         while fence in corrected:
             fence += "`"
-        raw = f"Thought: {thought}\nCORRECTED: {fence}{corrected}{fence}"
-        return cls(corrected, thought, raw, provider_id, edit)
+        self.corrected_html = corrected
+        self.raw_response = (f"Thought: {self.thought}\n"
+                             f"CORRECTED: {fence}{corrected}{fence}")
+        return getattr(self, name)
 
 
 # The user message split at its placeholders: odd parts are their names.

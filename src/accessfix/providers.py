@@ -470,20 +470,23 @@ def heuristic_fix(v: Violation) -> FixProposal:
     """Deterministic repair of a violation's snippet, rule by rule.
 
     ``v.html_snippet`` is a snippet, as the audit gives (``dom.snippet``).
-    The recipe runs once, on a fresh element made from the snippet's start
-    tag, and gives its edit: a ``StartTag`` of the start tag as it left
-    it, a ``WrapChildren``, ``WrapSelf`` or ``AppendText``, or the root
+    The recipe runs once, on a fresh childless element with the start tag of
+    ``v.element`` (the snippet's element) if set, else of the snippet, and
+    gives its edit: a ``StartTag`` of the start tag as it left it, a
+    ``WrapChildren``, ``WrapSelf`` or ``AppendText``, or the root
     ``landmark-one-main`` wrap, a ``WrapBody``. ``corrector.apply_fix``
-    runs the edit on the live element, and the answer text is the edit's
-    ``render`` of the snippet. A snippet that is not a canonical start tag,
-    alone or with its content and end tag, has no recipe.
+    runs the edit on the live element; the answer text, rendered on first
+    read, is the edit's ``render`` of the snippet. Without an element, a
+    snippet that is not a canonical start tag, alone or with its content
+    and end tag, has no recipe.
     """
     recipe = _RECIPES.get(v.rule_id)
     if recipe is None:
         raise NoRecipeError(f"no repair recipe for rule: {v.rule_id}")
-    split = split_element(v.html_snippet)
+    el = v.element
+    split = (split_element(v.html_snippet) if el is None
+             else (Element(el.tag, dict(el.attrs), []), None))
     if split is None:
         raise NoRecipeError(f"{v.rule_id} snippet is not canonical")
     edit, thought = recipe(split[0], v)
-    return FixProposal.answer(edit.render(v.html_snippet), thought,
-                              "heuristic", edit)
+    return FixProposal.answer(v.html_snippet, thought, "heuristic", edit)

@@ -127,6 +127,9 @@ DEFAULT_THRESHOLDS = {
 
 @dataclass
 class Violation:
+    """A rule's finding on one element. The audit never sets ``element``,
+    which ``corrector.correct_document`` sets on what it hands a provider."""
+
     rule_id: str
     impact: str
     description: str
@@ -136,6 +139,7 @@ class Violation:
     index: int  # pre-order position of the element in the document
     web_url: str
     data: dict = field(default_factory=dict)  # fix parameters, per rule
+    element: Optional[Element] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -251,8 +255,8 @@ class _Index:
     thresholds: dict
 
     @classmethod
-    def build(cls, doc: DomDocument, thresholds: dict) -> "_Index":
-        elements, parent, slot, end = preorder(doc.root)
+    def build(cls, doc: DomDocument, thresholds: dict, walk=None) -> "_Index":
+        elements, parent, slot, end = walk or preorder(doc.root)
         role, has_text, text, ids = [], [], [], {}
         tags, id_carriers, role_carriers = {}, [], []
         for i, el in enumerate(elements):
@@ -882,9 +886,11 @@ def audit(
     web_url: str = "",
     impacts=None,
     thresholds=None,
+    walk=None,
 ) -> list:
     """Run the rule catalog over a document, returning violations in document
-    order (ties broken by ruleset order; a repeated rule id runs once)."""
+    order (ties broken by ruleset order; a repeated rule id runs once).
+    ``walk``, if given, is ``dom.preorder(doc.root)``, then not made again."""
     ruleset = check_ruleset(ruleset)
     impact_map = dict(DEFAULT_IMPACTS)
     if impacts:
@@ -893,7 +899,7 @@ def audit(
     if thresholds:
         threshold_map.update(thresholds)
 
-    ix = _Index.build(doc, threshold_map)
+    ix = _Index.build(doc, threshold_map, walk)
     run = []  # (rule id, impact, description, default help) per rule run
     collected = []
     for rule_id in dict.fromkeys(ruleset):

@@ -99,10 +99,12 @@ def _stages(html: str) -> tuple:
     doc = dom.parse_html(html)
     times["parse"] = time.process_time() - start
     start = time.process_time()
-    violations = rules.audit(doc)
+    walk = dom.preorder(doc.root)  # as harness.run_pages hands it on
+    violations = rules.audit(doc, walk=walk)
     times["audit"] = time.process_time() - start
     start = time.process_time()
-    corrector.correct_document(doc, violations, providers.HeuristicProvider())
+    corrector.correct_document(doc, violations, providers.HeuristicProvider(),
+                               walk=walk)
     times["correct"] = time.process_time() - start
     start = time.process_time()
     rules.audit(doc)
