@@ -73,17 +73,23 @@ def load_config(path=None) -> AppConfig:
         if impact not in IMPACT_LEVELS:
             raise ConfigError(f"[weights] unknown impact: {impact}")
         try:
-            config.weights[impact] = int(value)
+            weight = int(value)
         except ValueError as exc:
             raise ConfigError(f"[weights] {impact} must be an integer") from exc
+        if weight < 0:
+            raise ConfigError(f"[weights] {impact} must be >= 0")
+        config.weights[impact] = weight
 
     for key, value in sections.get("thresholds", ()):
         if key not in DEFAULT_THRESHOLDS:
             raise ConfigError(f"[thresholds] unknown key: {key}")
         try:
-            config.thresholds[key] = float(value)
+            threshold = float(value)
         except ValueError as exc:
             raise ConfigError(f"[thresholds] {key} must be a number") from exc
+        if not 0 < threshold < float("inf"):  # False for NaN too
+            raise ConfigError(f"[thresholds] {key} must be a finite number > 0")
+        config.thresholds[key] = threshold
 
     for key, value in sections.get("provider", ()):
         name = _PROVIDER_FIELDS.get(key)

@@ -160,6 +160,8 @@ def run_pages(entries, provider=None, ruleset=None, strategy: str = "react",
         raise ConfigError("workers must be >= 1")
     if provider is not None and strategy not in prompts.STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
+    # A remote provider asks the endpoint once per distinct request of a run.
+    provider = getattr(provider, "for_run", lambda: provider)()
 
     def audit(doc, source_id, walk=None):
         violations = rules.audit(doc, ruleset, web_url=source_id,

@@ -124,8 +124,12 @@ def _default_post_json(url, payload, headers, timeout):
         headers={"Content-Type": "application/json", **headers},
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        exc.close()  # its socket; ``code`` still classifies the failure
+        raise
 
 
 class RemoteProvider:
@@ -138,9 +142,12 @@ class RemoteProvider:
         self.cfg = cfg
         self._post_json = post_json or _default_post_json
         self._sleep = sleep
+        # The lock, the next send time and the slots are shared with every
+        # run's view (``for_run``): the caps hold across runs.
         self._lock = threading.Lock()
-        self._next_send = 0.0  # monotonic time the next request may go out
+        self._next_send = [0.0]  # monotonic time the next request may go out
         self._slots = threading.Semaphore(cfg.max_in_flight)
+        self._asked = None  # request hash -> its outcome, in a run's view
 
     @property
     def max_in_flight(self) -> int:
@@ -158,15 +165,50 @@ class RemoteProvider:
             return
         with self._lock:
             now = time.monotonic()
-            send_at = max(now, self._next_send)
-            self._next_send = send_at + self.cfg.min_interval
+            send_at = max(now, self._next_send[0])
+            self._next_send[0] = send_at + self.cfg.min_interval
         if send_at > now:
             self._sleep(send_at - now)
 
+    def for_run(self) -> "RemoteProvider":
+        """This provider for one run (``harness.run_pages``): it sends each
+        distinct request, keyed by ``request_hash`` of its messages, once.
+        An asker whose request is in flight waits for its outcome, holding
+        no slot and no pacing lock; a later one reuses the answer text. The
+        outcome, answer or exception, reaches every asker, and each parses
+        the answer against its own snippet. A new view asks anew."""
+        import copy  # loaded already, by dataclasses
+
+        view = copy.copy(self)
+        view._asked = {}
+        return view
+
     def propose(self, bundle: PromptBundle, violation=None) -> FixProposal:
+        messages = bundle.messages()
+        if self._asked is None:
+            content = self._send(messages)
+        else:
+            from concurrent.futures import Future  # import on first use
+
+            mine = Future()
+            # setdefault is atomic: one asker of each request sends it.
+            asked = self._asked.setdefault(request_hash(messages), mine)
+            if asked is mine:
+                try:
+                    mine.set_result(self._send(messages))
+                except BaseException as exc:  # releases every waiter
+                    mine.set_exception(exc)
+            content = asked.result()
+        # Parsed after the slot is released: it waits on no endpoint.
+        return parse_fix(content, self.provider_id, bundle.values["html"])
+
+    def _send(self, messages) -> str:
+        """The endpoint's answer text to ``messages``. A failure that
+        ``max_retries`` retries did not mend, or a refused request, raises
+        ``ProviderUnavailableError``."""
         payload = {
             "model": self.cfg.model_name,
-            "messages": bundle.messages(),
+            "messages": messages,
             "temperature": self.cfg.temperature,
             "max_tokens": self.cfg.max_tokens,
         }
@@ -202,8 +244,7 @@ class RemoteProvider:
                 f"remote provider failed after {self.cfg.max_retries + 1} "
                 f"attempts: {last_error}"
             )
-        # Parsed after the slot is released: it waits on no endpoint.
-        return parse_fix(content, self.provider_id, bundle.values["html"])
+        return content
 
 
 class ReplayProvider:

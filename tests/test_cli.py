@@ -205,8 +205,19 @@ def test_unwritable_output_exit_code_1(tmp_path, capsys, command):
      "request_timeout must be a finite number > 0"),
     (["bench", "--provider", "heuristic", "--workers", "0"], "",
      "workers must be >= 1"),
+    (["scan"], "[thresholds]\ncontrast_normal = nan\n",
+     "[thresholds] contrast_normal must be a finite number > 0"),
+    (["scan"], "[thresholds]\ncontrast_large = inf\n",
+     "[thresholds] contrast_large must be a finite number > 0"),
+    (["scan"], "[thresholds]\nlarge_font_px = 0\n",
+     "[thresholds] large_font_px must be a finite number > 0"),
+    (["scan"], "[thresholds]\nlarge_bold_font_px = -18.66\n",
+     "[thresholds] large_bold_font_px must be a finite number > 0"),
+    (["scan"], "[weights]\nserious = -4\n",
+     "[weights] serious must be >= 0"),
 ], ids=["threshold-typo", "negative-retries", "no-requests-in-flight",
-        "nan-timeout", "no-workers"])
+        "nan-timeout", "no-workers", "nan-threshold", "infinite-threshold",
+        "zero-threshold", "negative-threshold", "negative-weight"])
 def test_unusable_config_exit_code_1(tmp_path, capsys, command, text, message):
     page = write_page(tmp_path)
     cfg = tmp_path / "bad.ini"

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import http.server
 import json
 import os
 import random
@@ -8,6 +10,7 @@ import sys
 import threading
 import time
 import urllib.error
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -635,6 +638,209 @@ def test_overlapped_request_failures_stay_per_fix_or_per_page():
     [page] = joined(lambda: list(run_pages([entry], provider)))
     assert page.error == "RuntimeError: endpoint bug"
     assert set(threading.enumerate()) == before
+
+
+def shared_prompt(entries):
+    """The hash of the request that most pages of ``entries`` ask, and how
+    many violations ask it."""
+    asks = Counter(request_hash(build_prompt(v, "react").messages())
+                   for run in run_pages(entries)
+                   for v in run.initial.violations)
+    return asks.most_common(1)[0]
+
+
+def test_a_run_sends_each_distinct_request_once(corpus_paths):
+    entries = ingest(corpus_paths)
+    transcript = build_replay_transcript(entries)
+    assert len(transcript.entries) == 143
+
+    def remote(endpoint, max_in_flight):
+        return RemoteProvider(remote_cfg(max_in_flight=max_in_flight),
+                              post_json=endpoint, sleep=lambda s: None)
+
+    serial_endpoint, endpoint = (TranscriptEndpoint(transcript)
+                                 for _ in range(2))
+    serial = run_benchmark(entries, remote(serial_endpoint, 1))
+    provider = remote(endpoint, 4)
+    overlapped = joined(lambda: run_benchmark(entries, provider, workers=2))
+    assert len(serial[2]) == 171 and serial[3] == []
+    assert overlapped == serial
+    for sent in (serial_endpoint.hashes, endpoint.hashes):
+        assert len(sent) == len(set(sent)) == 143
+        assert set(sent) == set(transcript.entries)
+    # A second run of the same provider asks the endpoint again.
+    assert joined(lambda: run_benchmark(entries, provider, workers=2)) == serial
+    assert sorted(endpoint.hashes[143:]) == sorted(endpoint.hashes[:143])
+
+
+def test_an_asker_waits_for_the_same_request_in_flight(corpus_paths,
+                                                       monkeypatch):
+    entries = ingest(corpus_paths)
+    transcript = build_replay_transcript(entries)
+    held, askers = shared_prompt(entries)
+    assert askers == 18  # the bare <html> of html-has-lang
+    lock, asks, asked_again = threading.Lock(), Counter(), threading.Event()
+
+    def counted(messages):
+        key = request_hash(messages)
+        with lock:
+            asks[key] += 1
+            if key == held and asks[key] == 2:
+                asked_again.set()
+        return key
+
+    answer = TranscriptEndpoint(transcript)
+    waited = []
+
+    def post(url, payload, headers, timeout):
+        if request_hash(payload["messages"]) == held and not waited:
+            # Hold the first request until another page asks the same.
+            waited.append(asked_again.wait(10))
+        return answer(url, payload, headers, timeout)
+
+    monkeypatch.setattr(providers, "request_hash", counted)
+    provider = RemoteProvider(remote_cfg(max_in_flight=4), post_json=post,
+                              sleep=lambda s: None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result, _, records, failures = joined(
+            lambda: run_benchmark(entries, provider, workers=2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert waited == [True] and asks[held] == 18
+    assert answer.hashes.count(held) == 1 and len(answer.hashes) == 143
+    assert failures == [] and result.total_final == 0
+    assert {r.outcome for r in records} == {"applied"}
+
+
+def test_a_failed_shared_request_fails_every_asker_alike(corpus_paths):
+    entries = ingest(corpus_paths)
+    transcript = build_replay_transcript(entries)
+    held, askers = shared_prompt(entries)
+    answer = TranscriptEndpoint(transcript)
+    attempts = []
+
+    def post(url, payload, headers, timeout):
+        if request_hash(payload["messages"]) == held:
+            attempts.append(held)
+            raise http_error(503)
+        return answer(url, payload, headers, timeout)
+
+    provider = RemoteProvider(remote_cfg(max_retries=2, max_in_flight=4),
+                              post_json=post, sleep=lambda s: None)
+    _, _, records, failures = joined(
+        lambda: run_benchmark(entries, provider, workers=2))
+    assert failures == [] and len(attempts) == 3
+    failed = [r for r in records if r.outcome != "applied"]
+    assert len(failed) == askers
+    assert {r.outcome for r in failed} == {"provider_failed"}
+    assert {r.detail for r in failed} == {
+        "remote provider failed after 3 attempts: HTTP Error 503: status"}
+    assert {request_hash(build_prompt(r.violation, "react").messages())
+            for r in failed} == {held}
+
+
+def test_a_raising_shared_request_fails_each_asking_page():
+    page = PAGE.format(seed='<img src="a.png"><img src="b.png">')
+    entries = [CorpusEntry(name, page) for name in ("p1.html", "p2.html")]
+    transcript = build_replay_transcript(entries)
+    broken = request_hash(build_prompt(
+        violation_for(page, "image-alt"), "react").messages())
+    answer = TranscriptEndpoint(transcript)
+    sent = []
+
+    def post(url, payload, headers, timeout):
+        key = request_hash(payload["messages"])
+        sent.append(key)
+        if key == broken:
+            time.sleep(0.01)  # the other page asks meanwhile
+            raise RuntimeError("endpoint bug")
+        return answer(url, payload, headers, timeout)
+
+    before = set(threading.enumerate())
+    provider = RemoteProvider(remote_cfg(max_in_flight=2), post_json=post)
+    pages = joined(lambda: list(run_pages(entries, provider, workers=2)))
+    assert [p.error for p in pages] == ["RuntimeError: endpoint bug"] * 2
+    assert sent.count(broken) == 1
+    assert set(threading.enumerate()) == before
+
+
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next of ``server.statuses`` (an OK_BODY
+    for 200) and a GET of /page.html with ``server.page``, any other with
+    404, counting the GETs."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        status = self.server.statuses.pop(0)
+        self.answer(status, json.dumps(OK_BODY if status == 200 else {}))
+
+    def do_GET(self):
+        self.server.gets += 1
+        if self.path == "/page.html":
+            self.answer(200, self.server.page)
+        else:
+            self.answer(404, "")
+
+    def answer(self, status, text):
+        body = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """A local HTTP server on a free port, shut down and closed after the
+    test; then every socket left unclosed warns, which fails the test."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
+                                             LoopbackHandler)
+    server.statuses, server.gets = [], 0
+    server.page = PAGE.format(seed='<img src="a.png">')
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+        gc.collect()
+
+
+def test_the_default_post_json_over_loopback(loopback):
+    server, url = loopback
+    provider = RemoteProvider(remote_cfg(endpoint_url=url + "/v1"),
+                              sleep=lambda s: None)
+    bundle = build_prompt(violation_for(server.page, "image-alt"), "react")
+    for statuses in ([200], [503, 200], [503, 503, 200]):
+        server.statuses[:] = statuses
+        assert provider.propose(bundle).corrected_html == "<p>ok</p>"
+        assert server.statuses == []
+    for statuses, message in (([400], "refused the request: HTTP 400"),
+                              ([503, 503, 400], "HTTP 400"),
+                              ([503] * 3, "failed after 3 attempts")):
+        server.statuses[:] = statuses
+        with pytest.raises(ProviderUnavailableError, match=message):
+            provider.propose(bundle)
+        assert server.statuses == []
+
+
+def test_the_default_fetch_over_loopback(loopback, tmp_path):
+    server, url = loopback
+    [entry] = ingest([url + "/page.html"], cache_dir=tmp_path)
+    assert (entry.error, entry.html_text) == ("", server.page)
+    [cached] = tmp_path.iterdir()
+    assert cached.read_text("utf-8") == server.page
+    [again] = ingest([url + "/page.html"], cache_dir=tmp_path)
+    assert again == entry and server.gets == 1
+    [gone] = ingest([url + "/gone.html"], cache_dir=tmp_path)
+    assert gone.error == "HTTP Error 404: Not Found" and server.gets == 2
 
 
 def test_provider_config_validation():
